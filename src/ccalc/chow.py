@@ -24,6 +24,7 @@ from math import gcd
 
 from .rings import (
     NotAFiberGenerator,
+    NotDivisible,
     Ring,
     exact_divide,
     substitute,
@@ -228,7 +229,8 @@ def class_bin(d, allow_formal=False, push_fiber="t"):
 
     num = fiber_pushforward(xi, push_fiber) - excess * a
     quotient = exact_divide(num, a)
-    assert not quotient.contains(push_fiber)
+    if quotient.contains(push_fiber):
+        raise NotDivisible("quotient still involves the pushed fiber %r" % push_fiber)
 
     renamed = substitute(
         quotient, {"h": "hz", kept: "u"}, target=_SINGULAR_FREE

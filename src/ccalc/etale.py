@@ -279,9 +279,11 @@ class SWClassVector:
     """alpha_0..alpha_cap of an algebra, flavor 'plain-SW' or 'galois-SW'."""
 
     def __init__(self, model, rank, flavor, classes):
-        assert classes[0].is_one()
+        if not classes[0].is_one():
+            raise EtaleError("alpha_0 must be 1, got %s" % classes[0])
         for i, c in enumerate(classes):
-            assert c.is_zero() or c.degrees() == [i]
+            if not (c.is_zero() or c.degrees() == [i]):
+                raise EtaleError("alpha_%d is not homogeneous of degree %d" % (i, i))
         self.model = model
         self.rank = rank
         self.flavor = flavor

@@ -25,6 +25,7 @@ bookkeeping downstream (gcds of class coefficients) has zero tolerance.
 
 from fractions import Fraction
 from itertools import permutations
+from operator import add
 
 
 class RingError(Exception):
@@ -92,6 +93,14 @@ class Ring:
     cap: working degree; terms of degree > cap raise TruncationExceeded.
     display_order: generator names most-significant-first, used only for
         printing (defaults to declaration order).
+
+    Normal forms are read from a power table per fiber generator g with
+    relation degree n: entry k - n holds the normal form of g^k for k >= n.
+    A table is filled lazily, one power at a time, up to the largest exponent
+    of g that a normalization has met, so its size is set by the inputs seen
+    and not by any fixed bound; nothing is built until the first rewrite.
+    The tables live as long as the ring, and their entries are never handed
+    out as a Poly's terms.
     """
 
     def __init__(self, gens, relations=None, cap=None, display_order=None):
@@ -160,6 +169,10 @@ class Ring:
                     rhs[e2] = rhs.get(e2, 0) - c
             self.rel[i] = (n, {e: c for e, c in rhs.items() if c})
 
+        # Fibers in rewrite order, and their lazily filled power tables.
+        self._fiber_desc = tuple(sorted(self.rel, reverse=True))
+        self._powers = {}
+
         if display_order is None:
             self._disp = tuple(range(self.ngens))
         else:
@@ -211,31 +224,24 @@ class Ring:
     def _normalize(self, terms):
         """Reduce fiber exponents below their relation degrees.
 
-        Reduction replaces g^n by the relation right-hand side; always
-        rewriting at the largest overflowing fiber index makes the rewrite
-        terminating (later exponents never grow), and since each monomial has
-        exactly one reduct the result is independent of the order raw terms
-        are fed in.
+        One merging pass per fiber generator, highest tower index first: the
+        pass for fiber i replaces each term m*g_i^k with k >= n_i by m times
+        the normal form of g_i^k, read from the ring's power table, and merges
+        coefficients as it goes.  That normal form involves no generator
+        above i, so the passes already made stay reduced, and lower fibers
+        that overflow are left to their own later passes.  Normal forms are
+        unique (monic division in a tower), so the result is independent of
+        the order raw terms are fed in.  A relation-free ring skips the
+        passes and only checks the cap.
+
+        The power table of g_i holds the normal forms of g_i^k for n_i <= k
+        <= the largest exponent of g_i met so far, so it grows with the
+        inputs, one entry per new power, and is kept for the life of the ring.
+        Terms above the cap raise only if they survive cancellation.
         """
-        out = {}
-        stack = list(terms.items())
-        fiber_desc = sorted(self.rel, reverse=True)
-        while stack:
-            e, c = stack.pop()
-            if c == 0:
-                continue
-            for i in fiber_desc:
-                n, rhs = self.rel[i]
-                if e[i] >= n:
-                    base = list(e)
-                    base[i] -= n
-                    for re_, rc in rhs.items():
-                        e2 = tuple(a + b for a, b in zip(base, re_))
-                        stack.append((e2, c * rc))
-                    break
-            else:
-                out[e] = out.get(e, 0) + c
-        out = {e: c for e, c in out.items() if c}
+        if self._fiber_desc:
+            terms = self._reduce(terms, 0)
+        out = _nonzero(terms)
         if self.cap is not None:
             for e in out:
                 if self._grade(e) > self.cap:
@@ -244,6 +250,52 @@ class Ring:
                         % (self._grade(e), self.cap)
                     )
         return out
+
+    def _reduce(self, terms, start):
+        """Run the fiber passes for self._fiber_desc[start:] over terms.
+
+        Each pass builds a fresh dict; zero coefficients may remain and are
+        dropped by the caller.
+        """
+        fibers = self._fiber_desc
+        for pos in range(start, len(fibers)):
+            i = fibers[pos]
+            n = self.rel[i][0]
+            table = self._powers.get(i, ())
+            out = {}
+            get = out.get
+            for e, c in terms.items():
+                k = e[i]
+                if k < n:
+                    out[e] = get(e, 0) + c
+                    continue
+                if not c:
+                    continue
+                if k - n >= len(table):
+                    table = self._fiber_powers(pos, k)
+                base = e[:i] + (0,) + e[i + 1:]
+                for e2, c2 in table[k - n].items():
+                    key = tuple(map(add, base, e2))
+                    out[key] = get(key, 0) + c * c2
+            terms = out
+        return terms
+
+    def _fiber_powers(self, pos, top):
+        """The power table of fiber self._fiber_desc[pos], filled up to g^top.
+
+        Entry k - n holds the normal form of g^k (n the relation degree);
+        entry k + 1 is g times entry k, rewritten once at g^n and then run
+        through the lower-fiber passes.
+        """
+        i = self._fiber_desc[pos]
+        n, rhs = self.rel[i]
+        table = self._powers.get(i)
+        if table is None:
+            table = self._powers[i] = [_nonzero(self._reduce(rhs, pos + 1))]
+        while len(table) <= top - n:
+            shifted = {e[:i] + (e[i] + 1,) + e[i + 1:]: c for e, c in table[-1].items()}
+            table.append(_nonzero(self._reduce(shifted, pos)))
+        return table
 
     def monomials_of_degree(self, d):
         """All normal-form exponent vectors of graded degree d."""
@@ -322,10 +374,12 @@ class Poly:
         if other is NotImplemented:
             return NotImplemented
         terms = {}
+        get = terms.get
+        other_items = other.terms.items()
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                terms[e] = terms.get(e, 0) + c1 * c2
+            for e2, c2 in other_items:
+                e = tuple(map(add, e1, e2))
+                terms[e] = get(e, 0) + c1 * c2
         return Poly(self.ring, self.ring._normalize(terms))
 
     __rmul__ = __mul__
@@ -435,6 +489,10 @@ class Poly:
     __repr__ = __str__
 
 
+def _nonzero(terms):
+    return {e: c for e, c in terms.items() if c}
+
+
 def _gcd(a, b):
     while b:
         a, b = b, a % b
@@ -528,7 +586,8 @@ def exact_divide(num, den):
     if any(v.denominator != 1 for v in x):
         raise NotDivisible("quotient exists only with fractional coefficients")
     q = Poly(ring, {e: int(v) for e, v in zip(basis, x) if v})
-    assert q * den == num
+    if q * den != num:
+        raise NotDivisible("solved quotient does not reproduce the numerator")
     return q
 
 

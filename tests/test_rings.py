@@ -1,5 +1,8 @@
 """Tests for the graded polynomial towers."""
 
+import random
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -20,6 +23,8 @@ from ccalc.rings import (
     substitute,
     symmetric_reduce,
 )
+from ccalc.checks import _independent_reduce
+from ccalc.chow import TWOPOINT_RING
 
 
 def chern_ring(cap=None):
@@ -33,9 +38,9 @@ def chern_ring(cap=None):
     )
 
 
-def root_ring():
-    """Z[l1,l2,l3][h][s,t]: h capped-free, s and t both split cubic fibers."""
-    rel = lambda: (
+def split_cubic():
+    """x^3 = e1 x^2 - e2 x + e3 over the roots l1, l2, l3."""
+    return (
         3,
         [
             [(-1, {"l1": 1}), (-1, {"l2": 1}), (-1, {"l3": 1})],
@@ -43,10 +48,36 @@ def root_ring():
             [(-1, {"l1": 1, "l2": 1, "l3": 1})],
         ],
     )
+
+
+def root_ring():
+    """Z[l1,l2,l3][h][s,t]: h capped-free, s and t both split cubic fibers."""
     return Ring(
         ["l1", "l2", "l3", "h", "s", "t"],
-        relations={"s": rel(), "t": rel(), "h": None},
+        relations={"s": split_cubic(), "t": split_cubic(), "h": None},
         cap=6,
+    )
+
+
+def sqrt_ring():
+    """Square roots ra, rb of degree-2 classes a, b, shaped like cubic's rings."""
+    return Ring(
+        [("a", 2), ("b", 2), ("ra", 1), ("rb", 1)],
+        relations={
+            "ra": (2, [[], [(-1, {"a": 1})]]),
+            "rb": (2, [[], [(-1, {"b": 1})]]),
+        },
+    )
+
+
+def nested_ring():
+    """A fiber t whose relation mentions the lower fiber s, unreduced (s^2)."""
+    return Ring(
+        ["a", "s", "t"],
+        relations={
+            "s": (2, [[], [(-1, {"a": 2})]]),
+            "t": (2, [[(1, {"s": 1})], [(1, {"s": 2})]]),
+        },
     )
 
 
@@ -153,6 +184,148 @@ def test_str_rendering():
     assert str(r.zero) == "0"
     assert str(-h) == "-h"
     assert str(h ** 2 + h) == "h + h^2"
+
+
+# -- the power-table normalizer ----------------------------------------------
+
+
+def stack_normalize(ring, terms):
+    """Reference normal form: rewrite one term at a time, merging only at the end."""
+    fibers = sorted(ring.rel, reverse=True)
+    out = {}
+    stack = list(terms.items())
+    while stack:
+        e, c = stack.pop()
+        for i in fibers:
+            n, rhs = ring.rel[i]
+            if e[i] >= n:
+                base = list(e)
+                base[i] -= n
+                for e2, c2 in rhs.items():
+                    stack.append((tuple(a + b for a, b in zip(base, e2)), c * c2))
+                break
+        else:
+            out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def raw_of(p, extra=None):
+    """p's terms as a raw term list, each monomial times the exponents in extra."""
+    raw = []
+    for e, c in p.terms.items():
+        mono = {n: x for n, x in zip(p.ring.names, e) if x}
+        for n, x in (extra or {}).items():
+            mono[n] = mono.get(n, 0) + x
+        raw.append((c, mono))
+    return raw
+
+
+@pytest.fixture(scope="module")
+def warm_chern():
+    r = chern_ring()
+    r.poly([(1, {"t": 40})])
+    return r
+
+
+@settings(max_examples=150)
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(min_value=-9, max_value=9),
+            st.fixed_dictionaries(
+                {
+                    "c1": st.integers(0, 2),
+                    "c2": st.integers(0, 1),
+                    "c3": st.integers(0, 1),
+                    "t": st.integers(0, 12),
+                }
+            ),
+        ),
+        min_size=1,
+        max_size=5,
+    )
+)
+def test_one_fiber_fresh_and_warm_rings_agree(warm_chern, raw):
+    want = _independent_reduce(raw)
+    assert chern_ring().poly(raw).terms == want
+    assert warm_chern.poly(raw).terms == want
+
+
+@pytest.mark.parametrize(
+    "make, warm, names, top",
+    [
+        (root_ring, lambda: TWOPOINT_RING, ("l1", "l3", "h", "s", "t"), 6),
+        (sqrt_ring, sqrt_ring, ("a", "b", "ra", "rb"), 9),
+        (nested_ring, nested_ring, ("a", "s", "t"), 9),
+    ],
+    ids=["twopoint", "sqrt", "nested"],
+)
+def test_two_fiber_fresh_and_warm_rings_agree(make, warm, names, top):
+    rnd = random.Random(2)
+    warm = warm()
+    for name in names:
+        warm.poly([(1, {name: top})])
+    for _ in range(80):
+        raw = []
+        for _ in range(rnd.randint(1, 4)):
+            mono, left = {}, top
+            for name in rnd.sample(names, len(names)):
+                mono[name] = x = rnd.randint(0, left)
+                left -= x
+            raw.append((rnd.randint(-5, 5), mono))
+        fresh = make()
+        want = stack_normalize(fresh, fresh._terms_from_raw(raw))
+        assert fresh.poly(raw).terms == want
+        assert warm.poly(raw).terms == want
+
+
+def test_power_table_entries_never_become_poly_terms():
+    r = chern_ring()
+    t = r.gen("t")
+    for make in (
+        lambda: r.poly([(1, {"t": 3})]),
+        lambda: r.poly([(1, {"t": 5})]),
+        lambda: t ** 2 * t,
+        lambda: t ** 4 * t,
+    ):
+        want = dict(make().terms)
+        p = make()
+        p.terms.clear()
+        p.terms[(9, 9, 9, 2)] = 7
+        assert make().terms == want
+
+
+def test_cap_raises_on_cold_and_warm_rings():
+    r = root_ring()
+    for _ in range(2):
+        with pytest.raises(TruncationExceeded):
+            r.poly([(1, {"s": 7})])
+        with pytest.raises(TruncationExceeded):
+            r.gen("s") ** 4 * r.gen("h") ** 3
+
+
+def test_terms_above_cap_that_cancel_do_not_raise():
+    uncapped = Ring(["l1", "l2", "l3", "s"], relations={"s": split_cubic()})
+    nf = uncapped.poly([(1, {"s": 7})])
+    raw = [(1, {"s": 7})] + [(-c, mono) for c, mono in raw_of(nf)]
+    r = root_ring()
+    for _ in range(2):
+        assert r.poly(raw).is_zero()
+
+
+def test_high_fiber_power_is_fast_and_matches_long_division():
+    r = chern_ring()
+    start = time.perf_counter()
+    top = r.poly([(1, {"t": 100})])
+    assert time.perf_counter() - start < 2.0
+    # Long division expands t^k into about 1.84^k leaves, so the oracle checks
+    # the chain of powers one step at a time: NF(t^(k+1)) = NF(t * NF(t^k)).
+    prev = r.one
+    for k in range(1, 101):
+        cur = r.poly([(1, {"t": k})])
+        assert cur.terms == _independent_reduce(raw_of(prev, {"t": 1}))
+        prev = cur
+    assert prev == top
 
 
 # -- exact division ----------------------------------------------------------
