@@ -198,29 +198,30 @@ def parse_algebra(text, model):
 # -- trace forms ---------------------------------------------------------------
 
 
-def _mult_table_product(x, y, s, ring):
+def _mult_table_product(x, y, gens, ring):
     """Product of two extension elements, each a dict {basis mask: Poly}.
     Basis element for mask S is the product of the sqrt generators in S;
-    e_S * e_T = (product of the squared generators over S & T) * e_(S xor T).
+    e_S * e_T = (product of the squared generators over S & T) * e_(S xor T),
+    with gens[j] the placeholder q_j for the j-th square.
     """
     out = {}
     for sm, cx in x.items():
         for tm, cy in y.items():
             coeff = cx * cy
             both = sm & tm
-            for j in range(s):
+            for j, q in enumerate(gens):
                 if both >> j & 1:
-                    coeff = coeff * ring.gen("q%d" % j)
+                    coeff = coeff * q
             key = sm ^ tm
             out[key] = out.get(key, ring.zero) + coeff
     return {k: v for k, v in out.items() if not v.is_zero()}
 
 
-def _honest_trace(elt, s, ring):
+def _honest_trace(elt, gens, ring):
     """Trace of multiplication by elt, summed over the subset basis."""
     total = ring.zero
-    for v in range(2 ** s):
-        prod = _mult_table_product(elt, {v: ring.one}, s, ring)
+    for v in range(2 ** len(gens)):
+        prod = _mult_table_product(elt, {v: ring.one}, gens, ring)
         total = total + prod.get(v, ring.zero)
     return total
 
@@ -235,12 +236,13 @@ def trace_form(ext, model):
     """
     s = len(ext)
     ring = Ring([("q%d" % j, 1) for j in range(s)]) if s else Ring([])
+    gens = [ring.gen("q%d" % j) for j in range(s)]
     size = 2 ** s
     diag = []
     for a in range(size):
         for b in range(a, size):
-            prod = _mult_table_product({a: ring.one}, {b: ring.one}, s, ring)
-            entry = _honest_trace(prod, s, ring)
+            prod = _mult_table_product({a: ring.one}, {b: ring.one}, gens, ring)
+            entry = _honest_trace(prod, gens, ring)
             if a == b:
                 diag.append(entry)
             elif not entry.is_zero():

@@ -21,11 +21,27 @@ working in the wrong quotient.  Degrees <= cap are exact.
 
 Coefficients are arbitrary-precision ints throughout: the divisibility
 bookkeeping downstream (gcds of class coefficients) has zero tolerance.
+
+A monomial is stored as one packed int.  With G = 32 * ngens, the exponent
+of generator j takes bits [32j, 32j + 32) and the graded degree
+sum(e_j * deg(g_j)) takes the top field, from bit G up.  Multiplying two
+monomials is then one integer addition, a monomial's degree is ``e >> G``,
+and since the degree field is the most significant, the largest key of a
+polynomial carries its top degree.  Every stored polynomial has degree at
+most DEGREE_LIMIT = 2^31 - 1, so an exponent (never more than its
+monomial's degree) fits in 31 bits, the fields of a product stay below 2^32
+and no field carries into the next; a result above the limit raises
+RingError.  The packed form is private: ``Poly.terms`` and the public ring
+attributes use exponent tuples.
 """
 
 from fractions import Fraction
 from itertools import permutations
-from operator import add
+from operator import mul
+
+_FIELD = 32
+_MASK = (1 << _FIELD) - 1
+DEGREE_LIMIT = 2 ** 31 - 1
 
 
 class RingError(Exception):
@@ -94,13 +110,22 @@ class Ring:
     display_order: generator names most-significant-first, used only for
         printing (defaults to declaration order).
 
+    Monomials are packed ints (see the module docstring): the exponent of
+    generator j sits in bits [32j, 32j + 32), the graded degree above bit
+    32 * ngens, and no polynomial of the ring may exceed degree
+    DEGREE_LIMIT = 2^31 - 1 (RingError).  ``rel``, ``monomials_of_degree``
+    and ``Poly.terms`` use exponent tuples; ``Poly.terms`` is a fresh
+    tuple-keyed dict on every access.
+
     Normal forms are read from a power table per fiber generator g with
     relation degree n: entry k - n holds the normal form of g^k for k >= n.
     A table is filled lazily, one power at a time, up to the largest exponent
     of g that a normalization has met, so its size is set by the inputs seen
     and not by any fixed bound; nothing is built until the first rewrite.
-    The tables live as long as the ring, and their entries are never handed
-    out as a Poly's terms.
+    On a capped ring only the entries of degree <= cap are kept; those above
+    are built for the normalization that needs them and then dropped.  The
+    tables live as long as the ring, and their entries are never handed out
+    as a Poly's terms.
     """
 
     def __init__(self, gens, relations=None, cap=None, display_order=None):
@@ -122,6 +147,11 @@ class Ring:
         self.index = {n: i for i, n in enumerate(self.names)}
         self.ngens = len(self.names)
         self.cap = cap
+        # Packed layout: _unit[j] is generator j (exponent field and degree).
+        self._G = _FIELD * self.ngens
+        self._shifts = tuple(_FIELD * j for j in range(self.ngens))
+        self._unit = tuple((1 << s) + (d << self._G) for s, d in zip(self._shifts, degrees))
+        self._bound = DEGREE_LIMIT if cap is None else min(cap, DEGREE_LIMIT)
 
         # self.rel[i] = (n, rhs) where rhs is the normal-form term dict of
         # -(r_1 g^(n-1) + ... + r_n); None entries mark omitted relations.
@@ -169,8 +199,14 @@ class Ring:
                     rhs[e2] = rhs.get(e2, 0) - c
             self.rel[i] = (n, {e: c for e, c in rhs.items() if c})
 
-        # Fibers in rewrite order, and their lazily filled power tables.
+        # Fibers in rewrite order, their packed relations, how many table
+        # entries stay within the cap (None: all), and the lazy power tables.
         self._fiber_desc = tuple(sorted(self.rel, reverse=True))
+        self._prel = {i: (n, self._pack(rhs)) for i, (n, rhs) in self.rel.items()}
+        self._keep = {
+            i: None if cap is None else max(0, cap // self.degrees[i] - n + 1)
+            for i, (n, _) in self.rel.items()
+        }
         self._powers = {}
 
         if display_order is None:
@@ -181,26 +217,24 @@ class Ring:
             self._disp = tuple(self.index[n] for n in display_order)
 
         self.zero = Poly(self, {})
-        self.one = Poly(self, {(0,) * self.ngens: 1})
+        self.one = Poly(self, {0: 1})
 
     # -- construction -----------------------------------------------------
 
     def gen(self, name):
         if name not in self.index:
             raise UnknownGenerator(name)
-        e = [0] * self.ngens
-        e[self.index[name]] = 1
-        return Poly(self, {tuple(e): 1})
+        return Poly(self, {self._unit[self.index[name]]: 1})
 
     def const(self, c):
         c = int(c)
         if c == 0:
             return self.zero
-        return Poly(self, {(0,) * self.ngens: c})
+        return Poly(self, {0: c})
 
     def poly(self, raw):
         """Build a Poly from a raw term list [(coeff, {name: exp}), ...]."""
-        return Poly(self, self._normalize(self._terms_from_raw(raw)))
+        return Poly(self, self._normalize(self._pack(self._terms_from_raw(raw))))
 
     def _terms_from_raw(self, raw):
         terms = {}
@@ -216,10 +250,32 @@ class Ring:
             terms[e] = terms.get(e, 0) + int(c)
         return {e: c for e, c in terms.items() if c}
 
-    # -- normal form -------------------------------------------------------
+    # -- packed monomials ---------------------------------------------------
 
     def _grade(self, e):
-        return sum(x * d for x, d in zip(e, self.degrees))
+        return sum(map(mul, e, self.degrees))
+
+    def _pack_mono(self, e):
+        """The packed int of an exponent tuple of degree <= DEGREE_LIMIT."""
+        return sum(map(mul, e, self._unit))
+
+    def _unpack(self, e):
+        """The exponent tuple of a packed monomial."""
+        return tuple((e >> s) & _MASK for s in self._shifts)
+
+    def _pack(self, terms):
+        """Packed copy of a tuple-keyed term dict (RingError above the limit)."""
+        out = {}
+        for e, c in terms.items():
+            d = self._grade(e)
+            if d > DEGREE_LIMIT:
+                raise RingError(
+                    "monomial of degree %d exceeds the degree limit %d" % (d, DEGREE_LIMIT)
+                )
+            out[self._pack_mono(e)] = c
+        return out
+
+    # -- normal form -------------------------------------------------------
 
     def _normalize(self, terms):
         """Reduce fiber exponents below their relation degrees.
@@ -232,23 +288,32 @@ class Ring:
         that overflow are left to their own later passes.  Normal forms are
         unique (monic division in a tower), so the result is independent of
         the order raw terms are fed in.  A relation-free ring skips the
-        passes and only checks the cap.
+        passes and only checks the degree bound.
 
         The power table of g_i holds the normal forms of g_i^k for n_i <= k
-        <= the largest exponent of g_i met so far, so it grows with the
-        inputs, one entry per new power, and is kept for the life of the ring.
-        Terms above the cap raise only if they survive cancellation.
+        <= the largest exponent of g_i met so far (on a capped ring, at most
+        up to degree cap), so it grows with the inputs, one entry per new
+        power, and is kept for the life of the ring.
+
+        The result's top degree is its largest key shifted down to the
+        degree field.  Terms above the cap raise TruncationExceeded only if
+        they survive cancellation; a term above DEGREE_LIMIT raises
+        RingError, which keeps every exponent field of a later product
+        below 2^32.
         """
         if self._fiber_desc:
             terms = self._reduce(terms, 0)
         out = _nonzero(terms)
-        if self.cap is not None:
-            for e in out:
-                if self._grade(e) > self.cap:
+        if out:
+            top = max(out) >> self._G
+            if top > self._bound:
+                if self.cap is not None and top > self.cap:
                     raise TruncationExceeded(
-                        "term of degree %d exceeds working degree %d"
-                        % (self._grade(e), self.cap)
+                        "term of degree %d exceeds working degree %d" % (top, self.cap)
                     )
+                raise RingError(
+                    "term of degree %d exceeds the degree limit %d" % (top, DEGREE_LIMIT)
+                )
         return out
 
     def _reduce(self, terms, start):
@@ -260,12 +325,14 @@ class Ring:
         fibers = self._fiber_desc
         for pos in range(start, len(fibers)):
             i = fibers[pos]
-            n = self.rel[i][0]
+            n = self._prel[i][0]
+            sh = self._shifts[i]
+            strip = self._unit[i]
             table = self._powers.get(i, ())
             out = {}
             get = out.get
             for e, c in terms.items():
-                k = e[i]
+                k = (e >> sh) & _MASK
                 if k < n:
                     out[e] = get(e, 0) + c
                     continue
@@ -273,9 +340,9 @@ class Ring:
                     continue
                 if k - n >= len(table):
                     table = self._fiber_powers(pos, k)
-                base = e[:i] + (0,) + e[i + 1:]
+                base = e - k * strip
                 for e2, c2 in table[k - n].items():
-                    key = tuple(map(add, base, e2))
+                    key = base + e2
                     out[key] = get(key, 0) + c * c2
             terms = out
         return terms
@@ -285,16 +352,22 @@ class Ring:
 
         Entry k - n holds the normal form of g^k (n the relation degree);
         entry k + 1 is g times entry k, rewritten once at g^n and then run
-        through the lower-fiber passes.
+        through the lower-fiber passes.  The entries past self._keep (those
+        above the cap) go to a copy that only the caller sees.
         """
         i = self._fiber_desc[pos]
-        n, rhs = self.rel[i]
-        table = self._powers.get(i)
-        if table is None:
-            table = self._powers[i] = [_nonzero(self._reduce(rhs, pos + 1))]
+        n, rhs = self._prel[i]
+        step = self._unit[i]
+        keep = self._keep[i]
+        table = self._powers.setdefault(i, [])
         while len(table) <= top - n:
-            shifted = {e[:i] + (e[i] + 1,) + e[i + 1:]: c for e, c in table[-1].items()}
-            table.append(_nonzero(self._reduce(shifted, pos)))
+            if len(table) == keep:
+                table = list(table)
+            if table:
+                entry = self._reduce({e + step: c for e, c in table[-1].items()}, pos)
+            else:
+                entry = self._reduce(rhs, pos + 1)
+            table.append(_nonzero(entry))
         return table
 
     def monomials_of_degree(self, d):
@@ -322,16 +395,26 @@ class Ring:
 
 
 class Poly:
-    """Immutable element of a Ring, stored in normal form."""
+    """Immutable element of a Ring, stored in normal form.
 
-    __slots__ = ("ring", "terms")
+    The terms are kept privately with packed monomials as keys (see Ring);
+    ``terms`` is a fresh dict keyed by exponent tuples on every access.
+    """
+
+    __slots__ = ("ring", "_terms")
 
     def __init__(self, ring, terms):
         object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "_terms", terms)
 
     def __setattr__(self, *a):
         raise AttributeError("Poly is immutable")
+
+    @property
+    def terms(self):
+        """{exponent tuple: coefficient}, a new dict on each access."""
+        unpack = self.ring._unpack
+        return {unpack(e): c for e, c in self._terms.items()}
 
     def _check(self, other):
         if isinstance(other, int):
@@ -346,15 +429,15 @@ class Poly:
         other = self._check(other)
         if other is NotImplemented:
             return NotImplemented
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
+        terms = dict(self._terms)
+        for e, c in other._terms.items():
             terms[e] = terms.get(e, 0) + c
         return Poly(self.ring, {e: c for e, c in terms.items() if c})
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.ring, {e: -c for e, c in self.terms.items()})
+        return Poly(self.ring, {e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other):
         other = self._check(other)
@@ -369,16 +452,18 @@ class Poly:
         if isinstance(other, int):
             if other == 0:
                 return self.ring.zero
-            return Poly(self.ring, {e: c * other for e, c in self.terms.items()})
+            return Poly(self.ring, {e: c * other for e, c in self._terms.items()})
         other = self._check(other)
         if other is NotImplemented:
             return NotImplemented
+        # Packed monomials multiply by addition; both operands have degree
+        # <= DEGREE_LIMIT, so no exponent field carries.
         terms = {}
         get = terms.get
-        other_items = other.terms.items()
-        for e1, c1 in self.terms.items():
+        other_items = other._terms.items()
+        for e1, c1 in self._terms.items():
             for e2, c2 in other_items:
-                e = tuple(map(add, e1, e2))
+                e = e1 + e2
                 terms[e] = get(e, 0) + c1 * c2
         return Poly(self.ring, self.ring._normalize(terms))
 
@@ -397,57 +482,55 @@ class Poly:
             other = self.ring.const(other)
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.ring is other.ring and self.terms == other.terms
+        return self.ring is other.ring and self._terms == other._terms
 
     def __hash__(self):
-        return hash((id(self.ring), frozenset(self.terms.items())))
+        return hash((id(self.ring), frozenset(self._terms.items())))
 
     def is_zero(self):
-        return not self.terms
+        return not self._terms
 
     def degree(self):
         """Maximal graded degree of a term (None for the zero Poly)."""
-        if not self.terms:
+        if not self._terms:
             return None
-        return max(self.ring._grade(e) for e in self.terms)
+        return max(self._terms) >> self.ring._G
 
     def is_homogeneous(self):
-        degs = {self.ring._grade(e) for e in self.terms}
-        return len(degs) <= 1
+        G = self.ring._G
+        return len({e >> G for e in self._terms}) <= 1
 
     def homogeneous_degree(self):
-        degs = {self.ring._grade(e) for e in self.terms}
+        G = self.ring._G
+        degs = {e >> G for e in self._terms}
         if len(degs) != 1:
             raise NotHomogeneous(str(self))
         return degs.pop()
 
     def homogeneous_part(self, d):
-        return Poly(
-            self.ring,
-            {e: c for e, c in self.terms.items() if self.ring._grade(e) == d},
-        )
+        G = self.ring._G
+        return Poly(self.ring, {e: c for e, c in self._terms.items() if e >> G == d})
 
     def contains(self, name):
-        i = self.ring.index[name]
-        return any(e[i] for e in self.terms)
+        sh = self.ring._shifts[self.ring.index[name]]
+        return any((e >> sh) & _MASK for e in self._terms)
 
     def coefficient(self, name, power):
         """The coefficient of name^power, with that generator stripped out."""
         if name not in self.ring.index:
             raise UnknownGenerator(name)
         i = self.ring.index[name]
-        out = {}
-        for e, c in self.terms.items():
-            if e[i] == power:
-                e2 = list(e)
-                e2[i] = 0
-                out[tuple(e2)] = c
-        return Poly(self.ring, out)
+        sh = self.ring._shifts[i]
+        strip = power * self.ring._unit[i]
+        return Poly(
+            self.ring,
+            {e - strip: c for e, c in self._terms.items() if (e >> sh) & _MASK == power},
+        )
 
     def content(self):
         """gcd of the integer coefficients (0 for the zero Poly)."""
         g = 0
-        for c in self.terms.values():
+        for c in self._terms.values():
             g = _gcd(g, abs(c))
         return g
 
@@ -463,7 +546,7 @@ class Poly:
         return sorted(self.terms.items(), key=key)
 
     def __str__(self):
-        if not self.terms:
+        if not self._terms:
             return "0"
         chunks = []
         for e, c in self._sorted_terms():
@@ -524,7 +607,7 @@ def exact_divide(num, den):
     qdeg = ndeg - ddeg
     if qdeg < 0:
         raise NotDivisible("numerator degree below denominator degree")
-    basis = ring.monomials_of_degree(qdeg)
+    basis = [ring._pack_mono(e) for e in ring.monomials_of_degree(qdeg)]
     if not basis:
         raise NotDivisible("no monomials of degree %d" % qdeg)
 
@@ -534,13 +617,13 @@ def exact_divide(num, den):
     for e in basis:
         prod = Poly(ring, {e: 1}) * den
         col = {}
-        for e2, c in prod.terms.items():
+        for e2, c in prod._terms.items():
             if e2 not in row_index:
                 row_index[e2] = len(row_index)
             col[row_index[e2]] = c
         cols.append(col)
     b = [0] * len(row_index)
-    for e2, c in num.terms.items():
+    for e2, c in num._terms.items():
         if e2 not in row_index:
             raise NotDivisible("numerator outside the column space")
         b[row_index[e2]] = c
@@ -602,8 +685,9 @@ def substitute(p, mapping, target=None):
     ring = p.ring
     if target is None:
         target = ring
+    terms = p.terms
     images = {}
-    for e in p.terms:
+    for e in terms:
         for i, exp in enumerate(e):
             if exp and i not in images:
                 name = ring.names[i]
@@ -621,7 +705,7 @@ def substitute(p, mapping, target=None):
                     )
                 images[i] = img
     result = target.zero
-    for e, c in p.terms.items():
+    for e, c in terms.items():
         term = target.const(c)
         for i, exp in enumerate(e):
             if exp:

@@ -274,6 +274,13 @@ def test_brauer_excluded_characteristic(capsys):
     assert "excluded" in err
 
 
+def test_brauer_characteristic_too_large_to_certify(capsys):
+    code, out, err = run(capsys, "brauer", "--stack", "m3", "--char", str(10 ** 25))
+    assert code == 1
+    assert out == ""
+    assert "too large" in err
+
+
 # -- residue ------------------------------------------------------------------------
 
 

@@ -1,6 +1,7 @@
 """Group-descriptor evaluators: torsion orders, Brauer-group shapes, and the
 cross-checks tying them to the intersection layer."""
 
+import time
 from math import gcd
 
 import pytest
@@ -18,6 +19,7 @@ from ccalc.groups import (
     hyperelliptic_divisibility,
     n_torsion,
 )
+from ccalc.groups import _MR_BOUND, _is_prime
 
 
 # -- descriptors ----------------------------------------------------------------
@@ -172,6 +174,48 @@ def test_genus3_stacks():
     for stack in ("m3", "m3_minus_h3", "a3"):
         with pytest.raises(UnsupportedCharacteristic):
             brauer_stack(stack, char=2)
+
+
+# -- primality of the characteristic -----------------------------------------------
+
+
+def _trial_division(n):
+    if n < 2:
+        return False
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 1
+    return True
+
+
+def test_is_prime_agrees_with_trial_division():
+    assert [n for n in range(10 ** 5) if _is_prime(n)] == [
+        n for n in range(10 ** 5) if _trial_division(n)
+    ]
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    # strong pseudoprimes to the bases 2..7, 2..23 and 2..37 respectively
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not _is_prime(n)
+    assert _is_prime(2 ** 61 - 1)
+
+
+def test_large_prime_characteristic_is_fast():
+    start = time.perf_counter()
+    desc = brauer_stack("m3", char=10 ** 18 + 3)
+    assert time.perf_counter() - start < 1.0
+    assert str(desc) == "Br(k) ⊕ Z/2 ⊕ B_%d" % (10 ** 18 + 3)
+    assert str(brauer_stack("m3", char=5)) == "Br(k) ⊕ Z/2 ⊕ B_5"
+
+
+def test_characteristic_beyond_the_primality_bound_is_unsupported():
+    with pytest.raises(UnsupportedCharacteristic):
+        brauer_stack("m3", char=_MR_BOUND)
+    with pytest.raises(UnsupportedCharacteristic):
+        brauer_xd(4, char=_MR_BOUND + 2)
 
 
 # -- hyperelliptic divisibility ----------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ccalc.rings import (
+    DEGREE_LIMIT,
     CyclicTower,
     DegreeMismatch,
     DuplicateGenerator,
@@ -16,6 +17,7 @@ from ccalc.rings import (
     NotSymmetric,
     Poly,
     Ring,
+    RingError,
     RingMismatch,
     TruncationExceeded,
     UnknownGenerator,
@@ -326,6 +328,141 @@ def test_high_fiber_power_is_fast_and_matches_long_division():
         assert cur.terms == _independent_reduce(raw_of(prev, {"t": 1}))
         prev = cur
     assert prev == top
+
+
+def test_power_tables_keep_no_entry_above_the_cap():
+    r = root_ring()
+    with pytest.raises(TruncationExceeded):
+        r.poly([(1, {"s": 80})])
+    table = r._powers[r.index["s"]]
+    assert len(table) == 4  # s^3 .. s^6
+    assert all(Poly(r, entry).degree() <= r.cap for entry in table)
+
+
+# -- packed monomials --------------------------------------------------------
+
+
+def test_raw_input_above_the_degree_limit_is_rejected():
+    r = Ring(["x"])
+    assert r.poly([(1, {"x": DEGREE_LIMIT})]).degree() == DEGREE_LIMIT
+    with pytest.raises(RingError):
+        r.poly([(1, {"x": 2 ** 31})])
+
+
+def test_product_above_the_degree_limit_raises_instead_of_carrying():
+    r = Ring(["x", "y"])
+    x, y = r.gen("x"), r.gen("y")
+    big = r.poly([(1, {"x": 2 ** 30})])
+    with pytest.raises(RingError):
+        big * big
+    with pytest.raises(RingError):
+        r.poly([(1, {"x": DEGREE_LIMIT})]) * x
+    with pytest.raises(RingError):
+        r.poly([(1, {"x": DEGREE_LIMIT - 1})]) * (x + y) * y
+
+
+def test_exponents_near_the_limit_read_back_exactly():
+    r = Ring(["x", "y"])
+    p = r.poly([(1, {"x": 2 ** 31 - 2})]) * r.gen("y")
+    assert p.terms == {(2 ** 31 - 2, 1): 1}
+    assert p.degree() == DEGREE_LIMIT
+    assert str(p) == "x^%d*y" % (2 ** 31 - 2)
+
+
+def tower12():
+    """Twelve generators of mixed degrees with four stacked fibers."""
+    return Ring(
+        [("c1", 1), ("c2", 2), ("c3", 3), "a", "b", ("d", 2),
+         "t", "u", "v", ("w", 2), "y", "z"],
+        relations={
+            "t": (3, [[(1, {"c1": 1})], [(1, {"c2": 1})], [(1, {"c3": 1})]]),
+            "u": (2, [[(1, {"t": 1}), (1, {"a": 1})], [(1, {"c2": 1})]]),
+            "v": (2, [[(-1, {"u": 1})], [(1, {"t": 1, "u": 1}), (2, {"d": 1})]]),
+            "z": (3, [[(1, {"y": 1})], [(1, {"w": 1})], [(1, {"v": 1, "w": 1})]]),
+        },
+        display_order=["z", "y", "w", "v", "u", "t", "d", "b", "a", "c3", "c2", "c1"],
+    )
+
+
+def ref_str(ring, terms):
+    """Printing rule on exponent tuples: by degree, then display-order exponents."""
+    if not terms:
+        return "0"
+    grade = lambda e: sum(x * d for x, d in zip(e, ring.degrees))
+    items = sorted(
+        terms.items(),
+        key=lambda it: (grade(it[0]), tuple(-it[0][i] for i in ring._disp)),
+    )
+    chunks = []
+    for e, c in items:
+        factors = [
+            ring.names[i] if e[i] == 1 else "%s^%d" % (ring.names[i], e[i])
+            for i in ring._disp
+            if e[i]
+        ]
+        body = "*".join(factors)
+        if not factors:
+            body = str(abs(c))
+        elif abs(c) != 1:
+            body = "%d*%s" % (abs(c), body)
+        chunks.append(("-" if c < 0 else "+", body))
+    text = ("-" if chunks[0][0] == "-" else "") + chunks[0][1]
+    return text + "".join(" %s %s" % chunk for chunk in chunks[1:])
+
+
+@pytest.mark.parametrize("make, top", [(lambda: TWOPOINT_RING, 6), (tower12, 5)],
+                         ids=["twopoint", "tower12"])
+def test_packed_queries_agree_with_tuple_reference(make, top):
+    r = make()
+    rnd = random.Random(5)
+
+    def grade(e):
+        return sum(x * d for x, d in zip(e, r.degrees))
+
+    def random_poly(top):
+        raw = []
+        for _ in range(rnd.randint(0, 4)):
+            mono, left = {}, rnd.randint(0, top)
+            for i in rnd.sample(range(r.ngens), r.ngens):
+                x = rnd.randint(0, left // r.degrees[i])
+                if x:
+                    mono[r.names[i]] = x
+                    left -= x * r.degrees[i]
+            raw.append((rnd.randint(-4, 4), mono))
+        return r.poly(raw)
+
+    for _ in range(60):
+        p = random_poly(top - 1) * random_poly(1) + random_poly(top)
+        terms = p.terms
+        degs = {grade(e) for e in terms}
+        assert p.degree() == (max(degs) if degs else None)
+        assert p.is_homogeneous() == (len(degs) <= 1)
+        for d in range(top + 2):
+            want = {e: c for e, c in terms.items() if grade(e) == d}
+            assert p.homogeneous_part(d).terms == want
+        for i, name in enumerate(r.names):
+            assert p.contains(name) == any(e[i] for e in terms)
+            for power in range(3):
+                want = {
+                    e[:i] + (0,) + e[i + 1:]: c for e, c in terms.items() if e[i] == power
+                }
+                assert p.coefficient(name, power).terms == want
+        assert str(p) == ref_str(r, terms)
+
+
+def test_terms_is_a_fresh_view():
+    r = chern_ring()
+    p = (r.gen("t") + r.gen("c1")) ** 2
+    q = (r.gen("t") + r.gen("c1")) ** 2
+    before = (dict(p.terms), hash(p))
+    view = p.terms
+    view.clear()
+    view[(9, 9, 9, 2)] = 7
+    assert p.terms == before[0]
+    assert p == q
+    assert hash(p) == before[1] == hash(q)
+    with pytest.raises(AttributeError):
+        p.terms = {}
 
 
 # -- exact division ----------------------------------------------------------
