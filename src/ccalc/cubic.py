@@ -18,9 +18,10 @@ general position — is verified by exact determinant evaluation in a
 polynomial tower where the square roots are fiber generators.
 """
 
+from collections import namedtuple
 from itertools import combinations
 
-from .etale import EtaleAlgebraExpr, galois_sw_total, monomial_str
+from .etale import EtaleAlgebraExpr, galois_sw_total, gf2_eliminate, monomial_str
 from .ksymbols import euclidean_model, residue
 from .rings import Ring
 
@@ -137,51 +138,6 @@ def three_class_config(model=None):
 # -- the Galois action on the 27 labels ----------------------------------------
 
 
-def _gf2_basis(classes):
-    """Greedy GF(2) elimination; returns the independent sublist, in order."""
-    basis = []
-    reduced = []
-    for m in classes:
-        r = m
-        for rb in reduced:
-            if max(rb) in r:
-                r = r ^ rb
-        if r:
-            basis.append(m)
-            reduced.append(r)
-    return basis
-
-
-def _canonical_basis(vectors):
-    """The reduced-echelon basis of the span, independent of input order."""
-    rows = []
-    for m in vectors:
-        r = m
-        for rb in rows:
-            if max(rb) in r:
-                r = r ^ rb
-        if r:
-            rows.append(r)
-    for i, r in enumerate(rows):
-        for other in rows[:i] + rows[i + 1 :]:
-            if max(other) in r:
-                r = r ^ other
-        rows[i] = r
-    return tuple(sorted(rows, key=sorted))
-
-
-def _express(m, basis):
-    """Coordinates of m over the basis (GF(2)), or None if outside the span."""
-    for bits in range(1 << len(basis)):
-        acc = frozenset()
-        for j in range(len(basis)):
-            if bits >> j & 1:
-                acc ^= basis[j]
-        if acc == m:
-            return frozenset(j for j in range(len(basis)) if bits >> j & 1)
-    return None
-
-
 LABELS = (
     tuple("E%d" % i for i in range(1, 7))
     + tuple("L%d%d" % (i, j) for i, j in combinations(range(1, 7), 2))
@@ -227,8 +183,14 @@ def build_action(cfg):
     """Derive the group, the point permutations, the 27-label permutations,
     and verify the homomorphism property on every pair of elements."""
     classes = list(cfg.pair_classes)
-    basis = _gf2_basis(classes)
-    coords = [_express(m, basis) for m in classes]
+    _, deps = gf2_eliminate(classes)
+    free = [i for i, dep in enumerate(deps) if dep is None]
+    basis = [classes[i] for i in free]
+    # coordinates of each pair class over the basis of independent classes
+    coords = [
+        frozenset(free.index(j) for j in ({i} if dep is None else dep))
+        for i, dep in enumerate(deps)
+    ]
     k = len(basis)
 
     def elem_name(neg):
@@ -268,18 +230,7 @@ def build_action(cfg):
     return ls
 
 
-class Orbit:
-    def __init__(self, labels, stabilizer, fixed_field, extension):
-        self.labels = labels
-        self.stabilizer = stabilizer
-        self.fixed_field = fixed_field
-        self.extension = extension
-
-    def __repr__(self):
-        return "Orbit(%s over %s)" % (
-            "+".join(self.labels),
-            "*".join(self.fixed_field) or "F",
-        )
+Orbit = namedtuple("Orbit", "labels stabilizer fixed_field extension")
 
 
 class OrbitReport:
@@ -335,7 +286,7 @@ def orbit_decomposition(ls):
             for m, mcoords in span.items()
             if m and all(len(mcoords & neg) % 2 == 0 for neg in stab_negs)
         ]
-        ext = _canonical_basis(sorted(fixed, key=sorted))
+        ext, _ = gf2_eliminate(fixed)
         labels = tuple(sorted(orbit, key=_LABEL_POS.__getitem__))
         orbits.append(
             Orbit(
@@ -433,15 +384,8 @@ def verify_general_position(cfg):
 # -- the nontriviality certificate -------------------------------------------------
 
 
-class Certificate:
-    """alpha_2 and its two residues; valid iff the chain ends at 1."""
-
-    def __init__(self, at, chain):
-        self.at = at
-        self.chain = chain
-
-    def __iter__(self):
-        return iter(self.chain)
+# alpha_2 and its residues at the names in `at`; valid iff the chain ends at 1
+Certificate = namedtuple("Certificate", "at chain")
 
 
 def nontriviality_certificate(alg, at=None):

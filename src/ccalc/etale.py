@@ -18,7 +18,6 @@ The sigma_i are accumulated by the standard one-pass recurrence so that a
 rank-28 algebra costs rank*cap symbol products, not 2^28 expansions.
 """
 
-from itertools import combinations
 from math import isqrt
 
 from .rings import Ring
@@ -30,6 +29,11 @@ from .ksymbols import (
     symbol,
     zero,
 )
+
+
+# Longest multiplicity the parser accepts; Stiefel-Whitney classes read only
+# its residue mod a power of two, and the rank is printed in full.
+MULTIPLICITY_DIGITS = 1000
 
 
 class EtaleError(Exception):
@@ -56,13 +60,40 @@ def monomial_str(mono, model):
     return ("-" + body) if neg else body
 
 
+def gf2_eliminate(classes):
+    """GF(2) elimination on square classes, each a frozenset of names with
+    symmetric difference as the product; a row's pivot is its largest name.
+
+    Returns (basis, deps).  basis is the reduced-echelon basis of the span,
+    sorted by names, so it depends on the span alone.  deps[i] is None when
+    classes[i] is independent of classes[:i], and otherwise the frozenset of
+    the indices j < i of independent classes whose classes multiply to
+    classes[i] (unique, since those classes are independent).
+    """
+    rows, deps = [], []  # rows: (class, inputs multiplying to it), reduced
+    for i, m in enumerate(classes):
+        combo = frozenset({i})
+        for row, used in rows:
+            if max(row) in m:
+                m, combo = m ^ row, combo ^ used
+        deps.append(None if m else combo - {i})
+        if m:
+            # clear the new pivot from the other rows; their pivots stay
+            rows = [(r ^ m, u ^ combo) if max(m) in r else (r, u) for r, u in rows]
+            rows.append((m, combo))
+    return tuple(sorted((r for r, _ in rows), key=sorted)), deps
+
+
 class EtaleAlgebraExpr:
     """A product of multiquadratic extensions over a field model.
 
     factors: list of (extension, multiplicity) where extension is a tuple of
-    square classes (frozensets of names) generating F(sqrt m1, ..., sqrt ms).
-    Within each extension no nonempty subproduct of the classes may be trivial
-    in the model — otherwise the factor would not be a field.
+    square classes (frozensets of names) generating F(sqrt m1, ..., sqrt ms),
+    and the multiplicity is any positive integer.  Within each extension no
+    nonempty subproduct of the classes may be trivial in the model, otherwise
+    the factor would not be a field: gf2_eliminate checks this in O(s^2)
+    steps, and DependentClasses names the first dependent class together
+    with the earlier ones that multiply with it to a square.
     """
 
     def __init__(self, model, factors):
@@ -76,16 +107,15 @@ class EtaleAlgebraExpr:
                 for name in mono:
                     if not model.knows(name):
                         raise UnknownName(name)
-            for r in range(1, len(ext) + 1):
-                for combo in combinations(range(len(ext)), r):
-                    acc = frozenset()
-                    for j in combo:
-                        acc ^= ext[j]
-                    if not {n for n in acc if not model.is_trivial(n)}:
-                        raise DependentClasses(
-                            "subproduct of sqrt arguments %s is a square"
-                            % (sorted(combo),)
-                        )
+            _, deps = gf2_eliminate(
+                [frozenset(n for n in m if not model.is_trivial(n)) for m in ext]
+            )
+            for i, dep in enumerate(deps):
+                if dep is not None:
+                    raise DependentClasses(
+                        "subproduct of sqrt arguments %s is a square"
+                        % (sorted(dep | {i}),)
+                    )
             self.factors.append((ext, mult))
         self.rank = sum(mult * 2 ** len(ext) for ext, mult in self.factors)
 
@@ -98,14 +128,15 @@ class EtaleAlgebraExpr:
         return (
             isinstance(other, EtaleAlgebraExpr)
             and self.model == other.model
-            and sorted(self._factor_key()) == sorted(other._factor_key())
+            and self._factor_key() == other._factor_key()
         )
 
     def _factor_key(self):
-        out = []
+        """Total multiplicity of each extension, keyed by its sorted classes."""
+        out = {}
         for ext, mult in self.factors:
             key = tuple(sorted(tuple(sorted(m)) for m in ext))
-            out.extend([key] * mult)
+            out[key] = out.get(key, 0) + mult
         return out
 
     def __str__(self):
@@ -178,10 +209,12 @@ def parse_algebra(text, model):
             pos += 1
             ws()
             start = pos
-            while pos < len(s) and s[pos].isdigit():
+            while pos < len(s) and s[pos].isdecimal():
                 pos += 1
             if start == pos:
                 err("expected an integer after '^'")
+            if pos - start > MULTIPLICITY_DIGITS:
+                err("multiplicity has more than %d digits" % MULTIPLICITY_DIGITS)
             mult = int(s[start:pos])
             if mult < 1:
                 err("multiplicity must be >= 1")
@@ -304,28 +337,27 @@ class SWClassVector:
         return sum(self.classes, zero(self.model))
 
 
-def _diagonal_classes(alg):
-    out = []
-    for ext, mult in alg.factors:
-        out.extend(trace_form(ext, alg.model) * mult)
-    return out
-
-
 def sw_total(alg, max_degree=None):
     """Plain Stiefel-Whitney classes: elementary symmetric polynomials of the
-    degree-1 classes of the trace-form diagonal, by the one-pass recurrence."""
+    degree-1 classes of the trace-form diagonal, by the one-pass recurrence.
+
+    A factor of multiplicity m contributes c^m, c = 1 + y the total class of
+    one copy.  Mod 2, c^(2^k) = 1 + y^(2^k) (Lucas' theorem), which is 1
+    below degree 2^k; so with 2^k > cap the factor's diagonal runs through
+    the recurrence m mod 2^k times.
+    """
     model = alg.model
-    diag = _diagonal_classes(alg)
-    n = len(diag)
-    cap = min(n, 7 if max_degree is None else max_degree)
+    cap = min(alg.rank, 7 if max_degree is None else max_degree)
+    period = 1 << cap.bit_length()
     e = [one(model)] + [zero(model)] * cap
-    for d in diag:
-        sym = symbol([d], model)
-        if sym.is_zero():
-            continue
-        for i in range(cap, 0, -1):
-            e[i] = e[i] + sym * e[i - 1]
-    return SWClassVector(model, n, "plain-SW", e)
+    for ext, mult in alg.factors:
+        for d in trace_form(ext, model) * (mult % period):
+            sym = symbol([d], model)
+            if sym.is_zero():
+                continue
+            for i in range(cap, 0, -1):
+                e[i] = e[i] + sym * e[i - 1]
+    return SWClassVector(model, alg.rank, "plain-SW", e)
 
 
 def galois_sw_total(alg, max_degree=None):

@@ -44,6 +44,10 @@ class NotAnIndeterminate(KError):
 
 _CONSTANT_SPELLING = {"minus_one": "-1", "two": "2"}
 
+# Largest eps power the parser accepts: the basis rendering spells eps^m as
+# m copies of -1, so the output grows with m.
+EPS_POWER_LIMIT = 1000
+
 
 class FieldModel:
     """Names and triviality flags for symbol entries.
@@ -62,6 +66,12 @@ class FieldModel:
         for flag in self.constants.values():
             if flag not in ("free", "trivial"):
                 raise KError("constant flags are 'free' or 'trivial', got %r" % flag)
+        for n in self.indeterminates:
+            if n in self.constants and n in _CONSTANT_SPELLING:
+                raise KError(
+                    "%r is reserved for the class of %s; write %s instead"
+                    % (n, _CONSTANT_SPELLING[n], _CONSTANT_SPELLING[n])
+                )
         overlap = set(self.indeterminates) & set(self.constants)
         if overlap or len(set(self.indeterminates)) != len(self.indeterminates):
             raise KError("model names must be unique")
@@ -162,14 +172,7 @@ class KElement:
 
     def __mul__(self, other):
         self._check(other)
-        acc = set()
-        for m1, g1 in self.support:
-            for m2, g2 in other.support:
-                s = (m1 + m2 + len(g1 & g2), g1 | g2)
-                acc.symmetric_difference_update({s})
-        if not self.model.eps_free:
-            acc = {s for s in acc if s[0] == 0}
-        return KElement(self.model, acc)
+        return KElement(self.model, _product(self.model, self.support, other.support))
 
     def __eq__(self, other):
         return (
@@ -241,26 +244,34 @@ def _as_monomial(entry, model):
     return mono
 
 
+def _product(model, xs, ys):
+    """Support of the product of two supports by the rule in the module
+    docstring, summed mod 2; eps powers die where -1 is a square."""
+    acc = set()
+    for m1, g1 in xs:
+        for m2, g2 in ys:
+            acc ^= {(m1 + m2 + len(g1 & g2), g1 | g2)}
+    if not model.eps_free:
+        acc = {s for s in acc if s[0] == 0}
+    return acc
+
+
 def symbol(entries, model):
     """Normal form of the symbol with the given entries.
 
-    Each entry is a signed monomial (a square class); the symbol is expanded
-    multilinearly into basis symbols, repeated generators are collapsed via
-    {x,x} = {-1,x}, and the model's trivial classes are dropped.
+    An entry (a signed monomial, i.e. a square class) is the sum of one basis
+    symbol per name in it that the model does not trivialize: (1, {}) for -1,
+    (0, {n}) otherwise.  The symbol is the product of these sums, so
+    {x,x} = {-1,x} follows from the product rule.
     """
     acc = {(0, frozenset())}
     for entry in entries:
-        mono = _as_monomial(entry, model)
-        parts = [n for n in mono if not model.is_trivial(n)]
-        new = set()
-        for n in parts:
-            piece = (1, frozenset()) if n == "minus_one" else (0, frozenset({n}))
-            for m, gens in acc:
-                s = (m + piece[0] + len(gens & piece[1]), gens | piece[1])
-                new.symmetric_difference_update({s})
-        acc = new
-    if not model.eps_free:
-        acc = {s for s in acc if s[0] == 0}
+        pieces = {
+            (1, frozenset()) if n == "minus_one" else (0, frozenset({n}))
+            for n in _as_monomial(entry, model)
+            if not model.is_trivial(n)
+        }
+        acc = _product(model, acc, pieces)
     return KElement(model, acc)
 
 
@@ -314,7 +325,9 @@ def _parse_monomial(text, model):
         factor = factor.strip()
         if not factor:
             raise SyntaxError("empty factor in symbol entry %r" % text)
-        if factor.isdigit():
+        if factor.isdecimal():
+            if len(factor) > 4000:  # int() refuses digit strings past 4300
+                raise SyntaxError("numeric entry in %r is too long" % text)
             n = int(factor)
             if n == 0:
                 raise SyntaxError("0 is not a unit")
@@ -363,29 +376,38 @@ def parse_kelement(text, model):
 
 
 def _parse_term(part, model):
+    """One term: "1", or "eps"/"eps^m" (m <= EPS_POWER_LIMIT), the basis
+    symbol (m, {}), times an optional brace-delimited symbol."""
     if not part:
         raise SyntaxError("empty term")
     if part == "1":
         return one(model)
-    eps_m = 0
+    eps_m, rest = 0, part
     if part.startswith("eps"):
-        rest = part[3:].strip()
+        eps_m, star, rest = 1, "", part[3:].strip()
         if rest.startswith("^"):
-            num, _, rest = rest[1:].partition("*")
-            if not num.strip().isdigit():
+            num, star, rest = rest[1:].partition("*")
+            num = num.strip()
+            if not num.isdecimal():
                 raise SyntaxError("bad eps power in %r" % part)
-            eps_m = int(num.strip())
-        else:
-            eps_m = 1
-            if rest.startswith("*"):
-                rest = rest[1:]
+            num = num.lstrip("0") or "0"
+            if len(num) > len(str(EPS_POWER_LIMIT)) or int(num) > EPS_POWER_LIMIT:
+                raise SyntaxError(
+                    "eps power in %r exceeds %d" % (part, EPS_POWER_LIMIT)
+                )
+            eps_m = int(num)
+        elif rest.startswith("*"):
+            star, rest = "*", rest[1:]
         rest = rest.strip()
-        if not rest:
-            return symbol(["-1"] * eps_m, model)
-        part = rest
-    if not (part.startswith("{") and part.endswith("}")):
-        raise SyntaxError("expected a brace-delimited symbol, got %r" % part)
-    entries = [e for e in part[1:-1].split(",")]
-    if entries == [""]:
-        raise SyntaxError("empty symbol braces")
-    return symbol(["-1"] * eps_m + entries, model)
+        if star and not rest:
+            raise SyntaxError("nothing follows '*' in %r" % part)
+    if not rest:
+        body = one(model)
+    elif not (rest.startswith("{") and rest.endswith("}")):
+        raise SyntaxError("expected a brace-delimited symbol, got %r" % rest)
+    else:
+        entries = rest[1:-1].split(",")
+        if entries == [""]:
+            raise SyntaxError("empty symbol braces")
+        body = symbol(entries, model)
+    return KElement(model, _product(model, {(eps_m, frozenset())}, body.support))

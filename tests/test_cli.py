@@ -146,6 +146,22 @@ def test_sw_parse_error(capsys):
     assert json.loads(err)["type"] == "SyntaxError"
 
 
+def test_sw_huge_multiplicity(capsys):
+    code, out, err = run(capsys, "sw", "--algebra", "F(sqrt(a))^99999999999")
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert lines[0] == (
+        "algebra: F(sqrt(a))^99999999999  (rank 199999999998, model euclidean)"
+    )
+    assert lines[-1] == "alpha7 = {-1,-1,-1,-1,-1,-1,a}"
+
+
+def test_sw_multiplicity_digit_limit(capsys):
+    code, out, err = run(capsys, "sw", "--algebra", "F^1" + "0" * 1000)
+    assert code == 1 and out == ""
+    assert "more than 1000 digits" in err
+
+
 # -- 27 lines ---------------------------------------------------------------------
 
 
@@ -304,6 +320,29 @@ def test_residue_at_a_constant_fails(capsys):
     code, _, err = run(capsys, "residue", "--expr", "{a}", "--at", "minus_one")
     assert code == 1
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("expr", ["eps^1001", "eps^99999999", "eps*", "eps^2*"])
+def test_residue_bad_eps_prefix_is_a_syntax_error(capsys, expr):
+    code, out, err = run(capsys, "residue", "--expr", expr, "--at", "a", "--json")
+    assert code == 1 and out == ""
+    assert json.loads(err)["type"] == "SyntaxError"
+
+
+def test_residue_eps_power_at_the_limit(capsys):
+    code, out, _ = run(capsys, "residue", "--expr", "eps^1000*{a}", "--at", "a")
+    assert code == 0
+    assert out == "residue at a: {%s}\n" % ",".join(["-1"] * 1000)
+
+
+@pytest.mark.parametrize(
+    "expr, spelling",
+    [("{minus_one}", "-1"), ("{two,a}", "2"), ("{a} + {b,minus_one}", "-1")],
+)
+def test_residue_reserved_names(capsys, expr, spelling):
+    code, out, err = run(capsys, "residue", "--expr", expr, "--at", "a")
+    assert code == 1 and out == ""
+    assert "is reserved" in err and "write %s instead" % spelling in err
 
 
 # -- parser-level behaviour ------------------------------------------------------------

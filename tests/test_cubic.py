@@ -55,6 +55,15 @@ def test_default_point_swaps():
     assert ls.point_perms["sigma*tau"] == {1: 2, 2: 1, 3: 4, 4: 3, 5: 5, 6: 6}
 
 
+def test_third_class_equal_to_the_first_shares_its_swaps():
+    model = euclidean_model(("a", "b"))
+    a, b = frozenset({"a"}), frozenset({"b"})
+    ls = build_action(PointConfig(model, (a, b, a)))
+    assert ls.basis == [a, b]
+    assert ls.point_perms["sigma"] == {1: 2, 2: 1, 3: 3, 4: 4, 5: 6, 6: 5}
+    assert ls.point_perms["tau"] == {1: 1, 2: 2, 3: 4, 4: 3, 5: 5, 6: 6}
+
+
 def test_action_on_lines():
     ls = build_action(default_config())
     assert ls.action["sigma"]["E1"] == "E2"

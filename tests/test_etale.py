@@ -1,17 +1,24 @@
 """Tests for etale algebras, trace forms, and SW classes."""
 
+import json
 import random
+import re
+import time
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ccalc import etale
 from ccalc.etale import (
+    MULTIPLICITY_DIGITS,
     DependentClasses,
     EtaleAlgebraExpr,
     NonDiagonalGram,
     UnknownName,
     alpha_tot_product_check,
     galois_sw_total,
+    gf2_eliminate,
     monomial_str,
     parse_algebra,
     sw_total,
@@ -76,6 +83,89 @@ def test_parse_errors():
         parse_algebra("F^0", EUC)
     with pytest.raises(UnknownName):
         parse_algebra("F(sqrt(zz))", EUC)
+
+
+def test_parse_multiplicity_limits():
+    widest = parse_algebra("F^" + "9" * MULTIPLICITY_DIGITS, EUC)
+    assert widest.rank == 10 ** MULTIPLICITY_DIGITS - 1
+    with pytest.raises(SyntaxError, match="more than"):
+        parse_algebra("F^1" + "0" * MULTIPLICITY_DIGITS, EUC)
+    with pytest.raises(SyntaxError):
+        parse_algebra("F(sqrt(a))^\u00b2", EUC)  # a superscript two
+
+
+def test_equality_compares_total_multiplicities():
+    assert parse_algebra("F(sqrt(a))^2 * F", EUC) == parse_algebra(
+        "F * F(sqrt(a)) * F(sqrt(a))", EUC
+    )
+    assert parse_algebra("F(sqrt(a))^2", EUC) != parse_algebra("F(sqrt(a))^3", EUC)
+    huge = parse_algebra("F(sqrt(a))^99999999999", EUC)
+    assert huge == parse_algebra("F(sqrt(a))^99999999998 * F(sqrt(a))", EUC)
+
+
+# -- GF(2) elimination of square classes ------------------------------------------
+
+NAMES = ("a", "b", "c", "minus_one", "two")
+
+
+def _subset_products(classes):
+    """Every subset of indices with the product of its classes (reference)."""
+    for r in range(len(classes) + 1):
+        for combo in combinations(range(len(classes)), r):
+            acc = frozenset()
+            for j in combo:
+                acc ^= classes[j]
+            yield frozenset(combo), acc
+
+
+@settings(max_examples=300)
+@given(st.lists(st.frozensets(st.sampled_from(NAMES), max_size=3), max_size=6))
+def test_gf2_eliminate_against_subset_enumeration(classes):
+    basis, deps = gf2_eliminate(classes)
+    span = {acc for _, acc in _subset_products(classes)}
+    # the basis spans the same classes, is reduced echelon and sorted
+    assert {acc for _, acc in _subset_products(list(basis))} == span
+    assert len(span) == 2 ** len(basis)
+    pivots = [max(m) for m in basis]
+    for m in basis:
+        assert sum(p in m for p in pivots) == 1
+    assert list(basis) == sorted(basis, key=sorted)
+    # deps: None exactly for classes outside the span of the earlier ones
+    for i, dep in enumerate(deps):
+        earlier = {acc for _, acc in _subset_products(classes[:i])}
+        assert (dep is None) == (classes[i] not in earlier)
+        if dep is not None:
+            assert all(j < i and deps[j] is None for j in dep)
+            acc = frozenset()
+            for j in dep:
+                acc ^= classes[j]
+            assert acc == classes[i]
+
+
+@settings(max_examples=300)
+@given(
+    st.lists(st.frozensets(st.sampled_from(NAMES), max_size=3), max_size=5),
+    st.sampled_from(["closed", "euclidean", "generic"]),
+)
+def test_dependent_classes_names_a_square_subproduct(ext, preset):
+    model = {"closed": CLO, "euclidean": EUC, "generic": GEN}[preset]
+    squares = [
+        combo
+        for combo, acc in _subset_products(ext)
+        if combo and all(model.is_trivial(n) for n in acc)
+    ]
+    try:
+        EtaleAlgebraExpr(model, [(tuple(ext), 1)])
+    except DependentClasses as e:
+        named = json.loads(re.search(r"\[.*\]", str(e)).group())
+        assert frozenset(named) in squares
+    else:
+        assert not squares
+
+
+def test_dependent_classes_message_of_repeated_root():
+    with pytest.raises(DependentClasses, match=r"arguments \[0, 1\] is a square"):
+        parse_algebra("F(sqrt(a),sqrt(a))", EUC)
 
 
 def test_parse_whitespace_insensitive():
@@ -159,6 +249,60 @@ def test_alpha_tot_single_quadratic():
 def test_f28_alpha_tot_trivial():
     alg = parse_algebra("F^28", EUC)
     assert galois_sw_total(alg).alpha_tot() == one(EUC)
+
+
+def _sw_unreduced(alg, cap):
+    """The recurrence over the full trace-form diagonal, every factor
+    repeated its whole multiplicity (reference for sw_total)."""
+    e = [one(alg.model)] + [zero(alg.model)] * cap
+    for ext, mult in alg.factors:
+        for d in trace_form(ext, alg.model) * mult:
+            sym = symbol([d], alg.model)
+            for i in range(cap, 0, -1):
+                e[i] = e[i] + sym * e[i - 1]
+    return e
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.sampled_from([(), (A,), (B,), (AB,), (A, B), (A, C)]),
+                  st.integers(min_value=1, max_value=20)),
+        min_size=1, max_size=3,
+    ),
+    st.integers(min_value=0, max_value=9),
+    st.sampled_from(["closed", "euclidean", "generic"]),
+)
+def test_sw_multiplicity_reduction_matches_full_recurrence(factors, cap, preset):
+    model = {"closed": CLO, "euclidean": EUC, "generic": GEN}[preset]
+    alg = EtaleAlgebraExpr(model, factors)
+    cap = min(cap, alg.rank)
+    assert sw_total(alg, max_degree=cap).classes == _sw_unreduced(alg, cap)
+
+
+def test_sw_reads_every_factor_once(monkeypatch):
+    calls = []
+    real = etale.trace_form
+
+    def counted(ext, model):
+        calls.append(ext)
+        return real(ext, model)
+
+    monkeypatch.setattr(etale, "trace_form", counted)
+    # cap 7: multiplicity 8 reduces to 0, and the factor is still read
+    alg = parse_algebra("F(sqrt(a))^8 * F(sqrt(b))^3 * F^16", EUC)
+    sw_total(alg)
+    assert calls == [(A,), (B,), ()]
+
+
+def test_sw_huge_multiplicity_is_fast():
+    t0 = time.perf_counter()
+    alg = parse_algebra("F(sqrt(a))^99999999999", EUC)
+    gsw = galois_sw_total(alg)
+    assert time.perf_counter() - t0 < 1.0
+    assert gsw.rank == 2 * 99999999999
+    # 99999999999 = 7 mod 8, so below degree 8 this is F(sqrt(a))^7
+    assert gsw.classes == galois_sw_total(parse_algebra("F(sqrt(a))^7", EUC)).classes
 
 
 def test_appending_f_changes_nothing():

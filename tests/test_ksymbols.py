@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ccalc.ksymbols import (
+    EPS_POWER_LIMIT,
     FieldModel,
     KError,
     ModelMismatch,
@@ -162,6 +163,53 @@ def test_parse_errors():
         parse_kelement("{3}", EUC)
     with pytest.raises(UnknownGenerator):
         parse_kelement("{zz}", EUC)
+
+
+def test_numerals_outside_ascii_or_too_long_fail_cleanly():
+    with pytest.raises(UnknownGenerator):
+        parse_kelement("{\u00b2}", EUC)  # a superscript two is not a numeral
+    with pytest.raises(SyntaxError):
+        parse_kelement("{%s}" % ("4" * 5000), EUC)
+    assert parse_kelement("{%d}" % (2 * 4 ** 1000), GEN) == symbol(["2"], GEN)
+
+
+def test_eps_power_is_bounded():
+    top = parse_kelement("eps^%d" % EPS_POWER_LIMIT, EUC)
+    assert top.support == {(EPS_POWER_LIMIT, frozenset())}
+    assert parse_kelement("eps^0001*{a}", EUC) == parse_kelement("eps*{a}", EUC)
+    for text in (
+        "eps^%d" % (EPS_POWER_LIMIT + 1),
+        "eps^99999999",
+        "eps^" + "9" * 5000,
+        "eps^\u00b3",
+    ):
+        with pytest.raises(SyntaxError):
+            parse_kelement(text, EUC)
+
+
+def test_dangling_star_after_eps_is_rejected():
+    for text in ("eps*", "eps *", "eps^3*", "eps^3 * ", "{a} + eps*"):
+        with pytest.raises(SyntaxError):
+            parse_kelement(text, EUC)
+
+
+@pytest.mark.parametrize("m", range(5))
+def test_eps_prefix_is_a_product_with_minus_one_entries(m):
+    prefix = "eps^%d" % m
+    for model in (EUC, CLO, GEN):
+        assert parse_kelement(prefix, model) == symbol(["-1"] * m, model)
+        for entries in (["a"], ["a", "-b"], ["a*b", "a", "2"]):
+            text = "%s*{%s}" % (prefix, ",".join(entries))
+            assert parse_kelement(text, model) == symbol(["-1"] * m + entries, model)
+
+
+def test_reserved_names_point_to_their_spelling():
+    with pytest.raises(KError, match="'minus_one' is reserved.*write -1 instead"):
+        euclidean_model(("a", "minus_one"))
+    with pytest.raises(KError, match="'two' is reserved.*write 2 instead"):
+        generic_model(("two",))
+    with pytest.raises(KError, match="model names must be unique"):
+        FieldModel(("c",), {"minus_one": "free", "c": "free"})
 
 
 # -- property suites -----------------------------------------------------------
