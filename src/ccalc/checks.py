@@ -60,6 +60,9 @@ CheckLine = namedtuple("CheckLine", ["name", "ok", "detail"])
 
 DEFAULT_SEED = 20260819
 DEFAULT_CASES = 1000
+# Largest curve degree the locus-class checks run to; the oracle tables
+# below stop there.
+D_MAX = 12
 
 
 # -- the oracle table ---------------------------------------------------------
@@ -155,9 +158,9 @@ def _poly_from_coefficients(ring, coeffs):
 # -- locus classes ------------------------------------------------------------
 
 
-def check_locus_classes(d_max=12):
+def check_locus_classes():
     out = []
-    for d in range(3, d_max + 1):
+    for d in range(3, D_MAX + 1):
         report = class_z(d)
         coeffs = classz_oracle(d)
         want = _poly_from_coefficients(report.poly.ring, coeffs)
@@ -174,9 +177,9 @@ def check_locus_classes(d_max=12):
     return out
 
 
-def check_binary_classes(d_max=12):
+def check_binary_classes():
     out = []
-    for d in range(4, d_max + 1):
+    for d in range(4, D_MAX + 1):
         rep_t = class_bin(d)
         rep_s = class_bin(d, push_fiber="s")
         coeffs = classd_oracle(d)
@@ -195,9 +198,9 @@ def check_binary_classes(d_max=12):
     return out
 
 
-def check_torsion_bookkeeping(d_max=12):
+def check_torsion_bookkeeping():
     out = []
-    for d in range(4, d_max + 1):
+    for d in range(4, D_MAX + 1):
         i_d = 1 if d % 3 == 0 else 0
         cz = class_z(d).content
         cb = class_bin(d).content
@@ -579,12 +582,12 @@ def check_properties(seed=DEFAULT_SEED, cases=DEFAULT_CASES):
 # -- the full suite -------------------------------------------------------------
 
 
-def run_all(d_max=12, seed=DEFAULT_SEED, cases=DEFAULT_CASES):
+def run_all(seed=DEFAULT_SEED, cases=DEFAULT_CASES):
     """Every oracle check and property suite, as a flat list of CheckLines."""
     lines = []
-    lines.extend(check_locus_classes(d_max))
-    lines.extend(check_binary_classes(d_max))
-    lines.extend(check_torsion_bookkeeping(d_max))
+    lines.extend(check_locus_classes())
+    lines.extend(check_binary_classes())
+    lines.extend(check_torsion_bookkeeping())
     lines.extend(check_sw_examples())
     lines.extend(check_line_orbits())
     lines.extend(check_general_position())

@@ -88,24 +88,19 @@ class LocusClassReport:
 
     Fields: degree (the curve degree d), poly (the class), basis_coefficients
     (integers on the declared degree-1 basis), content (gcd of those),
-    expected_divisor, divisibility_ok, and formal_only (True when the class
-    was emitted from the closed formula below the geometric guard).
+    expected_divisor (always >= 1) and divisibility_ok.
     """
 
-    def __init__(self, degree, poly, basis, expected_divisor, formal_only=False):
+    def __init__(self, degree, poly, basis, expected_divisor):
         self.degree = degree
         self.poly = poly
         self.basis_coefficients = {name: _unit_coeff(poly, name) for name in basis}
         self.content = poly.content()
         self.expected_divisor = expected_divisor
-        if expected_divisor:
-            self.divisibility_ok = self.content % expected_divisor == 0
-        else:
-            self.divisibility_ok = self.content == 0
-        self.formal_only = formal_only
+        self.divisibility_ok = self.content % expected_divisor == 0
 
     def to_json(self):
-        out = {
+        return {
             "d": self.degree,
             "class": str(self.poly),
             "coefficients": dict(self.basis_coefficients),
@@ -113,9 +108,6 @@ class LocusClassReport:
             "expected_divisor": self.expected_divisor,
             "ok": self.divisibility_ok,
         }
-        if self.formal_only:
-            out["formal_only"] = True
-        return out
 
     def __repr__(self):
         return "LocusClassReport(d=%d, %s)" % (self.degree, self.poly)
@@ -152,33 +144,15 @@ def class_ztilde(d):
     return cls
 
 
-def _closed_form_z(d):
-    h, c1 = CURVE_BASE.gen("h"), CURVE_BASE.gen("c1")
-    return (d - 1) ** 2 * (3 * h - d * c1)
-
-
-def _closed_form_bin(d):
-    hz, u, c1 = (SINGULAR_BASE.gen(n) for n in ("hz", "u", "c1"))
-    return 3 * d * (d - 2) * hz - d * (d - 1) ** 2 * c1 - 3 * (d - 2) * u
-
-
-def _i3(d):
-    return 1 if d % 3 == 0 else 0
-
-
-def class_z(d, allow_formal=False):
+def class_z(d):
     """Class of the singular-curve locus: push the three-plane product down
     the point fiber and rewrite symmetrically over the basis {h, c1}."""
     if d < 3:
-        if not allow_formal:
-            raise DegreeTooSmall("need curve degree >= 3, got %d" % d)
-        return LocusClassReport(
-            d, _closed_form_z(d), ("h", "c1"),
-            3 ** _i3(d) * (d - 1) ** 2, formal_only=True,
-        )
+        raise DegreeTooSmall("need curve degree >= 3, got %d" % d)
     pushed = fiber_pushforward(class_ztilde(d), "t")
     cls = symmetric_reduce(pushed, CURVE_BASE)
-    return LocusClassReport(d, cls, ("h", "c1"), 3 ** _i3(d) * (d - 1) ** 2)
+    expected = (3 if d % 3 == 0 else 1) * (d - 1) ** 2
+    return LocusClassReport(d, cls, ("h", "c1"), expected)
 
 
 def r_value(d):
@@ -188,7 +162,7 @@ def r_value(d):
     return gcd(d * (d - 1) ** 2, 3 * (d - 2))
 
 
-def class_bin(d, allow_formal=False, push_fiber="t"):
+def class_bin(d, push_fiber="t"):
     """Residual class of curves with a second singular point.
 
     Pipeline on the two-point incidence ring: form the product xi of both
@@ -200,12 +174,7 @@ def class_bin(d, allow_formal=False, push_fiber="t"):
     be the pushforward direction; the result is identical.
     """
     if d < 4:
-        if not allow_formal:
-            raise DegreeTooSmall("need curve degree >= 4, got %d" % d)
-        expected = gcd(d * (d - 1) ** 2, 3 * (d - 2))
-        return LocusClassReport(
-            d, _closed_form_bin(d), ("hz", "u", "c1"), expected, formal_only=True,
-        )
+        raise DegreeTooSmall("need curve degree >= 4, got %d" % d)
     if push_fiber not in ("s", "t"):
         raise NotAFiberGenerator(push_fiber)
     kept = "s" if push_fiber == "t" else "t"

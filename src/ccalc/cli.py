@@ -43,15 +43,14 @@ class UsageError(Exception):
 
 class WorksheetResult:
     """One executed subcommand: the command echo, the rendered output lines,
-    the JSON payload, an optional field-model description, the oracle
-    comparison (expected, computed, match) when a recorded value exists, and
-    the elapsed wall time (filled in by the dispatcher)."""
+    the JSON payload, the oracle comparison (expected, computed, match) when
+    a recorded value exists, and the elapsed wall time (filled in by the
+    dispatcher)."""
 
-    def __init__(self, command, primary, payload, model_description=None, oracle=None):
+    def __init__(self, command, primary, payload, oracle=None):
         self.command = command
         self.primary = list(primary)
         self.payload = payload
-        self.model_description = model_description
         self.oracle = oracle
         self.elapsed = 0.0
 
@@ -184,7 +183,7 @@ def cmd_sw(args):
         "cap": sw.cap,
         "classes": classes,
     }
-    return WorksheetResult("sw", lines, payload, model_description=repr(model))
+    return WorksheetResult("sw", lines, payload)
 
 
 def cmd_lines(args):
@@ -261,9 +260,7 @@ def cmd_lines(args):
             "at": list(cert.at),
             "chain": [str(x) for x in cert.chain],
         }
-    return WorksheetResult(
-        "lines", lines, payload, model_description=repr(model)
-    )
+    return WorksheetResult("lines", lines, payload)
 
 
 def cmd_brauer(args):
@@ -293,9 +290,7 @@ def cmd_residue(args):
         "model": model.name,
         "result": str(result),
     }
-    return WorksheetResult(
-        "residue", lines, payload, model_description=repr(model)
-    )
+    return WorksheetResult("residue", lines, payload)
 
 
 def cmd_check_all(args):

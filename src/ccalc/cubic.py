@@ -53,17 +53,16 @@ _SQRT_GENS = ("x", "y", "z", "v", "w", "x2", "y2", "z2")
 class PointConfig:
     """Three conjugate point-pairs with square classes and coordinates.
 
-    pair_classes: the square classes (m1, m2, m3); the third defaults to
-    m1*m2.  When every class is a monomial in the model's indeterminates the
-    explicit coordinates (+-sqrt(m1):1:0), (+-sqrt(m2):0:1), (0:+-sqrt(m3):1)
-    are materialized over a polynomial tower with one square-root fiber
-    generator per indeterminate; pass `coordinates` to override them.
+    pair_classes (required): two or three square classes (m1, m2[, m3]);
+    m3 defaults to m1*m2.  When every class is a monomial in the model's
+    indeterminates the explicit coordinates (+-sqrt(m1):1:0),
+    (+-sqrt(m2):0:1), (0:+-sqrt(m3):1) are materialized over a polynomial
+    tower with one square-root fiber generator per indeterminate; pass
+    `coordinates` to override them.
     """
 
-    def __init__(self, model, pair_classes=None, coordinates=None):
+    def __init__(self, model, pair_classes, coordinates=None):
         self.model = model
-        if pair_classes is None:
-            pair_classes = (frozenset({"a"}), frozenset({"b"}))
         pair_classes = [frozenset(m) for m in pair_classes]
         if len(pair_classes) not in (2, 3):
             raise CubicError("expected two or three pair classes")
@@ -119,19 +118,20 @@ class PointConfig:
             ]
 
 
-def default_config(model=None):
-    """The standard two-parameter configuration over square classes a, b, ab."""
-    if model is None:
-        model = euclidean_model(("a", "b"))
-    return PointConfig(model, (frozenset({"a"}), frozenset({"b"})))
-
-
-def three_class_config(model=None):
-    """Three independent square classes a, b, c (group (Z/2)^3)."""
-    if model is None:
-        model = euclidean_model(("a", "b", "c"))
+def default_config():
+    """The standard two-parameter configuration over square classes a, b, ab
+    in the euclidean model on (a, b)."""
     return PointConfig(
-        model, (frozenset({"a"}), frozenset({"b"}), frozenset({"c"}))
+        euclidean_model(("a", "b")), (frozenset({"a"}), frozenset({"b"}))
+    )
+
+
+def three_class_config():
+    """Three independent square classes a, b, c (group (Z/2)^3) in the
+    euclidean model on (a, b, c)."""
+    return PointConfig(
+        euclidean_model(("a", "b", "c")),
+        (frozenset({"a"}), frozenset({"b"}), frozenset({"c"})),
     )
 
 
@@ -388,12 +388,12 @@ def verify_general_position(cfg):
 Certificate = namedtuple("Certificate", "at chain")
 
 
-def nontriviality_certificate(alg, at=None):
+def nontriviality_certificate(alg):
     """Certify alpha_2 of the algebra nonzero (hence multiplication by it
-    injective on constants) by a double residue ending at 1."""
-    if at is None:
-        inds = alg.model.indeterminates
-        at = (inds[1], inds[0])
+    injective on constants) by a double residue, at the model's second
+    indeterminate and then its first, ending at 1."""
+    inds = alg.model.indeterminates
+    at = (inds[1], inds[0])
     alpha2 = galois_sw_total(alg, max_degree=2).alpha(2)
     chain = [alpha2]
     cur = alpha2

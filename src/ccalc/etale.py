@@ -35,6 +35,13 @@ from .ksymbols import (
 # its residue mod a power of two, and the rank is printed in full.
 MULTIPLICITY_DIGITS = 1000
 
+# Highest degree sw_total materializes.  The recurrence costs about cap^2
+# symbol products per diagonal entry it reads, so the cap is bounded: one
+# four-generator factor of multiplicity 2^40 - 1 takes 1.3-1.7 s at cap 128
+# and 3.6-5.8 s at cap 256 (`ccalc sw`, interpreter start included, Python
+# 3.11 on a 2-vCPU Xeon).
+SW_CAP_LIMIT = 128
+
 
 class EtaleError(Exception):
     pass
@@ -311,9 +318,10 @@ def trace_form(ext, model):
 
 
 class SWClassVector:
-    """alpha_0..alpha_cap of an algebra, flavor 'plain-SW' or 'galois-SW'."""
+    """alpha_0..alpha_cap of an algebra: the plain classes from sw_total or
+    the Galois-corrected ones from galois_sw_total."""
 
-    def __init__(self, model, rank, flavor, classes):
+    def __init__(self, model, rank, classes):
         if not classes[0].is_one():
             raise EtaleError("alpha_0 must be 1, got %s" % classes[0])
         for i, c in enumerate(classes):
@@ -321,7 +329,6 @@ class SWClassVector:
                 raise EtaleError("alpha_%d is not homogeneous of degree %d" % (i, i))
         self.model = model
         self.rank = rank
-        self.flavor = flavor
         self.classes = list(classes)
 
     @property
@@ -344,10 +351,15 @@ def sw_total(alg, max_degree=None):
     A factor of multiplicity m contributes c^m, c = 1 + y the total class of
     one copy.  Mod 2, c^(2^k) = 1 + y^(2^k) (Lucas' theorem), which is 1
     below degree 2^k; so with 2^k > cap the factor's diagonal runs through
-    the recurrence m mod 2^k times.
+    the recurrence m mod 2^k times.  The cap is min(rank, max_degree), with
+    max_degree 7 by default; a cap above SW_CAP_LIMIT raises EtaleError.
     """
     model = alg.model
     cap = min(alg.rank, 7 if max_degree is None else max_degree)
+    if cap > SW_CAP_LIMIT:
+        raise EtaleError(
+            "classes up to degree %d requested; the limit is %d" % (cap, SW_CAP_LIMIT)
+        )
     period = 1 << cap.bit_length()
     e = [one(model)] + [zero(model)] * cap
     for ext, mult in alg.factors:
@@ -357,7 +369,7 @@ def sw_total(alg, max_degree=None):
                 continue
             for i in range(cap, 0, -1):
                 e[i] = e[i] + sym * e[i - 1]
-    return SWClassVector(model, alg.rank, "plain-SW", e)
+    return SWClassVector(model, alg.rank, e)
 
 
 def galois_sw_total(alg, max_degree=None):
@@ -370,7 +382,7 @@ def galois_sw_total(alg, max_degree=None):
         if i % 2 == 0:
             c = c + two * sw.classes[i - 1]
         classes.append(c)
-    return SWClassVector(alg.model, sw.rank, "galois-SW", classes)
+    return SWClassVector(alg.model, sw.rank, classes)
 
 
 def alpha_tot_product_check(a, b):

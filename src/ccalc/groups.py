@@ -246,20 +246,17 @@ def hyperelliptic_divisibility():
     )
 
 
-def _class_z_content(d):
-    return class_z(d).content
-
-
-def consistency_report(d_max=12):
+def consistency_report():
     """Cross-module checks tying the group orders back to the intersection
-    layer; returns a list of (name, ok) pairs, all expected True."""
+    layer for curve degrees up to 12; returns a list of (name, ok) pairs,
+    all expected True."""
     checks = []
-    for d in range(3, d_max + 1):
+    for d in range(3, 13):
         checks.append(
             ("beta1_order(%d) == content of the degree-%d locus class" % (d, d),
-             beta1_order(d) == _class_z_content(d))
+             beta1_order(d) == class_z(d).content)
         )
-    for d in range(4, d_max + 1):
+    for d in range(4, 13):
         checks.append(
             ("n_torsion(%d) == gcd(2, r_value(%d))" % (d, d),
              n_torsion(d) == gcd(2, r_value(d)))

@@ -187,34 +187,20 @@ class KElement:
     def degrees(self):
         return sorted({m + len(g) for m, g in self.support})
 
-    def max_degree(self):
-        return max((m + len(g) for m, g in self.support), default=0)
-
     def _sorted_support(self):
         order = self.model.sort_gens
         return sorted(
             self.support, key=lambda s: (s[0] + len(s[1]), s[0], order(s[1]))
         )
 
-    def render(self, style="basis"):
+    def render(self):
         if not self.support:
             return "0"
         chunks = []
         for m, gens in self._sorted_support():
             names = [self.model.spell(n) for n in self.model.sort_gens(gens)]
-            if style == "eps":
-                if m and names:
-                    eps = "eps" if m == 1 else "eps^%d" % m
-                    chunks.append("%s*{%s}" % (eps, ",".join(names)))
-                elif m:
-                    chunks.append("eps" if m == 1 else "eps^%d" % m)
-                elif names:
-                    chunks.append("{%s}" % ",".join(names))
-                else:
-                    chunks.append("1")
-            else:
-                names = ["-1"] * m + names
-                chunks.append("{%s}" % ",".join(names) if names else "1")
+            names = ["-1"] * m + names
+            chunks.append("{%s}" % ",".join(names) if names else "1")
         return " + ".join(chunks)
 
     def __str__(self):
@@ -347,8 +333,9 @@ def _parse_monomial(text, model):
 
 
 def parse_kelement(text, model):
-    """Inverse of render(): accepts both the repeated -1 and the eps^m
-    spellings, plus composite entries like {-1,a*b}."""
+    """Inverse of render(): accepts the repeated -1 spelling, the eps^m
+    prefix ("eps", "eps^m", "eps*{...}", "eps^m*{...}"; the '*' before braces
+    is required), plus composite entries like {-1,a*b}."""
     s = text.strip()
     if s == "0":
         return zero(model)
@@ -377,7 +364,7 @@ def parse_kelement(text, model):
 
 def _parse_term(part, model):
     """One term: "1", or "eps"/"eps^m" (m <= EPS_POWER_LIMIT), the basis
-    symbol (m, {}), times an optional brace-delimited symbol."""
+    symbol (m, {}), times an optional brace-delimited symbol after a '*'."""
     if not part:
         raise SyntaxError("empty term")
     if part == "1":
@@ -398,6 +385,8 @@ def _parse_term(part, model):
             eps_m = int(num)
         elif rest.startswith("*"):
             star, rest = "*", rest[1:]
+        elif rest:
+            raise SyntaxError("expected '*' after eps in %r" % part)
         rest = rest.strip()
         if star and not rest:
             raise SyntaxError("nothing follows '*' in %r" % part)

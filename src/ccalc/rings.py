@@ -37,6 +37,7 @@ attributes use exponent tuples.
 
 from fractions import Fraction
 from itertools import permutations
+from math import gcd
 from operator import mul
 
 _FIELD = 32
@@ -156,9 +157,6 @@ class Ring:
         # self.rel[i] = (n, rhs) where rhs is the normal-form term dict of
         # -(r_1 g^(n-1) + ... + r_n); None entries mark omitted relations.
         self.rel = {}
-        self.omitted = frozenset(
-            name for name, r in (relations or {}).items() if r is None
-        )
         relations = relations or {}
         for name in relations:
             if name not in self.index:
@@ -529,10 +527,7 @@ class Poly:
 
     def content(self):
         """gcd of the integer coefficients (0 for the zero Poly)."""
-        g = 0
-        for c in self._terms.values():
-            g = _gcd(g, abs(c))
-        return g
+        return gcd(*self._terms.values())
 
     # -- printing ----------------------------------------------------------
 
@@ -574,12 +569,6 @@ class Poly:
 
 def _nonzero(terms):
     return {e: c for e, c in terms.items() if c}
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 # -- the four ring-level operations the worksheets need ---------------------
@@ -735,19 +724,19 @@ def _expand_elementary(k1, k2, k3):
     return result
 
 
-def symmetric_reduce(p, target, triple=("l1", "l2", "l3"), images=("c1", "c2", "c3")):
-    """Rewrite the symmetric dependence of p on a generator triple.
+def symmetric_reduce(p, target):
+    """Rewrite the symmetric dependence of p on the generators l1, l2, l3.
 
-    Every term group symmetric in the triple (l1,l2,l3) is expressed through
+    Every term group symmetric in (l1,l2,l3) is expressed through
     the elementary symmetric polynomials and mapped to the target ring via
     c1 = -e1, c2 = e2, c3 = -e3 (NotSymmetric if the dependence is not
     symmetric).  Other generators are carried over by name.
     """
     ring = p.ring
-    tri = tuple(ring.index[n] for n in triple)
+    tri = tuple(ring.index[n] for n in ("l1", "l2", "l3"))
     if any(ring.degrees[i] != 1 for i in tri):
         raise DegreeMismatch("symmetric reduction expects a degree-1 triple")
-    c_img = [target.gen(n) for n in images]
+    c_img = [target.gen(n) for n in ("c1", "c2", "c3")]
     if tuple(im.homogeneous_degree() for im in c_img) != (1, 2, 3):
         raise DegreeMismatch("target images must have degrees 1, 2, 3")
 

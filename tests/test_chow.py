@@ -106,11 +106,9 @@ def test_class_z_matches_closed_form(d):
     assert rep.divisibility_ok
 
 
-def test_class_z_guard_and_formal():
+def test_class_z_guard():
     with pytest.raises(DegreeTooSmall):
         class_z(2)
-    formal = class_z(2, allow_formal=True)
-    assert formal.formal_only and formal.poly == expected_z(2)
 
 
 # -- class_bin ---------------------------------------------------------------
@@ -149,11 +147,9 @@ def test_class_bin_fiber_swap(d):
     assert class_bin(d, push_fiber="s").poly == class_bin(d, push_fiber="t").poly
 
 
-def test_class_bin_guard_and_formal():
+def test_class_bin_guard():
     with pytest.raises(DegreeTooSmall):
         class_bin(3)
-    formal = class_bin(3, allow_formal=True)
-    assert formal.formal_only and formal.poly == expected_bin(3)
 
 
 def test_exact_divide_recovers_planted_quotient():

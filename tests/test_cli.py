@@ -1,11 +1,13 @@
 """Exit codes, golden worksheets, and JSON round trips for the ccalc CLI."""
 
 import json
+import time
 
 import pytest
 
 from ccalc.chow import class_z
 from ccalc.cli import main
+from ccalc.etale import SW_CAP_LIMIT
 
 
 @pytest.fixture(autouse=True)
@@ -154,6 +156,25 @@ def test_sw_huge_multiplicity(capsys):
         "algebra: F(sqrt(a))^99999999999  (rank 199999999998, model euclidean)"
     )
     assert lines[-1] == "alpha7 = {-1,-1,-1,-1,-1,-1,a}"
+
+
+def test_sw_cap_limit(capsys):
+    alg = "F(sqrt(a),sqrt(b),sqrt(c))^99999999999"
+    t0 = time.perf_counter()
+    code, out, err = run(
+        capsys, "sw", "--algebra", alg, "--max-degree", "99999999999", "--json"
+    )
+    assert time.perf_counter() - t0 < 1
+    assert code == 1 and out == ""
+    assert json.loads(err) == {
+        "error": "classes up to degree 99999999999 requested; the limit is %d"
+        % SW_CAP_LIMIT,
+        "type": "EtaleError",
+    }
+    code, out, _ = run(
+        capsys, "sw", "--algebra", alg, "--max-degree", str(SW_CAP_LIMIT), "--json"
+    )
+    assert code == 0 and json.loads(out)["cap"] == SW_CAP_LIMIT
 
 
 def test_sw_multiplicity_digit_limit(capsys):
@@ -322,7 +343,9 @@ def test_residue_at_a_constant_fails(capsys):
     assert err.startswith("error:")
 
 
-@pytest.mark.parametrize("expr", ["eps^1001", "eps^99999999", "eps*", "eps^2*"])
+@pytest.mark.parametrize(
+    "expr", ["eps^1001", "eps^99999999", "eps*", "eps^2*", "eps{a}", "eps^2{a}"]
+)
 def test_residue_bad_eps_prefix_is_a_syntax_error(capsys, expr):
     code, out, err = run(capsys, "residue", "--expr", expr, "--at", "a", "--json")
     assert code == 1 and out == ""

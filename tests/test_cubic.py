@@ -250,13 +250,6 @@ def test_certificate_fails_for_split_algebra():
         nontriviality_certificate(split)
 
 
-def test_certificate_explicit_word():
-    cfg = default_config()
-    alg = bitangent_algebra(cfg)
-    cert = nontriviality_certificate(alg, at=("a", "b"))
-    assert cert.chain[-1].is_one()
-
-
 # -- the three-parameter configuration ---------------------------------------------
 
 

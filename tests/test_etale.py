@@ -12,7 +12,9 @@ from hypothesis import given, settings, strategies as st
 from ccalc import etale
 from ccalc.etale import (
     MULTIPLICITY_DIGITS,
+    SW_CAP_LIMIT,
     DependentClasses,
+    EtaleError,
     EtaleAlgebraExpr,
     NonDiagonalGram,
     UnknownName,
@@ -293,6 +295,16 @@ def test_sw_reads_every_factor_once(monkeypatch):
     alg = parse_algebra("F(sqrt(a))^8 * F(sqrt(b))^3 * F^16", EUC)
     sw_total(alg)
     assert calls == [(A,), (B,), ()]
+
+
+def test_sw_cap_is_bounded(monkeypatch):
+    alg = parse_algebra("F(sqrt(a))^100 * F^100", EUC)
+    assert sw_total(alg, max_degree=SW_CAP_LIMIT).cap == SW_CAP_LIMIT
+    # the limit is checked before any trace form is read
+    monkeypatch.setattr(etale, "trace_form", None)
+    for cap in (SW_CAP_LIMIT + 1, 10 ** 30):
+        with pytest.raises(EtaleError, match="the limit is %d" % SW_CAP_LIMIT):
+            galois_sw_total(alg, max_degree=cap)
 
 
 def test_sw_huge_multiplicity_is_fast():

@@ -132,17 +132,14 @@ def test_degree_part():
 def test_render_sorted_basis_form():
     x = symbol(["a", "b"], EUC) + symbol(["-1", "a*b"], EUC)
     assert str(x) == "{a,b} + {-1,a} + {-1,b}"
-    assert x.render("eps") == "{a,b} + eps*{a} + eps*{b}"
     assert str(zero(EUC)) == "0"
     assert str(one(EUC)) == "1"
     assert str(symbol(["-1", "-1"], EUC)) == "{-1,-1}"
-    assert symbol(["-1", "-1"], EUC).render("eps") == "eps^2"
 
 
 def test_parse_round_trip():
     x = one(EUC) + symbol(["a", "b", "c"], EUC) + symbol(["-1", "-1", "a"], EUC)
     assert parse_kelement(str(x), EUC) == x
-    assert parse_kelement(x.render("eps"), EUC) == x
 
 
 def test_parse_composite_spellings():
@@ -191,6 +188,14 @@ def test_dangling_star_after_eps_is_rejected():
     for text in ("eps*", "eps *", "eps^3*", "eps^3 * ", "{a} + eps*"):
         with pytest.raises(SyntaxError):
             parse_kelement(text, EUC)
+
+
+def test_braces_after_eps_need_a_star():
+    for text in ("eps{a}", "eps {a}", "eps^2{a}", "eps^2 {a}", "{b} + eps{a}"):
+        with pytest.raises(SyntaxError):
+            parse_kelement(text, EUC)
+    assert parse_kelement("eps * {a}", EUC) == symbol(["-1", "a"], EUC)
+    assert parse_kelement("eps^2 * {a}", EUC) == symbol(["-1", "-1", "a"], EUC)
 
 
 @pytest.mark.parametrize("m", range(5))
@@ -292,4 +297,3 @@ def test_closed_model_kills_positive_degree_constants(entries):
 @given(elements(EUC))
 def test_render_parse_round_trip(x):
     assert parse_kelement(x.render(), EUC) == x
-    assert parse_kelement(x.render("eps"), EUC) == x
