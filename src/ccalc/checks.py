@@ -430,23 +430,29 @@ def _independent_reduce(raw):
     """Long division by t^3 + c1*t^2 + c2*t + c3 on plain exponent tuples.
 
     A second implementation of the normal form, sharing no code with the ring:
-    monic division has a unique remainder, so agreement pins both down.
+    monic division has a unique remainder, so agreement pins both down.  The
+    terms are merged into one dict per power of t, and the dicts of t^k with
+    k >= 3 are divided out highest k first, each into the three below it, so
+    the work is the top power times the number of terms per power.
     """
-    order = ("c1", "c2", "c3", "t")
-    work = [(tuple(mono.get(n, 0) for n in order), c) for c, mono in raw]
-    acc = {}
-    while work:
-        (e1, e2, e3, et), c = work.pop()
-        if c == 0:
-            continue
-        if et >= 3:
-            work.append(((e1 + 1, e2, e3, et - 1), -c))
-            work.append(((e1, e2 + 1, e3, et - 2), -c))
-            work.append(((e1, e2, e3 + 1, et - 3), -c))
-            continue
-        key = (e1, e2, e3, et)
-        acc[key] = acc.get(key, 0) + c
-    return {e: c for e, c in acc.items() if c}
+    rows = {}
+    for c, mono in raw:
+        row = rows.setdefault(mono.get("t", 0), {})
+        key = (mono.get("c1", 0), mono.get("c2", 0), mono.get("c3", 0))
+        row[key] = row.get(key, 0) + c
+    for k in range(max(rows, default=0), 2, -1):
+        for (e1, e2, e3), c in rows.pop(k, {}).items():
+            # t^3 = -(c1*t^2 + c2*t + c3)
+            for j, key in (
+                (1, (e1 + 1, e2, e3)),
+                (2, (e1, e2 + 1, e3)),
+                (3, (e1, e2, e3 + 1)),
+            ):
+                row = rows.setdefault(k - j, {})
+                row[key] = row.get(key, 0) - c
+    return {
+        (e1, e2, e3, k): c for k, row in rows.items() for (e1, e2, e3), c in row.items() if c
+    }
 
 
 def property_normal_forms(rnd, cases):

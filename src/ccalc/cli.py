@@ -130,6 +130,12 @@ def _field_model(model_name, text, drop, extra=()):
     return MODEL_PRESETS[model_name](tuple(sorted(names)))
 
 
+def _check_name(name, kind):
+    """UsageError unless name is an identifier that the parsers do not reserve."""
+    if not _IDENT.fullmatch(name) or name in _RESERVED_NAMES:
+        raise UsageError("bad %s name %r" % (kind, name))
+
+
 def _field_str(monos):
     if not monos:
         return "F"
@@ -167,6 +173,8 @@ def cmd_sw(args):
     if args.max_degree is not None and args.max_degree < 0:
         raise UsageError("--max-degree must be >= 0")
     model = _field_model(args.model, args.algebra, drop=("F", "sqrt"))
+    for n in model.indeterminates:
+        _check_name(n, "square-root")
     alg = parse_algebra(args.algebra, model)
     sw = galois_sw_total(alg, max_degree=args.max_degree)
     lines = ["algebra: %s  (rank %d, model %s)" % (alg, alg.rank, model.name)]
@@ -196,8 +204,7 @@ def cmd_lines(args):
     if len(set(names)) != len(names):
         raise UsageError("square-class names must be distinct")
     for n in names:
-        if not _IDENT.fullmatch(n) or n in _RESERVED_NAMES:
-            raise UsageError("bad square-class name %r" % n)
+        _check_name(n, "square-class")
     model = euclidean_model(names)
     cfg = PointConfig(model, tuple(frozenset({n}) for n in names))
 
@@ -280,6 +287,7 @@ def cmd_brauer(args):
 
 
 def cmd_residue(args):
+    _check_name(args.at, "indeterminate")
     model = _field_model(args.model, args.expr, drop=("eps",), extra=(args.at,))
     x = parse_kelement(args.expr, model)
     result = residue(x, args.at)

@@ -36,7 +36,6 @@ attributes use exponent tuples.
 """
 
 from fractions import Fraction
-from itertools import permutations
 from math import gcd
 from operator import mul
 
@@ -571,7 +570,7 @@ def _nonzero(terms):
     return {e: c for e, c in terms.items() if c}
 
 
-# -- the four ring-level operations the worksheets need ---------------------
+# -- the ring-level operations the worksheets need --------------------------
 
 
 def exact_divide(num, den):
@@ -703,90 +702,36 @@ def substitute(p, mapping, target=None):
     return result
 
 
-def _expand_elementary(k1, k2, k3):
-    """Expand e1^k1 * e2^k2 * e3^k3 in three variables as {exponent triple: coeff}."""
-    e1 = {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1}
-    e2 = {(1, 1, 0): 1, (1, 0, 1): 1, (0, 1, 1): 1}
-    e3 = {(1, 1, 1): 1}
-
-    def mul(f, g):
-        out = {}
-        for a, ca in f.items():
-            for b, cb in g.items():
-                key = (a[0] + b[0], a[1] + b[1], a[2] + b[2])
-                out[key] = out.get(key, 0) + ca * cb
-        return out
-
-    result = {(0, 0, 0): 1}
-    for base, k in ((e1, k1), (e2, k2), (e3, k3)):
-        for _ in range(k):
-            result = mul(result, base)
-    return result
-
-
 def symmetric_reduce(p, target):
     """Rewrite the symmetric dependence of p on the generators l1, l2, l3.
 
-    Every term group symmetric in (l1,l2,l3) is expressed through
-    the elementary symmetric polynomials and mapped to the target ring via
-    c1 = -e1, c2 = e2, c3 = -e3 (NotSymmetric if the dependence is not
-    symmetric).  Other generators are carried over by name.
+    The l's are the roots of x^3 + c1*x^2 + c2*x + c3 (c1 = -e1, c2 = e2,
+    c3 = -e3); other generators are carried to target by name.  p is mapped
+    into the splitting tower T = Z[target generators][l1][l2] with
+    l1^3 = -(c1*l1^2 + c2*l1 + c3) and l2^2 = -((c1 + l1)*l2 + c2 + c1*l1 +
+    l1^2), sending l3 to -c1 - l1 - l2, and from there into target by name.
+    T is free over Z[c] with basis l1^a*l2^b (a < 3, b < 2), as Z[l1,l2,l3]
+    is over Z[e], so c_k -> (-1)^k e_k makes T isomorphic to Z[l1,l2,l3]
+    (Fulton, Intersection Theory, 3.2; by Edidin-Graham the GL3-equivariant
+    ring is the S3-invariant part of the torus-equivariant one).  Hence the
+    image of p lies in Z[c] exactly when p is symmetric, and a surviving l1
+    or l2 raises NotSymmetric.
     """
     ring = p.ring
-    tri = tuple(ring.index[n] for n in ("l1", "l2", "l3"))
-    if any(ring.degrees[i] != 1 for i in tri):
+    if any(ring.degrees[ring.index[n]] != 1 for n in ("l1", "l2", "l3")):
         raise DegreeMismatch("symmetric reduction expects a degree-1 triple")
-    c_img = [target.gen(n) for n in ("c1", "c2", "c3")]
-    if tuple(im.homogeneous_degree() for im in c_img) != (1, 2, 3):
+    if tuple(target.gen(n).homogeneous_degree() for n in ("c1", "c2", "c3")) != (1, 2, 3):
         raise DegreeMismatch("target images must have degrees 1, 2, 3")
-
-    other = [i for i in range(ring.ngens) if i not in tri]
-    groups = {}
-    for e, c in p.terms.items():
-        rest = tuple(e[i] for i in other)
-        lpart = (e[tri[0]], e[tri[1]], e[tri[2]])
-        groups.setdefault(rest, {})[lpart] = c
-
-    carried = {}
-    for i in other:
-        name = ring.names[i]
-        if any(rest[other.index(i)] for rest in groups):
-            if name not in target.index:
-                raise UnknownGenerator("target ring lacks generator %r" % name)
-            if target.degrees[target.index[name]] != ring.degrees[i]:
-                raise DegreeMismatch(name)
-            carried[i] = target.gen(name)
-
-    result = target.zero
-    for rest, f in groups.items():
-        for lpart, c in f.items():
-            for perm in permutations(lpart):
-                if f.get(perm, 0) != c:
-                    raise NotSymmetric(
-                        "coefficient of l-exponents %s varies under permutation" % (lpart,)
-                    )
-        # peel lex-leading terms against products of elementary symmetrics
-        f = dict(f)
-        epart = {}
-        while f:
-            lead = max(f)
-            a1, a2, a3 = lead
-            if not (a1 >= a2 >= a3):
-                raise NotSymmetric("lex-leading exponent %s not sorted" % (lead,))
-            c = f[lead]
-            k = (a1 - a2, a2 - a3, a3)
-            epart[k] = epart.get(k, 0) + c
-            for mono, cc in _expand_elementary(*k).items():
-                f[mono] = f.get(mono, 0) - c * cc
-            f = {m: cc for m, cc in f.items() if cc}
-        # assemble: sign (-1)^(k1+k3) accounts for c1=-e1, c3=-e3
-        base = target.one
-        for i, exp in zip(other, rest):
-            if exp:
-                base = base * carried[i] ** exp
-        for (k1, k2, k3), c in epart.items():
-            sign = -1 if (k1 + k3) % 2 else 1
-            result = result + base * (
-                c_img[0] ** k1 * c_img[1] ** k2 * c_img[2] ** k3
-            ) * (c * sign)
-    return result
+    tower = Ring(
+        list(zip(target.names, target.degrees)) + ["l1", "l2"],
+        relations={
+            "l1": (3, [[(1, {"c1": 1})], [(1, {"c2": 1})], [(1, {"c3": 1})]]),
+            "l2": (2, [[(1, {"c1": 1}), (1, {"l1": 1})],
+                       [(1, {"c2": 1}), (1, {"c1": 1, "l1": 1}), (1, {"l1": 2})]]),
+        },
+    )
+    l3 = -tower.gen("c1") - tower.gen("l1") - tower.gen("l2")
+    split = substitute(p, {"l3": l3}, target=tower)
+    if split.contains("l1") or split.contains("l2"):
+        raise NotSymmetric("the dependence on l1, l2, l3 is not symmetric")
+    return substitute(split, {}, target=target)

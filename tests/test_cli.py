@@ -148,6 +148,13 @@ def test_sw_parse_error(capsys):
     assert json.loads(err)["type"] == "SyntaxError"
 
 
+@pytest.mark.parametrize("algebra", ["F(sqrt(eps))", "F(sqrt(a),sqrt(eps)) * F"])
+def test_sw_eps_is_reserved(capsys, algebra):
+    code, out, err = run(capsys, "sw", "--algebra", algebra)
+    assert code == 2 and out == ""
+    assert err == "error: bad square-root name 'eps'\n"
+
+
 def test_sw_huge_multiplicity(capsys):
     code, out, err = run(capsys, "sw", "--algebra", "F(sqrt(a))^99999999999")
     assert code == 0 and err == ""
@@ -341,6 +348,23 @@ def test_residue_at_a_constant_fails(capsys):
     code, _, err = run(capsys, "residue", "--expr", "{a}", "--at", "minus_one")
     assert code == 1
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--expr", "{2,a}", "--at", "2", "--model", "generic"],
+        ["--expr", "{a}", "--at=-1"],
+        ["--expr", "{a}", "--at", ""],
+        ["--expr", "{a}", "--at", "eps"],
+        ["--expr", "{F,a}", "--at", "F"],
+        ["--expr", "{a}", "--at", "a b"],
+    ],
+)
+def test_residue_at_must_be_an_indeterminate_name(capsys, argv):
+    code, out, err = run(capsys, "residue", *argv, "--json")
+    assert code == 2 and out == ""
+    assert json.loads(err)["type"] == "UsageError"
 
 
 @pytest.mark.parametrize(

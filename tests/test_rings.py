@@ -320,14 +320,21 @@ def test_high_fiber_power_is_fast_and_matches_long_division():
     start = time.perf_counter()
     top = r.poly([(1, {"t": 100})])
     assert time.perf_counter() - start < 2.0
-    # Long division expands t^k into about 1.84^k leaves, so the oracle checks
-    # the chain of powers one step at a time: NF(t^(k+1)) = NF(t * NF(t^k)).
+    # The chain of powers, one step at a time: NF(t^(k+1)) = NF(t * NF(t^k)).
     prev = r.one
     for k in range(1, 101):
         cur = r.poly([(1, {"t": k})])
         assert cur.terms == _independent_reduce(raw_of(prev, {"t": 1}))
         prev = cur
     assert prev == top
+
+
+def test_high_fiber_power_matches_long_division_directly():
+    start = time.perf_counter()
+    want = _independent_reduce([(1, {"t": 100})])
+    assert time.perf_counter() - start < 2.0
+    assert len(want) == 2549
+    assert chern_ring().poly([(1, {"t": 100})]).terms == want
 
 
 def test_power_tables_keep_no_entry_above_the_cap():
@@ -538,6 +545,14 @@ def c_ring():
     return Ring([("c1", 1), ("c2", 2), ("c3", 3), "h"], display_order=["h", "c1", "c2", "c3"])
 
 
+def expand_roots(reduced, src):
+    """Map c1, c2, c3 back into src through c1 = -e1, c2 = e2, c3 = -e3."""
+    e1 = src.poly([(1, {"l1": 1}), (1, {"l2": 1}), (1, {"l3": 1})])
+    e2 = src.poly([(1, {"l1": 1, "l2": 1}), (1, {"l1": 1, "l3": 1}), (1, {"l2": 1, "l3": 1})])
+    e3 = src.poly([(1, {"l1": 1, "l2": 1, "l3": 1})])
+    return substitute(reduced, {"c1": -e1, "c2": e2, "c3": -e3}, target=src)
+
+
 def test_symmetric_reduce_elementary():
     src, dst = l_ring(), c_ring()
     l1, l2, l3 = (src.gen(n) for n in ("l1", "l2", "l3"))
@@ -665,10 +680,30 @@ def test_symmetric_reduce_round_trip(spec):
     for c, (a1, a2, a3) in spec:
         for p in set(permutations((a1, a2, a3))):
             sym = sym + src.poly([(c, {"l1": p[0], "l2": p[1], "l3": p[2]})])
-    reduced = symmetric_reduce(sym, dst)
-    # expand c1,c2,c3 back into root variables and compare
-    e1 = src.poly([(1, {"l1": 1}), (1, {"l2": 1}), (1, {"l3": 1})])
-    e2 = src.poly([(1, {"l1": 1, "l2": 1}), (1, {"l1": 1, "l3": 1}), (1, {"l2": 1, "l3": 1})])
-    e3 = src.poly([(1, {"l1": 1, "l2": 1, "l3": 1})])
-    back = substitute(reduced, {"c1": -e1, "c2": e2, "c3": -e3, "h": "h"}, target=src)
-    assert back == sym
+    assert expand_roots(symmetric_reduce(sym, dst), src) == sym
+
+
+@settings(max_examples=300)
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(min_value=-5, max_value=5),
+            st.fixed_dictionaries(
+                {name: st.integers(0, 2) for name in ("l1", "l2", "l3", "h")}
+            ),
+        ),
+        max_size=5,
+    )
+)
+def test_symmetric_reduce_decides_symmetry(raw):
+    """NotSymmetric exactly when a transposition moves p; else a round trip."""
+    src, dst = l_ring(), c_ring()
+    p = src.poly(raw)
+    symmetric = p == substitute(p, {"l1": "l2", "l2": "l1"}) == substitute(
+        p, {"l2": "l3", "l3": "l2"}
+    )
+    if not symmetric:
+        with pytest.raises(NotSymmetric):
+            symmetric_reduce(p, dst)
+        return
+    assert expand_roots(symmetric_reduce(p, dst), src) == p
