@@ -12,7 +12,11 @@ rather than the rendering level.
 The randomized suites at the bottom re-derive structural laws (normal-form
 confluence, the projection formula, the Steinberg consequences, and
 multiplicativity/vanishing of the total trace-form class) on seeded cases, so
-a failure reproduces exactly.
+a failure reproduces exactly.  Three of them compare the library with a
+second implementation that shares no code with it: `_independent_reduce`, a
+long division, stands against the normal forms of `rings`, and
+`_independent_galois_sw`, the one-pass recurrence over the closed-form
+trace-form diagonal, against the power formula of `etale`.
 """
 
 import random
@@ -34,7 +38,6 @@ from .cubic import (
 from .etale import (
     DependentClasses,
     EtaleAlgebraExpr,
-    alpha_tot_product_check,
     galois_sw_total,
     parse_algebra,
 )
@@ -51,8 +54,10 @@ from .ksymbols import (
     euclidean_model,
     generic_model,
     iterated_residue,
+    one,
     parse_kelement,
     symbol,
+    zero,
 )
 from .rings import Ring
 
@@ -543,13 +548,43 @@ def _random_algebra(rnd, model, max_rank):
             return alg
 
 
+def _independent_galois_sw(alg):
+    """Galois-corrected classes alpha_0..alpha_rank of alg by the one-pass
+    recurrence, every factor repeated its full multiplicity.
+
+    A second implementation of `galois_sw_total`, sharing no code with
+    `etale`: it reads the trace form in closed form, diag(2^s*m_S) over the
+    subsets S of the s square roots (Conner-Perlis), so entry S has the square
+    class prod_(j in S) m_j, times 2 when s is odd.  It accumulates sigma_i of
+    their symbols one entry at a time and adds {2}*alpha_(i-1) in even degrees.
+    """
+    model = alg.model
+    e = [one(model)] + [zero(model)] * alg.rank
+    for ext, mult in alg.factors:
+        s = len(ext)
+        for mask in range(2 ** s):
+            cls = frozenset({"two"}) if s % 2 else frozenset()
+            for j, m in enumerate(ext):
+                if mask >> j & 1:
+                    cls ^= m
+            sym = symbol([cls], model)
+            for _ in range(mult):
+                for i in range(alg.rank, 0, -1):
+                    e[i] = e[i] + sym * e[i - 1]
+    two = symbol(["2"], model)
+    return [c + two * e[i - 1] if i and i % 2 == 0 else c for i, c in enumerate(e)]
+
+
 def property_multiplicativity(rnd, cases):
     models = (closed_model(("a", "b", "c")), euclidean_model(("a", "b", "c")))
     for i in range(cases):
         model = rnd.choice(models)
         a = _random_algebra(rnd, model, max_rank=6)
         b = _random_algebra(rnd, model, max_rank=6)
-        if not alpha_tot_product_check(a, b):
+        prod = a.times(b)
+        lhs = galois_sw_total(prod, max_degree=prod.rank).alpha_tot()
+        fa, fb = (sum(_independent_galois_sw(x), zero(model)) for x in (a, b))
+        if lhs != fa * fb:
             return False, "case %d: %s times %s over %s" % (i, a, b, model.name)
     return True, "%d cases" % cases
 
@@ -560,6 +595,8 @@ def property_vanishing_bound(rnd, cases):
         model = rnd.choice(models)
         alg = _random_algebra(rnd, model, max_rank=8)
         sw = galois_sw_total(alg, max_degree=alg.rank)
+        if sw.classes != _independent_galois_sw(alg):
+            return False, "case %d: %s differs from the recurrence" % (i, alg)
         bound = alg.rank // 2
         for j in range(bound + 1, sw.cap + 1):
             if not sw.alpha(j).is_zero():

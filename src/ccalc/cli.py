@@ -287,8 +287,9 @@ def cmd_brauer(args):
 
 
 def cmd_residue(args):
-    _check_name(args.at, "indeterminate")
     model = _field_model(args.model, args.expr, drop=("eps",), extra=(args.at,))
+    for n in model.indeterminates:
+        _check_name(n, "indeterminate")
     x = parse_kelement(args.expr, model)
     result = residue(x, args.at)
     lines = ["residue at %s: %s" % (args.at, result)]

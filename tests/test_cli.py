@@ -165,6 +165,23 @@ def test_sw_huge_multiplicity(capsys):
     assert lines[-1] == "alpha7 = {-1,-1,-1,-1,-1,-1,a}"
 
 
+def test_sw_many_factors_of_huge_multiplicity_is_fast(capsys):
+    factor = "F(sqrt(a),sqrt(b))^1099511627775"
+    t0 = time.perf_counter()
+    code, out, err = run(
+        capsys, "sw", "--algebra", " * ".join([factor] * 20), "--max-degree", "128"
+    )
+    assert time.perf_counter() - t0 < 1
+    assert code == 0 and err == ""
+    # each class occurs 20*(2^40 - 1) = 236 mod 256 times, and below degree
+    # 256 only that residue matters
+    code, small, _ = run(
+        capsys, "sw", "--algebra", "F(sqrt(a),sqrt(b))^236", "--max-degree", "128"
+    )
+    assert code == 0
+    assert out.splitlines()[1:] == small.splitlines()[1:]
+
+
 def test_sw_cap_limit(capsys):
     alg = "F(sqrt(a),sqrt(b),sqrt(c))^99999999999"
     t0 = time.perf_counter()
@@ -359,6 +376,8 @@ def test_residue_at_a_constant_fails(capsys):
         ["--expr", "{a}", "--at", "eps"],
         ["--expr", "{F,a}", "--at", "F"],
         ["--expr", "{a}", "--at", "a b"],
+        ["--expr", "{F,a}", "--at", "a"],
+        ["--expr", "eps*{a} + {sqrt}", "--at", "a"],
     ],
 )
 def test_residue_at_must_be_an_indeterminate_name(capsys, argv):

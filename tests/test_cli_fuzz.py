@@ -16,8 +16,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ccalc.cli import main
 
-# Seconds one call may take.  The slowest drawn shapes (three factors with
-# four square roots each) stay well under it.
+# Seconds one call may take.  The slowest drawn shapes (eight factors with
+# four square roots each) stay well under it: sw pays one O(8^s) trace form
+# per factor and a few truncated steps per distinct class, whatever the
+# multiplicities.
 CALL_BOUND_S = 5.0
 
 NAMES = ["a", "b", "c", "d", "x", "a1", "F", "sqrt", "eps", "minus_one", "two", "_", ""]
@@ -47,7 +49,7 @@ FACTOR = st.one_of(
 )
 ALGEBRA = st.builds(
     lambda parts: " * ".join(f + m for f, m in parts),
-    st.lists(st.tuples(FACTOR, MULTIPLICITY), min_size=1, max_size=3),
+    st.lists(st.tuples(FACTOR, MULTIPLICITY), min_size=1, max_size=8),
 )
 
 SYMBOL_TERM = st.one_of(

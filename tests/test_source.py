@@ -16,3 +16,41 @@ def test_library_has_no_assert_statements():
     ]
     assert SOURCES
     assert not found, found
+
+
+def _oracle_leaks(path, oracles, modules=("rings", "etale")):
+    """Names imported from `modules` that the bodies of the `oracles`, or of
+    the module-level functions they reach by name, refer to."""
+    tree = ast.parse(path.read_text(), str(path))
+    banned = set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                # `from . import etale` binds the module itself
+                source = node.module or alias.name
+                if source.rpartition(".")[2] in modules:
+                    banned.add(alias.asname or alias.name)
+    functions = {
+        node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)
+    }
+    assert set(oracles) <= set(functions), set(oracles) - set(functions)
+    leaks, seen, todo = set(), set(), list(oracles)
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        for node in ast.walk(functions[name]):
+            if isinstance(node, ast.Name):
+                if node.id in banned:
+                    leaks.add((name, node.id))
+                elif node.id in functions:
+                    todo.append(node.id)
+    return leaks
+
+
+def test_checks_oracles_share_no_code_with_the_library():
+    """The second implementations in `checks` are compared against `rings`
+    and `etale`, so they must not call into either."""
+    path = next(p for p in SOURCES if p.name == "checks.py")
+    assert not _oracle_leaks(path, ("_independent_reduce", "_independent_galois_sw"))
