@@ -274,6 +274,10 @@ def cmd_brauer(args):
     stack = args.stack.replace("-", "_")
     if stack in ("xd", "xdfr") and args.d is None:
         raise UsageError("--stack %s requires -d" % args.stack)
+    if stack not in ("xd", "xdfr") and args.d is not None:
+        raise UsageError("--stack %s takes no -d" % args.stack)
+    if stack not in ("xdfr", "x4fr") and args.closed:
+        raise UsageError("--stack %s takes no --closed" % args.stack)
     if stack == "xd":
         desc = brauer_xd(args.d, char=args.char)
     else:
@@ -409,14 +413,14 @@ def build_parser():
         required=True,
         choices=["xd", "xdfr", "x4fr", "m3", "m3-minus-h3", "a3"],
     )
-    p.add_argument("-d", type=int, default=None, help="curve degree")
+    p.add_argument("-d", type=int, default=None, help="curve degree (xd and xdfr only)")
     p.add_argument(
         "--char", type=int, default=0, help="base-field characteristic (0 or p)"
     )
     p.add_argument(
         "--closed",
         action="store_true",
-        help="base field algebraically closed (xdfr only)",
+        help="base field algebraically closed (xdfr and x4fr only)",
     )
     _add_json(p)
 

@@ -4,10 +4,11 @@ forms, and their (Galois-)Stiefel-Whitney classes.
 
 An algebra is a product of factors F(sqrt(m1),...,sqrt(ms))^multiplicity,
 each m_j a square class of the base function field.  The trace form of a
-factor is computed honestly from the 2^s x 2^s multiplication table on the
-basis of square roots of subproducts — diagonality is asserted, not assumed —
-and its diagonal entries, read as square classes (d_1,...,d_n) across the
-whole algebra, feed the symbol calculus:
+factor is its 2^s x 2^s Gram matrix on the basis of square roots of
+subproducts, read off the multiplication rule e_S * e_T = m_(S&T) * e_(S^T)
+in O(4^s) ring products — diagonality is checked, not assumed — and its
+diagonal entries, read as square classes (d_1,...,d_n) across the whole
+algebra, feed the symbol calculus:
 
     alpha_i^SW = sigma_i({d_1},...,{d_n})        (elementary symmetric),
     alpha_i    = alpha_i^SW                       for odd i,
@@ -247,51 +248,33 @@ def parse_algebra(text, model):
 # -- trace forms ---------------------------------------------------------------
 
 
-def _mult_table_product(x, y, gens, ring):
-    """Product of two extension elements, each a dict {basis mask: Poly}.
-    Basis element for mask S is the product of the sqrt generators in S;
-    e_S * e_T = (product of the squared generators over S & T) * e_(S xor T),
-    with gens[j] the placeholder q_j for the j-th square.
-    """
-    out = {}
-    for sm, cx in x.items():
-        for tm, cy in y.items():
-            coeff = cx * cy
-            both = sm & tm
-            for j, q in enumerate(gens):
-                if both >> j & 1:
-                    coeff = coeff * q
-            key = sm ^ tm
-            out[key] = out.get(key, ring.zero) + coeff
-    return {k: v for k, v in out.items() if not v.is_zero()}
-
-
-def _honest_trace(elt, gens, ring):
-    """Trace of multiplication by elt, summed over the subset basis."""
-    total = ring.zero
-    for v in range(2 ** len(gens)):
-        prod = _mult_table_product(elt, {v: ring.one}, gens, ring)
-        total = total + prod.get(v, ring.zero)
-    return total
-
-
 def trace_form(ext, model):
     """Diagonal square classes of the trace form of F(sqrt m1,...,sqrt ms).
 
-    Works in the polynomial ring on placeholders q0..q(s-1) for the m_j,
-    builds the full Gram matrix tr(e_S * e_T) from the multiplication table,
-    asserts every off-diagonal entry vanishes, and converts each diagonal
-    entry (an integer times a q-monomial) to a square class.
+    Works in the polynomial ring on placeholders q0..q(s-1) for the m_j.  On
+    the basis e_U (U a subset of the roots, e_U the product of their square
+    roots) multiplication is e_U * e_V = q[U & V] * e_(U ^ V), with q[U] the
+    product of the q_j over U.  So tr(e_U) is the sum of the e_V-coefficients
+    of e_U * e_V over all V, read once per U, and every Gram entry is
+    tr(e_S * e_T) = q[S & T] * tr(e_(S ^ T)).  Every off-diagonal entry must
+    vanish, and each diagonal entry (an integer times a q-monomial) becomes
+    a square class; NonDiagonalGram is raised otherwise.
     """
     s = len(ext)
     ring = Ring([("q%d" % j, 1) for j in range(s)]) if s else Ring([])
-    gens = [ring.gen("q%d" % j) for j in range(s)]
     size = 2 ** s
+    q = [ring.one]
+    for j in range(s):
+        gen = ring.gen("q%d" % j)
+        q += [gen * x for x in q]  # q[U | 1 << j] = q_j * q[U]
+    tr = [
+        sum((q[u & v] for v in range(size) if u ^ v == v), ring.zero)
+        for u in range(size)
+    ]
     diag = []
     for a in range(size):
         for b in range(a, size):
-            prod = _mult_table_product({a: ring.one}, {b: ring.one}, gens, ring)
-            entry = _honest_trace(prod, gens, ring)
+            entry = q[a & b] * tr[a ^ b]
             if a == b:
                 diag.append(entry)
             elif not entry.is_zero():

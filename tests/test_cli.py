@@ -299,10 +299,22 @@ def test_brauer_xd_table(capsys, d, rendered):
     assert out.strip() == rendered
 
 
-def test_brauer_xd_needs_degree(capsys):
-    code, _, err = run(capsys, "brauer", "--stack", "xd")
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--stack", "xd"], "requires -d"),
+        (["--stack", "x4fr", "-d", "7"], "takes no -d"),
+        (["--stack", "m3", "-d", "5", "--json"], "takes no -d"),
+        (["--stack", "xd", "-d", "5", "--closed"], "takes no --closed"),
+        (["--stack", "a3", "--closed"], "takes no --closed"),
+    ],
+    ids=["xd-without-d", "x4fr-with-d", "m3-with-d-json", "xd-closed", "a3-closed"],
+)
+def test_brauer_xd_needs_degree(capsys, argv, message):
+    code, out, err = run(capsys, "brauer", *argv)
     assert code == 2
-    assert "requires -d" in err
+    assert out == ""
+    assert message in err
 
 
 def test_brauer_open_genus3_locus(capsys):

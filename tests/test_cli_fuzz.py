@@ -17,8 +17,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from ccalc.cli import main
 
 # Seconds one call may take.  The slowest drawn shapes (eight factors with
-# four square roots each) stay well under it: sw pays one O(8^s) trace form
-# per factor and a few truncated steps per distinct class, whatever the
+# six square roots each, as many as the classes a, b, c, d, -1, 2 allow)
+# stay well under it: sw pays one trace form per factor, O(4^s) ring products
+# for s roots, and a few truncated steps per distinct class, whatever the
 # multiplicities.
 CALL_BOUND_S = 5.0
 
@@ -42,7 +43,7 @@ MULTIPLICITY = st.sampled_from(
 )
 FACTOR = st.one_of(
     st.just("F"),
-    st.lists(SQUARE_CLASS, min_size=1, max_size=4).map(
+    st.lists(SQUARE_CLASS, min_size=1, max_size=6).map(
         lambda ms: "F(%s)" % ",".join("sqrt(%s)" % m for m in ms)
     ),
     st.sampled_from(["F(", "F()", "F(sqrt(a)", "G(sqrt(a))", "F(a)", "sqrt(a)"]),

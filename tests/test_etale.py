@@ -5,6 +5,7 @@ import random
 import re
 import time
 from itertools import combinations
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -35,6 +36,7 @@ from ccalc.ksymbols import (
     symbol,
     zero,
 )
+from ccalc.rings import Ring
 
 EUC = euclidean_model(("a", "b", "c"))
 CLO = closed_model(("a", "b", "c"))
@@ -205,6 +207,93 @@ def test_trace_form_triquadratic_diag():
     assert len(got) == 8
     # odd power of two present in every entry of an odd-s extension
     assert all("two" in cls for cls in got)
+
+
+def _mult_table_product(x, y, gens, ring):
+    """Product of two extension elements, each a dict {basis mask: Poly}.
+    Basis element for mask S is the product of the sqrt generators in S;
+    e_S * e_T = (product of the squared generators over S & T) * e_(S xor T),
+    with gens[j] the placeholder q_j for the j-th square.
+    """
+    out = {}
+    for sm, cx in x.items():
+        for tm, cy in y.items():
+            coeff = cx * cy
+            both = sm & tm
+            for j, q in enumerate(gens):
+                if both >> j & 1:
+                    coeff = coeff * q
+            key = sm ^ tm
+            out[key] = out.get(key, ring.zero) + coeff
+    return {k: v for k, v in out.items() if not v.is_zero()}
+
+
+def _honest_trace(elt, gens, ring):
+    """Trace of multiplication by elt, summed over the subset basis."""
+    total = ring.zero
+    for v in range(2 ** len(gens)):
+        prod = _mult_table_product(elt, {v: ring.one}, gens, ring)
+        total = total + prod.get(v, ring.zero)
+    return total
+
+
+def _gram_trace_form(ext):
+    """Reference for trace_form: the full Gram matrix tr(e_S * e_T), each
+    entry one general-element product and one honest trace (O(8^s)).  The
+    diagonal must be 2^k * square * q-monomial and everything else zero."""
+    s = len(ext)
+    ring = Ring([("q%d" % j, 1) for j in range(s)]) if s else Ring([])
+    gens = [ring.gen("q%d" % j) for j in range(s)]
+    classes = []
+    for a in range(2 ** s):
+        for b in range(2 ** s):
+            prod = _mult_table_product({a: ring.one}, {b: ring.one}, gens, ring)
+            entry = _honest_trace(prod, gens, ring)
+            if a != b:
+                assert entry.is_zero(), (a, b, entry)
+                continue
+            (exps, coeff), = entry.terms.items()
+            two_power = (coeff & -coeff).bit_length() - 1
+            odd = coeff >> two_power
+            assert odd > 0 and isqrt(odd) ** 2 == odd, coeff
+            cls = frozenset({"two"}) if two_power % 2 else frozenset()
+            for j, e in enumerate(exps):
+                if e % 2:
+                    cls ^= ext[j]
+            classes.append(cls)
+    return classes
+
+
+ORACLE_CLASSES = [A, B, C, AB, frozenset({"minus_one"}), frozenset({"two"}),
+                  frozenset({"minus_one", "a"}), frozenset({"two", "b", "c"})]
+
+
+def test_trace_form_matches_gram_oracle():
+    rng = random.Random(20261018)
+    for case in range(24):
+        model = (CLO, EUC, GEN)[case % 3]
+        s = rng.randint(0, 4)
+        ext = []
+        for m in rng.sample(ORACLE_CLASSES, len(ORACLE_CLASSES)):
+            if len(ext) < s:
+                try:
+                    EtaleAlgebraExpr(model, [(tuple(ext) + (m,), 1)])
+                except DependentClasses:
+                    continue
+                ext.append(m)
+        assert trace_form(tuple(ext), model) == _gram_trace_form(ext), (ext, model)
+
+
+def test_trace_form_six_roots_is_fast():
+    model = generic_model(("a", "b", "c", "d"))
+    ext = tuple(frozenset({n}) for n in ("a", "b", "c", "d", "minus_one", "two"))
+    t0 = time.perf_counter()
+    got = trace_form(ext, model)
+    assert time.perf_counter() - t0 < 0.5
+    # s even: entry S is the class of the product of the m_j over S
+    assert sorted(got, key=sorted) == sorted(
+        (acc for _, acc in _subset_products(ext)), key=sorted
+    )
 
 
 # -- SW classes ----------------------------------------------------------------

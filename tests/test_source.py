@@ -25,10 +25,11 @@ def _oracle_leaks(path, oracles, modules=("rings", "etale")):
     banned = set()
     for node in tree.body:
         if isinstance(node, ast.ImportFrom):
+            source = (node.module or "").rpartition(".")[2]
             for alias in node.names:
-                # `from . import etale` binds the module itself
-                source = node.module or alias.name
-                if source.rpartition(".")[2] in modules:
+                # `from . import etale` and `from ccalc import etale` bind
+                # the module itself
+                if source in modules or alias.name in modules:
                     banned.add(alias.asname or alias.name)
     functions = {
         node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)
@@ -54,3 +55,10 @@ def test_checks_oracles_share_no_code_with_the_library():
     and `etale`, so they must not call into either."""
     path = next(p for p in SOURCES if p.name == "checks.py")
     assert not _oracle_leaks(path, ("_independent_reduce", "_independent_galois_sw"))
+
+
+def test_trace_form_oracle_shares_no_code_with_etale():
+    """The Gram-matrix reference in the étale tests is compared against
+    `etale.trace_form`, so it may use `rings` but nothing from `etale`."""
+    path = Path(__file__).with_name("test_etale.py")
+    assert not _oracle_leaks(path, ("_gram_trace_form",), modules=("etale",))
