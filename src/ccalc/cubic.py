@@ -5,8 +5,10 @@ as pure Galois bookkeeping.
 Six points in the plane come in three conjugate pairs, pair i defined over
 the quadratic extension of square class m_i (defaults a, b, a*b).  The Galois
 group is the character group of the subgroup M generated by the m_i: an
-element acts by a sign on each generator of M, and swaps the i-th point pair
-exactly when it is -1 on m_i.  The 27 labels — six exceptional divisors E_i,
+element is a bitmask g whose bit j is set when it negates the square root of
+the j-th basis class of M, elements compose by XOR, and g swaps the i-th
+point pair exactly when g meets the coordinate mask of m_i over that basis in
+an odd number of bits.  The 27 labels — six exceptional divisors E_i,
 fifteen lines L_ij through point pairs, six conics C_i through five points —
 inherit the permutation, and each orbit is defined over the fixed field of
 its stabilizer.  Summing over orbits yields an etale algebra whose
@@ -18,7 +20,7 @@ general position — is verified by exact determinant evaluation in a
 polynomial tower where the square roots are fiber generators.
 """
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from itertools import combinations
 
 from .etale import EtaleAlgebraExpr, galois_sw_total, gf2_eliminate, monomial_str
@@ -147,15 +149,19 @@ _LABEL_POS = {lab: i for i, lab in enumerate(LABELS)}
 
 
 class LineSet:
-    """The 27 labels with the Galois permutations and the group structure."""
+    """The 27 labels with the Galois permutations and the group structure.
+
+    A group element is an int g < 2^k whose bit j is set when g negates the
+    square root of basis[j], so elements compose by XOR.  `elements` holds
+    the (name, mask) pair of every element of the group."""
 
     def __init__(self, config, basis, elements, point_perms):
         self.config = config
         self.basis = basis  # basis of M as square classes
-        self.elements = tuple(elements)  # name -> negated-basis-subset
-        self._elems = dict(elements)
+        self.elements = tuple(elements)
+        self._mask = dict(elements)
+        self._name = {g: name for name, g in elements}
         self.point_perms = point_perms
-        self.labels = LABELS
         self.action = {
             name: self._induced(point_perms[name]) for name, _ in elements
         }
@@ -172,54 +178,40 @@ class LineSet:
         return out
 
     def compose_name(self, g, h):
-        prod = self._elems[g] ^ self._elems[h]
-        for name, neg in self.elements:
-            if neg == prod:
-                return name
-        raise ActionNotHomomorphism("product of %s and %s missing" % (g, h))
+        return self._name[self._mask[g] ^ self._mask[h]]
 
 
 def build_action(cfg):
     """Derive the group, the point permutations, the 27-label permutations,
     and verify the homomorphism property on every pair of elements."""
-    classes = list(cfg.pair_classes)
-    _, deps = gf2_eliminate(classes)
+    _, deps = gf2_eliminate(cfg.pair_classes)
     free = [i for i, dep in enumerate(deps) if dep is None]
-    basis = [classes[i] for i in free]
+    basis = [cfg.pair_classes[i] for i in free]
     # coordinates of each pair class over the basis of independent classes
     coords = [
-        frozenset(free.index(j) for j in ({i} if dep is None else dep))
+        sum(1 << free.index(j) for j in ({i} if dep is None else dep))
         for i, dep in enumerate(deps)
     ]
     k = len(basis)
-
-    def elem_name(neg):
-        if not neg:
-            return "1"
-        if k <= 2:
-            gen_names = {0: "sigma", 1: "tau"}
-        else:
-            gen_names = {j: "sigma%d" % (j + 1) for j in range(k)}
-        return "*".join(gen_names[j] for j in sorted(neg))
+    gen_names = ["sigma", "tau"] if k <= 2 else ["sigma%d" % j for j in range(1, k + 1)]
 
     elements = []
     point_perms = {}
-    for bits in range(1 << k):
-        neg = frozenset(j for j in range(k) if bits >> j & 1)
-        name = elem_name(neg)
+    for g in range(1 << k):
+        neg = [j for j in range(k) if g >> j & 1]
+        name = "*".join(gen_names[j] for j in neg) or "1"
         pp = {}
-        for i, mcoords in enumerate(coords, start=1):
-            swap = len(mcoords & neg) % 2 == 1
+        for i, c in enumerate(coords, start=1):
             p, q = 2 * i - 1, 2 * i
-            pp[p], pp[q] = (q, p) if swap else (p, q)
-        elements.append((name, neg))
+            pp[p], pp[q] = (q, p) if (c & g).bit_count() % 2 else (p, q)
+        elements.append(((len(neg), neg), name, g))
         point_perms[name] = pp
-    elements.sort(key=lambda item: (len(item[1]), sorted(item[1])))
+    elements.sort()
 
-    ls = LineSet(cfg, basis, elements, point_perms)
+    ls = LineSet(cfg, basis, [(name, g) for _, name, g in elements], point_perms)
     # homomorphism check on all pairs, through the label action itself
-    for g, _ in elements:
-        for h, _ in elements:
+    for g, _ in ls.elements:
+        for h, _ in ls.elements:
             gh = ls.compose_name(g, h)
             for lab in LABELS:
                 if ls.action[g][ls.action[h][lab]] != ls.action[gh][lab]:
@@ -244,73 +236,49 @@ class OrbitReport:
 
 def orbit_decomposition(ls):
     """Orbits, stabilizers, fixed fields, and the assembled etale algebra."""
-    cfg = ls.config
-    model = cfg.model
-    group_order = len(ls.elements)
+    model = ls.config.model
 
-    # enumerate M once: all XOR-combinations of the basis
-    span = {}
-    for bits in range(1 << len(ls.basis)):
-        acc = frozenset()
-        neg = frozenset(j for j in range(len(ls.basis)) if bits >> j & 1)
-        for j in neg:
-            acc ^= ls.basis[j]
-        span[acc] = neg
+    # M as one dict: each class to its coordinate mask over the basis
+    span = {frozenset(): 0}
+    for j, m in enumerate(ls.basis):
+        span.update({c ^ m: g | 1 << j for c, g in span.items()})
 
     seen = set()
     orbits = []
     for lab in LABELS:
         if lab in seen:
             continue
-        orbit = {lab}
-        frontier = [lab]
-        while frontier:
-            cur = frontier.pop()
-            for name, _ in ls.elements:
-                nxt = ls.action[name][cur]
-                if nxt not in orbit:
-                    orbit.add(nxt)
-                    frontier.append(nxt)
+        # elements is the whole group, so the orbit is the set of images
+        orbit = {ls.action[name][lab] for name, _ in ls.elements}
         seen |= orbit
-        rep = lab
-        stab = tuple(
-            name for name, _ in ls.elements if ls.action[name][rep] == rep
-        )
-        if len(orbit) * len(stab) != group_order:
+        stab = [(name, g) for name, g in ls.elements if ls.action[name][lab] == lab]
+        if len(orbit) * len(stab) != len(ls.elements):
             raise ActionNotHomomorphism(
-                "orbit of %s breaks the orbit-stabilizer count" % rep
+                "orbit of %s breaks the orbit-stabilizer count" % lab
             )
-        stab_negs = [ls._elems[name] for name in stab]
         fixed = [
             m
-            for m, mcoords in span.items()
-            if m and all(len(mcoords & neg) % 2 == 0 for neg in stab_negs)
+            for m, c in span.items()
+            if m and all((c & g).bit_count() % 2 == 0 for _, g in stab)
         ]
         ext, _ = gf2_eliminate(fixed)
-        labels = tuple(sorted(orbit, key=_LABEL_POS.__getitem__))
         orbits.append(
             Orbit(
-                labels,
-                stab,
+                tuple(sorted(orbit, key=_LABEL_POS.__getitem__)),
+                tuple(name for name, _ in stab),
                 tuple(monomial_str(m, model) for m in ext),
                 ext,
             )
         )
     orbits.sort(key=lambda o: (len(o.labels), _LABEL_POS[o.labels[0]]))
 
-    grouped = {}
-    order = []
-    for o in orbits:
-        key = (
-            len(o.extension),
-            tuple(sorted((len(m), tuple(sorted(m))) for m in o.extension)),
-        )
-        if key not in grouped:
-            grouped[key] = [o.extension, 0]
-            order.append(key)
-        grouped[key][1] += 1
-    order.sort()
-    algebra = EtaleAlgebraExpr(model, [tuple(grouped[k]) for k in order])
+    # gf2_eliminate's basis depends on the span alone, so equal fixed fields
+    # have equal extension tuples
+    counts = Counter(o.extension for o in orbits)
+    order = sorted(
+        counts, key=lambda e: (len(e), sorted((len(m), sorted(m)) for m in e))
+    )
+    algebra = EtaleAlgebraExpr(model, [(e, counts[e]) for e in order])
     return OrbitReport(orbits, algebra)
 
 

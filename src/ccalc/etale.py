@@ -52,6 +52,13 @@ MULTIPLICITY_DIGITS = 1000
 # nonzero symbols over a, b, c, d in the generic model take 1.4 s.
 SW_CAP_LIMIT = 128
 
+# Most square roots one factor may have: trace_form is O(4^s) in the number s
+# of roots.  `ccalc sw --model generic` on one factor (interpreter start
+# included, Python 3.11 on a 2-vCPU Xeon) takes 0.27-0.32 s at 8 roots,
+# 0.61-0.78 s at 9 and 1.6-2.4 s at 10, so a dozen roots would run for tens of
+# seconds.
+ROOTS_LIMIT = 8
+
 
 class EtaleError(Exception):
     pass
@@ -106,11 +113,12 @@ class EtaleAlgebraExpr:
 
     factors: list of (extension, multiplicity) where extension is a tuple of
     square classes (frozensets of names) generating F(sqrt m1, ..., sqrt ms),
-    and the multiplicity is any positive integer.  Within each extension no
-    nonempty subproduct of the classes may be trivial in the model, otherwise
-    the factor would not be a field: gf2_eliminate checks this in O(s^2)
-    steps, and DependentClasses names the first dependent class together
-    with the earlier ones that multiply with it to a square.
+    and the multiplicity is any positive integer.  An extension has at most
+    ROOTS_LIMIT classes.  Within each extension no nonempty subproduct of the
+    classes may be trivial in the model, otherwise the factor would not be a
+    field: gf2_eliminate checks this in O(s^2) steps, and DependentClasses
+    names the first dependent class together with the earlier ones that
+    multiply with it to a square.
     """
 
     def __init__(self, model, factors):
@@ -120,6 +128,11 @@ class EtaleAlgebraExpr:
             ext = tuple(frozenset(m) for m in ext)
             if not (isinstance(mult, int) and mult >= 1):
                 raise EtaleError("multiplicity must be a positive integer")
+            if len(ext) > ROOTS_LIMIT:
+                raise EtaleError(
+                    "factor with %d square roots; the limit is %d"
+                    % (len(ext), ROOTS_LIMIT)
+                )
             for mono in ext:
                 for name in mono:
                     if not model.knows(name):

@@ -261,10 +261,6 @@ def symbol(entries, model):
     return KElement(model, acc)
 
 
-def mul(x, y):
-    return x * y
-
-
 def residue(x, at):
     """Ramification at the valuation 'order of vanishing of the variable at':
     sends a basis symbol containing the variable to the symbol without it,

@@ -7,7 +7,7 @@ import pytest
 
 from ccalc.chow import class_z
 from ccalc.cli import main
-from ccalc.etale import SW_CAP_LIMIT
+from ccalc.etale import ROOTS_LIMIT, SW_CAP_LIMIT
 
 
 @pytest.fixture(autouse=True)
@@ -199,6 +199,24 @@ def test_sw_cap_limit(capsys):
         capsys, "sw", "--algebra", alg, "--max-degree", str(SW_CAP_LIMIT), "--json"
     )
     assert code == 0 and json.loads(out)["cap"] == SW_CAP_LIMIT
+
+
+def test_sw_roots_limit(capsys):
+    roots = ["sqrt(x%d)" % i for i in range(1, ROOTS_LIMIT + 2)]
+    t0 = time.perf_counter()
+    code, out, err = run(
+        capsys, "sw", "--model", "generic", "--algebra", "F(%s)" % ",".join(roots)
+    )
+    assert time.perf_counter() - t0 < 1
+    assert code == 1 and out == ""
+    assert err == "error: factor with %d square roots; the limit is %d\n" % (
+        ROOTS_LIMIT + 1,
+        ROOTS_LIMIT,
+    )
+    code, out, _ = run(
+        capsys, "sw", "--model", "generic", "--algebra", "F(%s)" % ",".join(roots[:-1])
+    )
+    assert code == 0 and "(rank %d, model generic)" % 2 ** ROOTS_LIMIT in out
 
 
 def test_sw_multiplicity_digit_limit(capsys):

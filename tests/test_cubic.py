@@ -1,6 +1,8 @@
 """Orbit bookkeeping, general position, and the residue certificate for the
 27 lines attached to three conjugate point-pairs."""
 
+from itertools import combinations, product
+
 import pytest
 
 from ccalc.cubic import (
@@ -308,3 +310,55 @@ def test_three_class_certificate():
     cert = nontriviality_certificate(bitangent_algebra(three_class_config()))
     assert cert.at == ("b", "a")
     assert cert.chain[-1].is_one()
+
+
+# -- an orbit oracle from the pair classes alone -----------------------------------
+
+
+def _span(classes):
+    out = {frozenset()}
+    for m in classes:
+        out |= {c ^ m for c in out}
+    return out
+
+
+def _expected_span(label, point_class):
+    """The fixed field of a label's stabilizer, as the set of its classes:
+    E_p and C_p lie over F(sqrt(m_p)), a line through both points of one pair
+    over F, and a line across two pairs over F(sqrt(m_p), sqrt(m_q))."""
+    if label[0] in "EC":
+        return _span([point_class[int(label[1])]])
+    p, q = int(label[1]), int(label[2])
+    if (p + 1) // 2 == (q + 1) // 2:
+        return {frozenset()}
+    return _span([point_class[p], point_class[q]])
+
+
+def _accepted_configs():
+    model = euclidean_model(("a", "b", "c"))
+    classes = [
+        frozenset(c) for r in (1, 2, 3) for c in combinations(("a", "b", "c"), r)
+    ]
+    for n in (2, 3):
+        for tup in product(classes, repeat=n):
+            try:
+                yield PointConfig(model, tup)
+            except CubicError:
+                assert tup[0] == tup[1]
+
+
+def test_orbits_match_the_pair_class_oracle():
+    count = 0
+    for cfg in _accepted_configs():
+        count += 1
+        point_class = {p: cfg.pair_classes[(p - 1) // 2] for p in range(1, 7)}
+        report = orbit_decomposition(build_action(cfg))
+        assert sorted(lab for o in report.orbits for lab in o.labels) == sorted(LABELS)
+        for o in report.orbits:
+            span = _span(o.extension)
+            assert len(span) == 2 ** len(o.extension) == len(o.labels), o
+            for lab in o.labels:
+                assert _expected_span(lab, point_class) == span, (cfg.pair_classes, lab)
+        assert report.algebra.rank == 27
+    # 42 pairs and 294 triples of classes with the first two distinct
+    assert count == 42 + 294

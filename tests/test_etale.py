@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from ccalc import etale
 from ccalc.etale import (
     MULTIPLICITY_DIGITS,
+    ROOTS_LIMIT,
     SW_CAP_LIMIT,
     DependentClasses,
     EtaleError,
@@ -394,6 +395,21 @@ def test_sw_cap_is_bounded(monkeypatch):
     for cap in (SW_CAP_LIMIT + 1, 10 ** 30):
         with pytest.raises(EtaleError, match="the limit is %d" % SW_CAP_LIMIT):
             galois_sw_total(alg, max_degree=cap)
+
+
+def test_roots_per_factor_are_bounded(monkeypatch):
+    names = tuple("x%d" % i for i in range(ROOTS_LIMIT + 1))
+    model = generic_model(names)
+    ext = [frozenset({n}) for n in names]
+    # the limit is checked before any trace form is read
+    monkeypatch.setattr(etale, "trace_form", None)
+    assert EtaleAlgebraExpr(model, [(ext[:-1], 1)]).rank == 2 ** ROOTS_LIMIT
+    message = "%d square roots; the limit is %d" % (ROOTS_LIMIT + 1, ROOTS_LIMIT)
+    with pytest.raises(EtaleError, match=message):
+        EtaleAlgebraExpr(model, [(ext, 1)])
+    # and before the independence check
+    with pytest.raises(EtaleError, match=message):
+        EtaleAlgebraExpr(model, [([ext[0]] * (ROOTS_LIMIT + 1), 1)])
 
 
 def test_sw_huge_multiplicity_is_fast():

@@ -15,7 +15,6 @@ from ccalc.ksymbols import (
     euclidean_model,
     generic_model,
     iterated_residue,
-    mul,
     one,
     parse_kelement,
     residue,
@@ -79,8 +78,8 @@ def test_unknown_generator():
 
 
 def test_mul_concatenates():
-    assert mul(symbol(["a"], EUC), symbol(["b"], EUC)) == symbol(["a", "b"], EUC)
-    assert mul(symbol(["a"], EUC), symbol(["a"], EUC)) == symbol(["-1", "a"], EUC)
+    assert symbol(["a"], EUC) * symbol(["b"], EUC) == symbol(["a", "b"], EUC)
+    assert symbol(["a"], EUC) * symbol(["a"], EUC) == symbol(["-1", "a"], EUC)
 
 
 def test_total_class_of_three_quadratic_pieces():
@@ -92,7 +91,7 @@ def test_total_class_of_three_quadratic_pieces():
 
 def test_mul_model_mismatch():
     with pytest.raises(ModelMismatch):
-        mul(symbol(["a"], EUC), symbol(["a"], CLO))
+        symbol(["a"], EUC) * symbol(["a"], CLO)
 
 
 # -- residue -----------------------------------------------------------------
