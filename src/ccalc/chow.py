@@ -147,8 +147,6 @@ def class_ztilde(d):
 def class_z(d):
     """Class of the singular-curve locus: push the three-plane product down
     the point fiber and rewrite symmetrically over the basis {h, c1}."""
-    if d < 3:
-        raise DegreeTooSmall("need curve degree >= 3, got %d" % d)
     pushed = fiber_pushforward(class_ztilde(d), "t")
     cls = symmetric_reduce(pushed, CURVE_BASE)
     expected = (3 if d % 3 == 0 else 1) * (d - 1) ** 2
@@ -172,6 +170,12 @@ def class_bin(d, push_fiber="t"):
     by the surviving three-plane class), divide exactly by that class, and
     rename to the singular-point-space basis {hz, u, c1}.  Either fiber may
     be the pushforward direction; the result is identical.
+
+    The division never raises NonUnique, for any d: the ring is A[h] with A
+    = Z[l1,l2,l3][s,t] modulo the two cubic relations, a = prod(h + (d-1)*kept
+    + l_i) is monic of degree 3 in the relation-free h, and the products x*a
+    for x of degree 1 have degree 4, below the cap of 6.  So x -> x*a is
+    injective on degree 1 and the quotient is unique.
     """
     if d < 4:
         raise DegreeTooSmall("need curve degree >= 4, got %d" % d)

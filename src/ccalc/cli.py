@@ -35,6 +35,9 @@ from .rings import RingError
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 _RESERVED_NAMES = {"F", "sqrt", "eps"}
+# Bound on the digits of every -d: the worksheets render d(d-1)^2, which
+# then stays within 3000 digits, below Python's int-to-str limit of 4300.
+DEGREE_DIGITS = 1000
 
 
 class UsageError(Exception):
@@ -473,6 +476,8 @@ def main(argv=None):
 
     t0 = time.perf_counter()
     try:
+        if abs(getattr(args, "d", None) or 0) >= 10 ** DEGREE_DIGITS:
+            raise UsageError("-d has more than %d digits" % DEGREE_DIGITS)
         result = HANDLERS[args.command](args)
     except UsageError as e:
         _emit_error(args, str(e), "UsageError")

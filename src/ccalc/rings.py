@@ -19,8 +19,9 @@ computing those relations, a ring may declare such a generator with relation
 produce a term of degree > cap raises TruncationExceeded instead of silently
 working in the wrong quotient.  Degrees <= cap are exact.
 
-Coefficients are arbitrary-precision ints throughout: the divisibility
-bookkeeping downstream (gcds of class coefficients) has zero tolerance.
+Coefficients are arbitrary-precision ints throughout, the linear solve of
+``exact_divide`` included: the divisibility bookkeeping downstream (gcds of
+class coefficients) has zero tolerance.
 
 A monomial is stored as one packed int.  With G = 32 * ngens, the exponent
 of generator j takes bits [32j, 32j + 32) and the graded degree
@@ -35,7 +36,6 @@ RingError.  The packed form is private: ``Poly.terms`` and the public ring
 attributes use exponent tuples.
 """
 
-from fractions import Fraction
 from math import gcd
 from operator import mul
 
@@ -574,11 +574,16 @@ def _nonzero(terms):
 
 
 def exact_divide(num, den):
-    """q with q*den == num, found by an exact linear solve.
+    """q with q*den == num, found by an exact linear solve over the integers.
 
-    Both arguments must be homogeneous.  The candidate quotient degree is
-    deg(num)-deg(den); q is expanded over the full monomial basis of that
-    degree and the resulting integer linear system solved exactly.  Raises
+    Both arguments must be homogeneous.  q is expanded over the monomials of
+    degree deg(num)-deg(den); each monomial of degree deg(num) gives one row:
+    the coefficients of basis[j]*den, then that of num.  Bareiss's
+    fraction-free elimination (Math. Comp. 22, 1968) takes row <- (p*row -
+    f*pivot_row) // prev below each pivot p, prev the pivot before it (1 at
+    first).  Each division is exact, also past a column without a pivot: by
+    Sylvester's identity an entry after k pivots is a (k+1)-minor of the
+    input, an integer.  Back-substitution stays in the integers.  Raises
     NotDivisible when no quotient exists (or none with integer coefficients)
     and NonUnique when the solution is not unique -- a nontrivial kernel of
     multiplication by den is reported, never silently resolved.
@@ -599,64 +604,45 @@ def exact_divide(num, den):
     if not basis:
         raise NotDivisible("no monomials of degree %d" % qdeg)
 
-    # columns: basis monomial * den, expressed over the degree-ndeg monomials
-    cols = []
-    row_index = {}
-    for e in basis:
-        prod = Poly(ring, {e: 1}) * den
-        col = {}
-        for e2, c in prod._terms.items():
-            if e2 not in row_index:
-                row_index[e2] = len(row_index)
-            col[row_index[e2]] = c
-        cols.append(col)
-    b = [0] * len(row_index)
+    n = len(basis)
+    rows = {}
+    for j, e in enumerate(basis):
+        for e2, c in (Poly(ring, {e: 1}) * den)._terms.items():
+            rows.setdefault(e2, [0] * (n + 1))[j] = c
     for e2, c in num._terms.items():
-        if e2 not in row_index:
+        if e2 not in rows:
             raise NotDivisible("numerator outside the column space")
-        b[row_index[e2]] = c
+        rows[e2][n] = c
 
-    nrows, ncols = len(row_index), len(basis)
-    mat = [[Fraction(0)] * (ncols + 1) for _ in range(nrows)]
-    for j, col in enumerate(cols):
-        for i, c in col.items():
-            mat[i][j] = Fraction(c)
-    for i, c in enumerate(b):
-        mat[i][ncols] = Fraction(c)
-
-    pivot_cols = []
-    r = 0
-    for j in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if mat[i][j] != 0:
-                piv = i
-                break
+    mat = list(rows.values())
+    rank, prev = 0, 1
+    for j in range(n):
+        piv = next((i for i in range(rank, len(mat)) if mat[i][j]), None)
         if piv is None:
             continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = 1 / mat[r][j]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(nrows):
-            if i != r and mat[i][j] != 0:
-                f = mat[i][j]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
-        pivot_cols.append(j)
-        r += 1
-    for i in range(r, nrows):
-        if mat[i][ncols] != 0:
-            raise NotDivisible("inconsistent system: nonzero remainder")
-    if len(pivot_cols) < ncols:
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        top = mat[rank]
+        p = top[j]
+        for i in range(rank + 1, len(mat)):
+            f = mat[i][j]
+            mat[i] = [(p * x - f * y) // prev for x, y in zip(mat[i], top)]
+        prev = p
+        rank += 1
+    if any(row[n] for row in mat[rank:]):
+        raise NotDivisible("inconsistent system: nonzero remainder")
+    if rank < n:
         raise NonUnique(
             "multiplication by the denominator has a %d-dimensional kernel in degree %d"
-            % (ncols - len(pivot_cols), qdeg)
+            % (n - rank, qdeg)
         )
-    x = [Fraction(0)] * ncols
-    for i, j in enumerate(pivot_cols):
-        x[j] = mat[i][ncols]
-    if any(v.denominator != 1 for v in x):
-        raise NotDivisible("quotient exists only with fractional coefficients")
-    q = Poly(ring, {e: int(v) for e, v in zip(basis, x) if v})
+    # full column rank: row j is the pivot row of column j
+    x = [0] * n
+    for j in reversed(range(n)):
+        row = mat[j]
+        x[j], rem = divmod(row[n] - sum(map(mul, row[j + 1 : n], x[j + 1 :])), row[j])
+        if rem:
+            raise NotDivisible("quotient exists only with fractional coefficients")
+    q = Poly(ring, {e: v for e, v in zip(basis, x) if v})
     if q * den != num:
         raise NotDivisible("solved quotient does not reproduce the numerator")
     return q

@@ -98,7 +98,7 @@ def test_class_z_small_degrees():
     assert r6.content == 75 and r6.expected_divisor == 75
 
 
-@pytest.mark.parametrize("d", range(3, 13))
+@pytest.mark.parametrize("d", [*range(3, 13), 25, 38, 60])
 def test_class_z_matches_closed_form(d):
     rep = class_z(d)
     assert rep.poly == expected_z(d)
@@ -134,7 +134,7 @@ def test_class_bin_small_degrees():
     assert r6.content == 6
 
 
-@pytest.mark.parametrize("d", range(4, 13))
+@pytest.mark.parametrize("d", [*range(4, 13), 25, 38, 60])
 def test_class_bin_matches_closed_form(d):
     rep = class_bin(d)
     assert rep.poly == expected_bin(d)
@@ -142,7 +142,7 @@ def test_class_bin_matches_closed_form(d):
     assert rep.divisibility_ok
 
 
-@pytest.mark.parametrize("d", range(4, 13))
+@pytest.mark.parametrize("d", [*range(4, 13), 25, 38, 60])
 def test_class_bin_fiber_swap(d):
     assert class_bin(d, push_fiber="s").poly == class_bin(d, push_fiber="t").poly
 

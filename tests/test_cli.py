@@ -6,7 +6,7 @@ import time
 import pytest
 
 from ccalc.chow import class_z
-from ccalc.cli import main
+from ccalc.cli import DEGREE_DIGITS, main
 from ccalc.etale import ROOTS_LIMIT, SW_CAP_LIMIT
 
 
@@ -92,6 +92,22 @@ def test_rvalue_worksheet(capsys):
         "r(7) = gcd(252, 15) = 3",
         "2-torsion kernel order: 1",
     ]
+
+
+@pytest.mark.parametrize(
+    "argv", [["classz"], ["classd"], ["rvalue"], ["brauer", "--stack", "xdfr"]],
+    ids=["classz", "classd", "rvalue", "brauer"],
+)
+@pytest.mark.parametrize("digits", [DEGREE_DIGITS, DEGREE_DIGITS + 1, 4300])
+def test_degree_digit_limit(capsys, argv, digits):
+    # d(d-1)^2 of a 1500-digit d passed Python's 4300-digit int-to-str limit
+    # and ended in a ValueError traceback
+    code, out, err = run(capsys, *argv, "-d", "9" * digits)
+    if digits <= DEGREE_DIGITS:
+        assert (code, err) == (0, "")
+    else:
+        assert (code, out) == (2, "")
+        assert err == "error: -d has more than %d digits\n" % DEGREE_DIGITS
 
 
 # -- trace-form classes -----------------------------------------------------------

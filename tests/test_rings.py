@@ -2,6 +2,7 @@
 
 import random
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -508,6 +509,151 @@ def test_exact_divide_reports_nonunique():
 def test_exact_divide_zero_numerator():
     r = chern_ring()
     assert exact_divide(r.zero, r.gen("t")) == r.zero
+
+
+def fraction_divide(num, den):
+    """Reference for exact_divide: Gauss-Jordan elimination over Fraction on
+    the same system, with the same checks, in the same order and with the
+    same messages.  It shares no solver code with exact_divide."""
+    ring = num.ring
+    if den.ring is not ring:
+        raise RingMismatch("operands live in different rings")
+    if den.is_zero():
+        raise NotDivisible("division by the zero element")
+    if num.is_zero():
+        return ring.zero
+    ndeg = num.homogeneous_degree()
+    ddeg = den.homogeneous_degree()
+    qdeg = ndeg - ddeg
+    if qdeg < 0:
+        raise NotDivisible("numerator degree below denominator degree")
+    basis = [ring._pack_mono(e) for e in ring.monomials_of_degree(qdeg)]
+    if not basis:
+        raise NotDivisible("no monomials of degree %d" % qdeg)
+
+    # columns: basis monomial * den, expressed over the degree-ndeg monomials
+    cols = []
+    row_index = {}
+    for e in basis:
+        prod = Poly(ring, {e: 1}) * den
+        col = {}
+        for e2, c in prod._terms.items():
+            if e2 not in row_index:
+                row_index[e2] = len(row_index)
+            col[row_index[e2]] = c
+        cols.append(col)
+    b = [0] * len(row_index)
+    for e2, c in num._terms.items():
+        if e2 not in row_index:
+            raise NotDivisible("numerator outside the column space")
+        b[row_index[e2]] = c
+
+    nrows, ncols = len(row_index), len(basis)
+    mat = [[Fraction(0)] * (ncols + 1) for _ in range(nrows)]
+    for j, col in enumerate(cols):
+        for i, c in col.items():
+            mat[i][j] = Fraction(c)
+    for i, c in enumerate(b):
+        mat[i][ncols] = Fraction(c)
+
+    pivot_cols = []
+    r = 0
+    for j in range(ncols):
+        piv = None
+        for i in range(r, nrows):
+            if mat[i][j] != 0:
+                piv = i
+                break
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        inv = 1 / mat[r][j]
+        mat[r] = [x * inv for x in mat[r]]
+        for i in range(nrows):
+            if i != r and mat[i][j] != 0:
+                f = mat[i][j]
+                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+        pivot_cols.append(j)
+        r += 1
+    for i in range(r, nrows):
+        if mat[i][ncols] != 0:
+            raise NotDivisible("inconsistent system: nonzero remainder")
+    if len(pivot_cols) < ncols:
+        raise NonUnique(
+            "multiplication by the denominator has a %d-dimensional kernel in degree %d"
+            % (ncols - len(pivot_cols), qdeg)
+        )
+    x = [Fraction(0)] * ncols
+    for i, j in enumerate(pivot_cols):
+        x[j] = mat[i][ncols]
+    if any(v.denominator != 1 for v in x):
+        raise NotDivisible("quotient exists only with fractional coefficients")
+    q = Poly(ring, {e: int(v) for e, v in zip(basis, x) if v})
+    if q * den != num:
+        raise NotDivisible("solved quotient does not reproduce the numerator")
+    return q
+
+
+def divide_outcome(divide, num, den):
+    """The quotient, or the exception's class and message."""
+    try:
+        return divide(num, den)
+    except RingError as e:
+        return type(e), str(e)
+
+
+def random_form(rng, ring, degree, nterms):
+    """A random homogeneous Poly of the given degree (possibly zero)."""
+    monos = ring.monomials_of_degree(degree)
+    return ring.poly(
+        [
+            (rng.randint(-3, 3), dict(zip(ring.names, rng.choice(monos))))
+            for _ in range(nterms)
+        ]
+    )
+
+
+def test_exact_divide_agrees_with_the_fraction_oracle():
+    """Same quotient, or same exception class and message, as fraction_divide
+    on planted quotients, a num with one extra term, a scaled den (fractional
+    quotients) and dens with a kernel like (s-l1)(s-l2)."""
+    rng = random.Random(20261018)
+    seen = set()
+
+    def compare(num, den):
+        got = divide_outcome(exact_divide, num, den)
+        assert got == divide_outcome(fraction_divide, num, den), (num, den)
+        seen.add(got[1] if isinstance(got, tuple) else "quotient")
+
+    for make, dtop, qtop in ((chern_ring, 3, 3), (root_ring, 3, 1), (sqrt_ring, 3, 3)):
+        r = make()
+        for _ in range(40):
+            ddeg = rng.randint(1, dtop)
+            den = random_form(rng, r, ddeg, rng.randint(1, 3))
+            if den.is_zero():
+                continue
+            qdeg = rng.randint(0, qtop)
+            num = random_form(rng, r, qdeg, rng.randint(1, 3)) * den
+            compare(num, den)
+            compare(num + random_form(rng, r, ddeg + qdeg, 1), den)
+            compare(num, rng.choice((2, 3, -2)) * den)
+    r = root_ring()
+    s, l1, l2 = r.gen("s"), r.gen("l1"), r.gen("l2")
+    for _ in range(20):
+        den = (s - l1) * (s - l2) * random_form(rng, r, rng.randint(0, 1), 2)
+        if den.is_zero():
+            continue
+        qdeg = rng.randint(1, 2)
+        num = random_form(rng, r, qdeg, 3) * den
+        compare(num, den)
+        compare(num + random_form(rng, r, den.degree() + qdeg, 1), den)
+    assert seen >= {
+        "quotient",
+        "numerator outside the column space",
+        "inconsistent system: nonzero remainder",
+        "quotient exists only with fractional coefficients",
+    }
+    assert any("dimensional kernel" in m for m in seen), seen
 
 
 # -- substitution ------------------------------------------------------------

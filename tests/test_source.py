@@ -1,6 +1,7 @@
 """Source-level guards over the library modules."""
 
 import ast
+import sys
 from pathlib import Path
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "ccalc").glob("*.py"))
@@ -14,6 +15,27 @@ def test_library_has_no_assert_statements():
         for node in ast.walk(ast.parse(path.read_text(), str(path)))
         if isinstance(node, ast.Assert)
     ]
+    assert SOURCES
+    assert not found, found
+
+
+def test_library_imports_only_the_stdlib():
+    """ccalc is stdlib-only: every import is relative or names a top-level
+    module of the standard library."""
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module]
+            else:
+                continue
+            found += [
+                "%s:%d %s" % (path.name, node.lineno, m)
+                for m in modules
+                if m.partition(".")[0] not in sys.stdlib_module_names
+            ]
     assert SOURCES
     assert not found, found
 
