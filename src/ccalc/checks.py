@@ -364,7 +364,7 @@ def check_group_evaluators():
     out = []
 
     table_ok = all(
-        brauer_xd(d) == GroupDescriptor(cyclic=[(order, 0, None)])
+        brauer_xd(d) == GroupDescriptor(cyclic=[order])
         for d, order in XD_EXPECTED.items()
     )
     out.append(

@@ -144,13 +144,32 @@ def class_ztilde(d):
     return cls
 
 
+def beta1_order(d):
+    """Order of the degree-1 invariant attached to the singular locus:
+    3^{i_d}(d-1)^2 with i_d = 1 exactly when 3 | d.
+
+    It is the content of class_z(d) = 3(d-1)^2 h - d(d-1)^2 c1, which is
+    gcd(3(d-1)^2, d(d-1)^2) = (d-1)^2 gcd(3, d), and gcd(3, d) is 3 when
+    3 | d and 1 otherwise.
+    """
+    if d < 3:
+        raise DegreeTooSmall("need curve degree >= 3, got %d" % d)
+    return (3 if d % 3 == 0 else 1) * (d - 1) ** 2
+
+
 def class_z(d):
     """Class of the singular-curve locus: push the three-plane product down
-    the point fiber and rewrite symmetrically over the basis {h, c1}."""
+    the point fiber and rewrite symmetrically over the basis {h, c1}.
+
+    The result is 3(d-1)^2 h - d(d-1)^2 c1 for every d >= 3.  Each of the
+    three planes is linear in d, and the pushforward and the symmetric
+    reduction are Z-linear maps that do not depend on d, so both coefficients
+    are polynomials of degree <= 3 in d.  Two such polynomials that agree at
+    four values of d agree everywhere, and tests/test_chow.py checks four.
+    """
     pushed = fiber_pushforward(class_ztilde(d), "t")
     cls = symmetric_reduce(pushed, CURVE_BASE)
-    expected = (3 if d % 3 == 0 else 1) * (d - 1) ** 2
-    return LocusClassReport(d, cls, ("h", "c1"), expected)
+    return LocusClassReport(d, cls, ("h", "c1"), beta1_order(d))
 
 
 def r_value(d):
@@ -176,6 +195,16 @@ def class_bin(d, push_fiber="t"):
     + l_i) is monic of degree 3 in the relation-free h, and the products x*a
     for x of degree 1 have degree 4, below the cap of 6.  So x -> x*a is
     injective on degree 1 and the quotient is unique.
+
+    The quotient is Q = 3d(d-2) h - 3(d-2)*kept + d(d-1)^2 (l1 + l2 + l3)
+    for every d >= 4, renamed to 3d(d-2) hz - 3(d-2) u - d(d-1)^2 c1.  The
+    planes are linear in d, so a and b have coefficients of degree <= 3 in
+    d, the excess of degree <= 1, and both the numerator and Q*a of degree
+    <= 6.  Agreement at seven values of d, which tests/test_chow.py checks,
+    makes numerator = Q*a an identity in d, and uniqueness makes Q the
+    quotient.  The content of the class is then
+    gcd(3d(d-2), 3(d-2), d(d-1)^2) = gcd(d(d-1)^2, 3(d-2)) = r_value(d),
+    since 3(d-2) divides 3d(d-2).
     """
     if d < 4:
         raise DegreeTooSmall("need curve degree >= 4, got %d" % d)

@@ -28,8 +28,15 @@ from .cubic import (
     orbit_decomposition,
     verify_general_position,
 )
-from .etale import EtaleAlgebraExpr, EtaleError, galois_sw_total, parse_algebra
-from .groups import GroupsError, brauer_stack, brauer_xd
+from .etale import (
+    SW_NAMES_LIMIT,
+    EtaleAlgebraExpr,
+    EtaleError,
+    field_str,
+    galois_sw_total,
+    parse_algebra,
+)
+from .groups import GroupsError, brauer_stack
 from .ksymbols import KError, MODEL_PRESETS, euclidean_model, parse_kelement, residue
 from .rings import RingError
 
@@ -139,12 +146,6 @@ def _check_name(name, kind):
         raise UsageError("bad %s name %r" % (kind, name))
 
 
-def _field_str(monos):
-    if not monos:
-        return "F"
-    return "F(%s)" % ",".join("sqrt(%s)" % m for m in monos)
-
-
 # -- subcommands ------------------------------------------------------------------
 
 
@@ -178,6 +179,11 @@ def cmd_sw(args):
     model = _field_model(args.model, args.algebra, drop=("F", "sqrt"))
     for n in model.indeterminates:
         _check_name(n, "square-root")
+    if len(model.indeterminates) > SW_NAMES_LIMIT:
+        raise EtaleError(
+            "algebra over %d names; the limit is %d"
+            % (len(model.indeterminates), SW_NAMES_LIMIT)
+        )
     alg = parse_algebra(args.algebra, model)
     sw = galois_sw_total(alg, max_degree=args.max_degree)
     lines = ["algebra: %s  (rank %d, model %s)" % (alg, alg.rank, model.name)]
@@ -223,7 +229,7 @@ def cmd_lines(args):
     ]
     for o in report.orbits:
         lines.append(
-            "  %-16s over %s" % ("+".join(o.labels), _field_str(o.fixed_field))
+            "  %-16s over %s" % ("+".join(o.labels), field_str(o.extension, model))
         )
     lines.append("algebra: %s" % report.algebra)
     lines.append(
@@ -240,7 +246,7 @@ def cmd_lines(args):
                 "labels": list(o.labels),
                 "size": len(o.labels),
                 "stabilizer": list(o.stabilizer),
-                "fixed_field": _field_str(o.fixed_field),
+                "fixed_field": field_str(o.extension, model),
             }
             for o in report.orbits
         ],
@@ -281,10 +287,7 @@ def cmd_brauer(args):
         raise UsageError("--stack %s takes no -d" % args.stack)
     if stack not in ("xdfr", "x4fr") and args.closed:
         raise UsageError("--stack %s takes no --closed" % args.stack)
-    if stack == "xd":
-        desc = brauer_xd(args.d, char=args.char)
-    else:
-        desc = brauer_stack(stack, d=args.d, char=args.char, closed=args.closed)
+    desc = brauer_stack(stack, d=args.d, char=args.char, closed=args.closed)
     payload = {
         "stack": args.stack,
         "params": {"d": args.d, "char": args.char, "closed": args.closed},

@@ -53,11 +53,23 @@ MULTIPLICITY_DIGITS = 1000
 SW_CAP_LIMIT = 128
 
 # Most square roots one factor may have: trace_form is O(4^s) in the number s
-# of roots.  `ccalc sw --model generic` on one factor (interpreter start
-# included, Python 3.11 on a 2-vCPU Xeon) takes 0.27-0.32 s at 8 roots,
+# of roots.  One factor in the generic model (a process run, interpreter
+# start included, Python 3.11 on a 2-vCPU Xeon) takes 0.27-0.32 s at 8 roots,
 # 0.61-0.78 s at 9 and 1.6-2.4 s at 10, so a dozen roots would run for tens of
 # seconds.
 ROOTS_LIMIT = 8
+
+# Most indeterminates `ccalc sw` takes.  The diagonal classes lie in the group
+# generated by the names, -1 and 2, so each name doubles the distinct symbols
+# sw_total may meet, and their products grow longer.  At cap 128 (`ccalc sw
+# --model generic`, interpreter start included, Python 3.11 on a 2-vCPU Xeon),
+# one factor F(sqrt(m1),...)^(2^40 - 1) whose roots are random products
+# spanning the names, -1 and 2, alone or with seven more such factors, takes
+# 0.5-1.0 s over 4 names, 1.3-3.1 s over 5 and 4.3-9.9 s over 6 (five seeds
+# each).  Over 5 names a factor has at most 7 independent roots, below
+# ROOTS_LIMIT.  Library callers are not held to it: the benchmark's
+# `algebras` workload spans six names at caps <= 8.
+SW_NAMES_LIMIT = 5
 
 
 class EtaleError(Exception):
@@ -82,6 +94,13 @@ def monomial_str(mono, model):
     names = [model.spell(n) for n in model.sort_gens(set(mono) - {"minus_one"})]
     body = "*".join(names) if names else "1"
     return ("-" + body) if neg else body
+
+
+def field_str(ext, model):
+    """Render F(sqrt(m1),...,sqrt(ms)), or F for the empty extension."""
+    if not ext:
+        return "F"
+    return "F(%s)" % ",".join("sqrt(%s)" % monomial_str(m, model) for m in ext)
 
 
 def gf2_eliminate(classes):
@@ -170,14 +189,10 @@ class EtaleAlgebraExpr:
         return out
 
     def __str__(self):
-        chunks = []
-        for ext, mult in self.factors:
-            if ext:
-                inner = ",".join("sqrt(%s)" % monomial_str(m, self.model) for m in ext)
-                body = "F(%s)" % inner
-            else:
-                body = "F"
-            chunks.append(body + ("^%d" % mult if mult > 1 else ""))
+        chunks = [
+            field_str(ext, self.model) + ("^%d" % mult if mult > 1 else "")
+            for ext, mult in self.factors
+        ]
         return " * ".join(chunks) if chunks else "F^0"
 
     __repr__ = __str__

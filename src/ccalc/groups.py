@@ -4,16 +4,18 @@ bookkeeping attached to the moduli stacks of plane curves and genus-3 curves.
 
 Everything here is arithmetic on top of the two orders the intersection layer
 produces: beta_1's order 3^{i_d}(d-1)^2 (the content of the singular-locus
-class) and the kernel-of-doubling order gcd(2, gcd(d(d-1)^2, 3(d-2))).  Galois
-cohomology of the base field is never computed: Br(k) and H^1(k, Z/n) enter
-as opaque named summands, and the undetermined p-primary torsion parts are
-carried as labelled placeholders, never expanded.
+class, `chow.beta1_order`) and the kernel-of-doubling order
+gcd(2, gcd(d(d-1)^2, 3(d-2))).  Galois cohomology of the base field is never
+computed: Br(k) and H^1(k, Z/n) enter as opaque named summands, and the
+undetermined p-primary torsion parts are carried as labelled placeholders,
+never expanded.  A descriptor's cyclic summands are plain orders, and
+`brauer_stack` serves every stack, the plane-curve stack X_d included.
 """
 
 from collections import namedtuple
 from math import gcd
 
-from .chow import DegreeTooSmall, class_z, r_value
+from .chow import DegreeTooSmall, beta1_order, class_z, r_value
 
 
 class GroupsError(Exception):
@@ -32,18 +34,18 @@ class GroupDescriptor:
     """A finite direct sum: opaque field summands, cyclic pieces, and an
     optional p-primary placeholder.
 
-    cyclic entries are (order, degree_shift, generator_label); order-1
+    cyclic entries are the plain orders of the cyclic summands; order-1
     entries are dropped on construction so equality and rendering agree.
     Equality is multiset equality of the remaining summands.
     """
 
     def __init__(self, cyclic=(), field_summands=(), placeholder_label=None):
         kept = []
-        for order, shift, label in cyclic:
+        for order in cyclic:
             if not (isinstance(order, int) and order >= 1):
                 raise GroupsError("cyclic order must be a positive integer")
             if order > 1:
-                kept.append((order, shift, label))
+                kept.append(order)
         self.cyclic = tuple(kept)
         self.field_summands = tuple(field_summands)
         self.placeholder_label = placeholder_label
@@ -53,10 +55,10 @@ class GroupDescriptor:
         return self.placeholder_label is not None
 
     def _key(self):
-        # generator labels are presentation hints, not structure; placeholder
-        # labels stay, since differently-named unknown groups need not agree
+        # placeholder labels are structure: differently-named unknown groups
+        # need not agree
         return (
-            tuple(sorted((order, shift) for order, shift, _ in self.cyclic)),
+            tuple(sorted(self.cyclic)),
             tuple(sorted(self.field_summands)),
             self.placeholder_label,
         )
@@ -69,7 +71,7 @@ class GroupDescriptor:
 
     def summands(self):
         out = list(self.field_summands)
-        out.extend("Z/%d" % order for order, _, _ in self.cyclic)
+        out.extend("Z/%d" % order for order in self.cyclic)
         if self.placeholder_label is not None:
             out.append(self.placeholder_label)
         return out
@@ -144,17 +146,13 @@ def _require_char(char, excluded, d=None):
         )
 
 
-def beta1_order(d):
-    """Order of the degree-1 invariant attached to the singular locus:
-    3^{i_d}(d-1)^2 with i_d = 1 exactly when 3 | d."""
-    _require_degree(d, 3)
-    i_d = 1 if d % 3 == 0 else 0
-    return 3 ** i_d * (d - 1) ** 2
-
-
 def n_torsion(d):
     """Order of the kernel of doubling on Z/r, r = gcd(d(d-1)^2, 3(d-2)):
-    2 for even d, 1 for odd d."""
+    2 for even d, 1 for odd d.
+
+    For even d both d(d-1)^2 and 3(d-2) are even, so 2 | r.  For odd d,
+    3(d-2) is odd, so r is odd.  Hence gcd(2, r) = gcd(2, d) for every d >= 4.
+    """
     _require_degree(d, 4)
     return 2 if d % 2 == 0 else 1
 
@@ -166,20 +164,29 @@ def brauer_xd(d, char=0):
     _require_degree(d, 3)
     _require_char(char, excluded=(2, 3), d=d)
     placeholder = "B'_{%d,%d}" % (char, d) if char else None
-    return GroupDescriptor(
-        cyclic=[(gcd(d, 6), 0, None)], placeholder_label=placeholder
-    )
+    return GroupDescriptor(cyclic=[gcd(d, 6)], placeholder_label=placeholder)
+
+
+# The genus-3 stacks: Z/2 (the class alpha_2), these field summands, and the
+# name of the p-primary placeholder, formatted with a positive characteristic.
+_GENUS3 = {
+    "m3": (["Br(k)"], "B_%d"),
+    "m3_minus_h3": (["Br(k)", "H^1(k, Z/9)"], None),
+    "a3": (["Br(k)"], "B''_%d"),
+}
 
 
 def brauer_stack(stack, d=None, char=0, closed=False):
-    """Brauer-group descriptors for the framed plane-curve stacks and the
-    genus-3 stacks.
+    """Brauer-group descriptors for every stack: the plane-curve stack X_d,
+    the framed plane-curve stacks and the genus-3 stacks.
 
-    stack: one of "xdfr", "x4fr", "m3", "m3_minus_h3", "a3".  For "xdfr" pass
-    d and whether the base field is algebraically closed; for even d > 4 over
-    a non-closed field the 2-torsion summand is genuinely undetermined and
-    UndeterminedTorsion is raised.
+    stack: one of "xd", "xdfr", "x4fr", "m3", "m3_minus_h3", "a3".  "xd" is
+    `brauer_xd(d, char)`.  For "xdfr" pass d and whether the base field is
+    algebraically closed; for even d > 4 over a non-closed field the 2-torsion
+    summand is genuinely undetermined and UndeterminedTorsion is raised.
     """
+    if stack == "xd":
+        return brauer_xd(d, char=char)
     if stack == "x4fr":
         return brauer_stack("xdfr", d=4, char=char, closed=closed)
     if stack == "xdfr":
@@ -189,9 +196,7 @@ def brauer_stack(stack, d=None, char=0, closed=False):
         _require_char(char, excluded=(2,), d=d)
         if closed:
             placeholder = "B_{%d,%d}" % (d, char) if char else None
-            return GroupDescriptor(
-                cyclic=[(gcd(2, d), 0, "N")], placeholder_label=placeholder
-            )
+            return GroupDescriptor(cyclic=[gcd(2, d)], placeholder_label=placeholder)
         if d % 2 == 1:
             return GroupDescriptor(
                 field_summands=["Br(k)", "H^1(k, Z/%d)" % beta1_order(d)]
@@ -199,37 +204,20 @@ def brauer_stack(stack, d=None, char=0, closed=False):
         if d == 4:
             # the one even case settled over every base field, through the
             # identification with the non-hyperelliptic genus-3 locus
-            return GroupDescriptor(
-                cyclic=[(2, 0, "N")],
-                field_summands=["Br(k)", "H^1(k, Z/9)"],
-            )
+            return GroupDescriptor(cyclic=[2], field_summands=["Br(k)", "H^1(k, Z/9)"])
         raise UndeterminedTorsion(
             "for even d > 4 over a non-closed field the 2-torsion summand N "
             "is only bounded (N <= Z/2); pass closed=True or d=4"
         )
-    if stack == "m3":
-        _require_char(char, excluded=(2,))
-        placeholder = "B_%d" % char if char else None
-        return GroupDescriptor(
-            cyclic=[(2, 0, "alpha2")],
-            field_summands=["Br(k)"],
-            placeholder_label=placeholder,
-        )
-    if stack == "m3_minus_h3":
-        _require_char(char, excluded=(2,))
-        return GroupDescriptor(
-            cyclic=[(2, 0, "alpha2")],
-            field_summands=["Br(k)", "H^1(k, Z/9)"],
-        )
-    if stack == "a3":
-        _require_char(char, excluded=(2,))
-        placeholder = "B''_%d" % char if char else None
-        return GroupDescriptor(
-            cyclic=[(2, 0, "alpha2")],
-            field_summands=["Br(k)"],
-            placeholder_label=placeholder,
-        )
-    raise GroupsError("unknown stack %r" % (stack,))
+    if stack not in _GENUS3:
+        raise GroupsError("unknown stack %r" % (stack,))
+    _require_char(char, excluded=(2,))
+    summands, placeholder = _GENUS3[stack]
+    return GroupDescriptor(
+        cyclic=[2],
+        field_summands=summands,
+        placeholder_label=placeholder % char if placeholder and char else None,
+    )
 
 
 DivisibilityResult = namedtuple("DivisibilityResult", ["value", "factors"])

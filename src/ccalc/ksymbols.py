@@ -284,10 +284,6 @@ def iterated_residue(x, names):
     return x
 
 
-def degree_part(x, d):
-    return KElement(x.model, {s for s in x.support if s[0] + len(s[1]) == d})
-
-
 # -- parsing -----------------------------------------------------------------
 
 

@@ -493,20 +493,12 @@ class Poly:
             return None
         return max(self._terms) >> self.ring._G
 
-    def is_homogeneous(self):
-        G = self.ring._G
-        return len({e >> G for e in self._terms}) <= 1
-
     def homogeneous_degree(self):
         G = self.ring._G
         degs = {e >> G for e in self._terms}
         if len(degs) != 1:
             raise NotHomogeneous(str(self))
         return degs.pop()
-
-    def homogeneous_part(self, d):
-        G = self.ring._G
-        return Poly(self.ring, {e: c for e, c in self._terms.items() if e >> G == d})
 
     def contains(self, name):
         sh = self.ring._shifts[self.ring.index[name]]

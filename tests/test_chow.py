@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ccalc import chow
 from ccalc.chow import (
     CURVE_BASE,
     POINT_RING,
@@ -161,6 +162,55 @@ def test_exact_divide_recovers_planted_quotient():
     for i in (1, 2, 3):
         a = a * (h + 3 * r.gen("t") + r.gen("l%d" % i))
     assert exact_divide(planted * a, a) == planted
+
+
+# -- closed forms for every d ---------------------------------------------------
+
+
+def _coefficient_sequences(polys):
+    """Each monomial's coefficients across polys, one list per monomial."""
+    monomials = set().union(*(p.terms for p in polys))
+    return [[p.terms.get(e, 0) for p in polys] for e in monomials]
+
+
+def _differences_vanish(values, order):
+    """The order-th finite differences of values exist and are all zero, so
+    the values lie on a polynomial of degree < order."""
+    for _ in range(order):
+        values = [b - a for a, b in zip(values, values[1:])]
+    return bool(values) and not any(values)
+
+
+def test_class_z_closed_form_holds_for_every_degree():
+    # the coefficients are cubic in d (class_z docstring): the fourth
+    # differences vanish over eight degrees, and four degrees fix a cubic
+    polys = [class_z(d).poly for d in range(3, 11)]
+    assert all(_differences_vanish(v, 4) for v in _coefficient_sequences(polys))
+    assert all(class_z(d).poly == expected_z(d) for d in range(3, 7))
+
+
+def test_class_bin_quotient_holds_for_every_degree(monkeypatch):
+    # the numerator and Q*a have coefficients of degree <= 6 in d (class_bin
+    # docstring): the seventh differences vanish over ten degrees, and seven
+    # degrees fix numerator = Q*a as an identity in d
+    divisions = []
+
+    def recording_divide(num, den):
+        divisions.append((num, den))
+        return exact_divide(num, den)
+
+    monkeypatch.setattr(chow, "exact_divide", recording_divide)
+    for d in range(4, 14):
+        class_bin(d)
+    assert len(divisions) == 10
+    nums = [num for num, _ in divisions]
+    assert all(_differences_vanish(v, 7) for v in _coefficient_sequences(nums))
+    r = TWOPOINT_RING
+    h, kept = r.gen("h"), r.gen("s")
+    l_sum = r.gen("l1") + r.gen("l2") + r.gen("l3")
+    for d, (num, a) in zip(range(4, 11), divisions):
+        q = 3 * d * (d - 2) * h - 3 * (d - 2) * kept + d * (d - 1) ** 2 * l_sum
+        assert q * a == num
 
 
 # -- r_value -----------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 
 from ccalc.chow import class_z
 from ccalc.cli import DEGREE_DIGITS, main
-from ccalc.etale import ROOTS_LIMIT, SW_CAP_LIMIT
+from ccalc.etale import ROOTS_LIMIT, SW_CAP_LIMIT, SW_NAMES_LIMIT
 
 
 @pytest.fixture(autouse=True)
@@ -218,7 +218,11 @@ def test_sw_cap_limit(capsys):
 
 
 def test_sw_roots_limit(capsys):
-    roots = ["sqrt(x%d)" % i for i in range(1, ROOTS_LIMIT + 2)]
+    # SW_NAMES_LIMIT names span at most SW_NAMES_LIMIT + 2 independent roots
+    # with -1 and 2, so past ROOTS_LIMIT the roots repeat; the count is checked
+    # before independence, and tests/test_etale.py builds a factor at the limit
+    names = ["x%d" % i for i in range(1, SW_NAMES_LIMIT + 1)]
+    roots = ["sqrt(%s)" % names[i % len(names)] for i in range(ROOTS_LIMIT + 1)]
     t0 = time.perf_counter()
     code, out, err = run(
         capsys, "sw", "--model", "generic", "--algebra", "F(%s)" % ",".join(roots)
@@ -229,10 +233,27 @@ def test_sw_roots_limit(capsys):
         ROOTS_LIMIT + 1,
         ROOTS_LIMIT,
     )
+    roots = ["sqrt(-1)", "sqrt(2)"] + ["sqrt(%s)" % n for n in names]
     code, out, _ = run(
-        capsys, "sw", "--model", "generic", "--algebra", "F(%s)" % ",".join(roots[:-1])
+        capsys, "sw", "--model", "generic", "--algebra", "F(%s)" % ",".join(roots)
     )
-    assert code == 0 and "(rank %d, model generic)" % 2 ** ROOTS_LIMIT in out
+    assert code == 0 and "(rank %d, model generic)" % 2 ** len(roots) in out
+
+
+def test_sw_names_limit(capsys):
+    names = ["x%d" % i for i in range(1, SW_NAMES_LIMIT + 2)]
+    code, out, err = run(
+        capsys, "sw", "--algebra", " * ".join("F(sqrt(%s))" % n for n in names)
+    )
+    assert code == 1 and out == ""
+    assert err == "error: algebra over %d names; the limit is %d\n" % (
+        SW_NAMES_LIMIT + 1,
+        SW_NAMES_LIMIT,
+    )
+    code, out, _ = run(
+        capsys, "sw", "--algebra", " * ".join("F(sqrt(%s))" % n for n in names[1:])
+    )
+    assert code == 0 and "(rank %d, model euclidean)" % (2 * SW_NAMES_LIMIT) in out
 
 
 def test_sw_multiplicity_digit_limit(capsys):

@@ -26,30 +26,22 @@ from ccalc.groups import _MR_BOUND, _is_prime
 
 
 def test_descriptor_drops_order_one_and_ignores_ordering():
-    a = GroupDescriptor(
-        cyclic=[(1, 0, None), (2, 0, "alpha2")], field_summands=["Br(k)"]
-    )
-    b = GroupDescriptor(
-        cyclic=[(2, 0, "alpha2")], field_summands=["Br(k)"]
-    )
+    a = GroupDescriptor(cyclic=[1, 2], field_summands=["Br(k)"])
+    b = GroupDescriptor(cyclic=[2], field_summands=["Br(k)"])
     assert a == b
     assert str(a) == "Br(k) ⊕ Z/2"
-    c = GroupDescriptor(
-        cyclic=[(2, 0, "x"), (9, 1, "y")],
-    )
-    d = GroupDescriptor(
-        cyclic=[(9, 1, "y"), (2, 0, "x")],
-    )
+    c = GroupDescriptor(cyclic=[2, 9])
+    d = GroupDescriptor(cyclic=[9, 2])
     assert c == d and hash(c) == hash(d)
 
 
 def test_descriptor_validation_and_rendering():
     with pytest.raises(GroupsError):
-        GroupDescriptor(cyclic=[(0, 0, None)])
+        GroupDescriptor(cyclic=[0])
     assert str(GroupDescriptor()) == "trivial group"
     assert GroupDescriptor().to_json() == {"summands": [], "placeholder": False}
     full = GroupDescriptor(
-        cyclic=[(2, 0, "alpha2")],
+        cyclic=[2],
         field_summands=["Br(k)", "H^1(k, Z/9)"],
         placeholder_label="B_5",
     )

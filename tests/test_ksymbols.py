@@ -11,7 +11,6 @@ from ccalc.ksymbols import (
     NotAnIndeterminate,
     UnknownGenerator,
     closed_model,
-    degree_part,
     euclidean_model,
     generic_model,
     iterated_residue,
@@ -112,17 +111,6 @@ def test_residue_rejects_constants():
         residue(symbol(["a"], EUC), "two")
     with pytest.raises(UnknownGenerator):
         residue(symbol(["a"], EUC), "nope")
-
-
-# -- degree_part ---------------------------------------------------------------
-
-
-def test_degree_part():
-    x = one(EUC) + symbol(["a", "b"], EUC) + symbol(["-1", "a*b"], EUC)
-    assert degree_part(x, 0) == one(EUC)
-    assert degree_part(x, 2) == x + one(EUC)
-    assert degree_part(x, 5).is_zero()
-    assert sum((degree_part(x, d) for d in range(6)), zero(EUC)) == x
 
 
 # -- rendering and parsing ---------------------------------------------------

@@ -444,10 +444,6 @@ def test_packed_queries_agree_with_tuple_reference(make, top):
         terms = p.terms
         degs = {grade(e) for e in terms}
         assert p.degree() == (max(degs) if degs else None)
-        assert p.is_homogeneous() == (len(degs) <= 1)
-        for d in range(top + 2):
-            want = {e: c for e, c in terms.items() if grade(e) == d}
-            assert p.homogeneous_part(d).terms == want
         for i, name in enumerate(r.names):
             assert p.contains(name) == any(e[i] for e in terms)
             for power in range(3):
@@ -754,6 +750,18 @@ raw_terms = st.lists(
 
 chern_polys = raw_terms.map(CHERN.poly)
 
+# the relation t^3 + c1 t^2 + c2 t + c3 is homogeneous, so a sum of MONOS of
+# one degree stays homogeneous in normal form
+homogeneous_chern_polys = st.integers(0, 4).flatmap(
+    lambda deg: st.lists(
+        st.tuples(
+            st.integers(min_value=-9, max_value=9),
+            st.sampled_from([m for m in MONOS if CHERN.poly([(1, m)]).degree() == deg]),
+        ),
+        max_size=6,
+    )
+).map(CHERN.poly)
+
 
 @settings(max_examples=300)
 @given(raw_terms)
@@ -789,11 +797,8 @@ def test_ring_axioms(a, b, c):
 
 
 @settings(max_examples=200)
-@given(chern_polys, chern_polys)
+@given(homogeneous_chern_polys, homogeneous_chern_polys)
 def test_exact_divide_inverts_multiplication(a, b):
-    # keep inputs homogeneous for the division contract
-    a = a.homogeneous_part(a.degree()) if not a.is_zero() else a
-    b = b.homogeneous_part(b.degree()) if not b.is_zero() else b
     if b.is_zero():
         return
     try:
