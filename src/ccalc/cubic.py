@@ -23,7 +23,7 @@ polynomial tower where the square roots are fiber generators.
 from collections import Counter, namedtuple
 from itertools import combinations
 
-from .etale import EtaleAlgebraExpr, galois_sw_total, gf2_eliminate, monomial_str
+from .etale import EtaleAlgebraExpr, galois_sw_total, gf2_eliminate
 from .ksymbols import euclidean_model, residue
 from .rings import Ring
 
@@ -222,7 +222,7 @@ def build_action(cfg):
     return ls
 
 
-Orbit = namedtuple("Orbit", "labels stabilizer fixed_field extension")
+Orbit = namedtuple("Orbit", "labels stabilizer extension")
 
 
 class OrbitReport:
@@ -266,7 +266,6 @@ def orbit_decomposition(ls):
             Orbit(
                 tuple(sorted(orbit, key=_LABEL_POS.__getitem__)),
                 tuple(name for name, _ in stab),
-                tuple(monomial_str(m, model) for m in ext),
                 ext,
             )
         )

@@ -5,10 +5,12 @@ forms, and their (Galois-)Stiefel-Whitney classes.
 An algebra is a product of factors F(sqrt(m1),...,sqrt(ms))^multiplicity,
 each m_j a square class of the base function field.  The trace form of a
 factor is its 2^s x 2^s Gram matrix on the basis of square roots of
-subproducts, read off the multiplication rule e_S * e_T = m_(S&T) * e_(S^T)
-in O(4^s) ring products — diagonality is checked, not assumed — and its
-diagonal entries, read as square classes (d_1,...,d_n) across the whole
-algebra, feed the symbol calculus:
+subproducts, read off the multiplication rule e_S * e_T = m_(S&T) * e_(S^T).
+With placeholders q_j for the m_j that matrix depends on s alone, so the
+first factor with s roots pays its O(4^s) ring products — diagonality is
+checked, not assumed — and every later one only O(2^s * s) set work to read
+the q-monomials back as square classes.  Those diagonal entries, square
+classes (d_1,...,d_n) across the whole algebra, feed the symbol calculus:
 
     alpha_i^SW = sigma_i({d_1},...,{d_n})        (elementary symmetric),
     alpha_i    = alpha_i^SW                       for odd i,
@@ -52,9 +54,10 @@ MULTIPLICITY_DIGITS = 1000
 # nonzero symbols over a, b, c, d in the generic model take 1.4 s.
 SW_CAP_LIMIT = 128
 
-# Most square roots one factor may have: trace_form is O(4^s) in the number s
-# of roots.  One factor in the generic model (a process run, interpreter
-# start included, Python 3.11 on a 2-vCPU Xeon) takes 0.27-0.32 s at 8 roots,
+# Most square roots one factor may have: the first factor with s roots pays
+# trace_form's O(4^s) Gram pass, and later ones O(2^s * s) set work.  One
+# factor in the generic model (a process run, interpreter start included, so
+# the first call; Python 3.11 on a 2-vCPU Xeon) takes 0.27-0.32 s at 8 roots,
 # 0.61-0.78 s at 9 and 1.6-2.4 s at 10, so a dozen roots would run for tens of
 # seconds.
 ROOTS_LIMIT = 8
@@ -276,19 +279,28 @@ def parse_algebra(text, model):
 # -- trace forms ---------------------------------------------------------------
 
 
-def trace_form(ext, model):
-    """Diagonal square classes of the trace form of F(sqrt m1,...,sqrt ms).
+# Root count s -> the trace-form diagonal over Z[q0..q(s-1)], filled on first
+# use: one (odd power of two, q-exponent tuple) per basis element.
+_DIAGONALS = {}
+
+
+def _gram_diagonal(s):
+    """The diagonal of the trace form of F(sqrt q0,...,sqrt q(s-1)), computed
+    once per root count s and cached.
 
     Works in the polynomial ring on placeholders q0..q(s-1) for the m_j.  On
     the basis e_U (U a subset of the roots, e_U the product of their square
     roots) multiplication is e_U * e_V = q[U & V] * e_(U ^ V), with q[U] the
     product of the q_j over U.  So tr(e_U) is the sum of the e_V-coefficients
     of e_U * e_V over all V, read once per U, and every Gram entry is
-    tr(e_S * e_T) = q[S & T] * tr(e_(S ^ T)).  Every off-diagonal entry must
-    vanish, and each diagonal entry (an integer times a q-monomial) becomes
-    a square class; NonDiagonalGram is raised otherwise.
+    tr(e_S * e_T) = q[S & T] * tr(e_(S ^ T)): O(4^s) ring products.  Every
+    off-diagonal entry must vanish, and each diagonal entry must be a
+    positive 2^k * square times a q-monomial; NonDiagonalGram is raised
+    otherwise.  Returns a tuple of (k is odd, q-exponent tuple).
     """
-    s = len(ext)
+    cached = _DIAGONALS.get(s)
+    if cached is not None:
+        return cached
     ring = Ring([("q%d" % j, 1) for j in range(s)]) if s else Ring([])
     size = 2 ** s
     q = [ring.one]
@@ -309,14 +321,13 @@ def trace_form(ext, model):
                 raise NonDiagonalGram(
                     "trace pairing of basis elements %d and %d is %s" % (a, b, entry)
                 )
-    classes = []
+    out = []
     for a, entry in enumerate(diag):
         if len(entry.terms) != 1:
             raise NonDiagonalGram("diagonal entry %d is not a monomial: %s" % (a, entry))
         (exps, coeff), = entry.terms.items()
         if coeff <= 0:
             raise NonDiagonalGram("diagonal entry %d has coefficient %d" % (a, coeff))
-        cls = frozenset()
         two_power = 0
         while coeff % 2 == 0:
             coeff //= 2
@@ -325,8 +336,23 @@ def trace_form(ext, model):
             raise NonDiagonalGram(
                 "diagonal entry %d is not a square times a power of two" % a
             )
-        if two_power % 2:
-            cls ^= {"two"}
+        out.append((two_power % 2 == 1, exps))
+    _DIAGONALS[s] = cached = tuple(out)
+    return cached
+
+
+def trace_form(ext, model):
+    """Diagonal square classes of the trace form of F(sqrt m1,...,sqrt ms).
+
+    The Gram matrix over the placeholders q_j depends on s alone: the first
+    call with s roots runs the checked O(4^s) Gram pass (_gram_diagonal), and
+    later ones reuse it.  Each call then reads every diagonal entry 2^k *
+    square * q-monomial as a square class, {2} when k is odd times the m_j
+    of odd q_j-exponent: O(2^s * s) set work.  Returns a new list.
+    """
+    classes = []
+    for odd_two, exps in _gram_diagonal(len(ext)):
+        cls = frozenset({"two"}) if odd_two else frozenset()
         for j, e in enumerate(exps):
             if e % 2:
                 cls ^= ext[j]

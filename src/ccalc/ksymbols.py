@@ -148,8 +148,8 @@ class KElement:
     __slots__ = ("model", "support")
 
     def __init__(self, model, support):
-        object.__setattr__(self, "model", model)
-        object.__setattr__(self, "support", frozenset(support))
+        _set_model(self, model)
+        _set_support(self, frozenset(support))
 
     def __setattr__(self, *a):
         raise AttributeError("KElement is immutable")
@@ -207,6 +207,12 @@ class KElement:
         return self.render()
 
     __repr__ = __str__
+
+
+# The slot setters, bound once: __init__ sets through them, since
+# KElement.__setattr__ raises.
+_set_model = KElement.model.__set__
+_set_support = KElement.support.__set__
 
 
 def zero(model):

@@ -401,8 +401,8 @@ class Poly:
     __slots__ = ("ring", "_terms")
 
     def __init__(self, ring, terms):
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "_terms", terms)
+        _set_ring(self, ring)
+        _set_terms(self, terms)
 
     def __setattr__(self, *a):
         raise AttributeError("Poly is immutable")
@@ -556,6 +556,12 @@ class Poly:
         return text
 
     __repr__ = __str__
+
+
+# The slot setters, bound once: __init__ sets through them, since
+# Poly.__setattr__ raises.
+_set_ring = Poly.ring.__set__
+_set_terms = Poly._terms.__set__
 
 
 def _nonzero(terms):

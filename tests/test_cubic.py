@@ -20,7 +20,7 @@ from ccalc.cubic import (
     three_class_config,
     verify_general_position,
 )
-from ccalc.etale import galois_sw_total, parse_algebra
+from ccalc.etale import field_str, galois_sw_total, parse_algebra
 from ccalc.ksymbols import (
     euclidean_model,
     iterated_residue,
@@ -105,19 +105,24 @@ def test_default_orbit_sizes():
 
 
 def test_default_orbit_details():
-    report = orbit_decomposition(build_action(default_config()))
+    cfg = default_config()
+    report = orbit_decomposition(build_action(cfg))
     by_first = {o.labels[0]: o for o in report.orbits}
+
+    def fixed_field(label):
+        return field_str(by_first[label].extension, cfg.model)
+
     assert by_first["L12"].labels == ("L12",)
     assert by_first["L12"].stabilizer == ("1", "sigma", "tau", "sigma*tau")
-    assert by_first["L12"].fixed_field == ()
+    assert fixed_field("L12") == "F"
     assert by_first["E1"].labels == ("E1", "E2")
     assert by_first["E1"].stabilizer == ("1", "tau")
-    assert by_first["E1"].fixed_field == ("a",)
-    assert by_first["E5"].fixed_field == ("a*b",)
+    assert fixed_field("E1") == "F(sqrt(a))"
+    assert fixed_field("E5") == "F(sqrt(a*b))"
     assert by_first["C3"].stabilizer == ("1", "sigma")
     assert by_first["L13"].labels == ("L13", "L14", "L23", "L24")
     assert by_first["L13"].stabilizer == ("1",)
-    assert by_first["L13"].fixed_field == ("a", "b")
+    assert fixed_field("L13") == "F(sqrt(a),sqrt(b))"
 
 
 def test_default_line_algebra():

@@ -1,8 +1,11 @@
 """Tests for etale algebras, trace forms, and SW classes."""
 
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 import time
 from itertools import combinations
 from math import isqrt
@@ -295,6 +298,88 @@ def test_trace_form_six_roots_is_fast():
     assert sorted(got, key=sorted) == sorted(
         (acc for _, acc in _subset_products(ext)), key=sorted
     )
+
+
+def _independent_extensions(model, s, count, rng):
+    """Up to count distinct s-root extensions over ORACLE_CLASSES that are
+    fields in the model."""
+    out = set()
+    for _ in range(20 * count):
+        ext = []
+        for m in rng.sample(ORACLE_CLASSES, len(ORACLE_CLASSES)):
+            if len(ext) < s:
+                try:
+                    EtaleAlgebraExpr(model, [(tuple(ext) + (m,), 1)])
+                except DependentClasses:
+                    continue
+                ext.append(m)
+        if len(ext) == s:
+            out.add(tuple(ext))
+        if len(out) == count:
+            break
+    return sorted(out, key=lambda e: [sorted(m) for m in e])
+
+
+def test_cached_trace_form_matches_gram_oracle_in_any_order(monkeypatch):
+    # a cold cache, then extensions of each s in shuffled orders: every
+    # answer is the one the full Gram oracle gives for that extension
+    monkeypatch.setattr(etale, "_DIAGONALS", {})
+    rng = random.Random(20261019)
+    queries = [
+        (model, ext)
+        for model in (CLO, EUC, GEN)
+        for s in range(5)
+        for ext in _independent_extensions(model, s, 3, rng)
+    ]
+    assert {len(ext) for _, ext in queries} == set(range(5))
+    expected = {ext: _gram_trace_form(ext) for _, ext in queries}
+    for _ in range(3):
+        rng.shuffle(queries)
+        for model, ext in queries:
+            assert trace_form(ext, model) == expected[ext], (ext, model)
+    assert sorted(etale._DIAGONALS) == list(range(5))
+
+
+def test_trace_form_returns_a_fresh_list():
+    first = trace_form((A, B), EUC)
+    first[0] = frozenset({"minus_one"})
+    first.append(C)
+    assert trace_form((A, B), EUC) == [frozenset(), A, B, AB]
+
+
+def test_trace_form_runs_the_gram_pass_once_per_root_count(monkeypatch):
+    monkeypatch.setattr(etale, "_DIAGONALS", {})
+    built = []
+    real = etale.Ring
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(etale, "Ring", counted)
+    assert trace_form((A, B), GEN) == [frozenset(), A, B, AB]
+    assert len(built) == 1
+    # another extension with two roots, in another model: no new Ring
+    assert trace_form((C, frozenset({"minus_one"})), CLO) == _gram_trace_form(
+        (C, frozenset({"minus_one"}))
+    )
+    assert len(built) == 1
+    trace_form((A,), GEN)
+    assert len(built) == 2
+
+
+def test_trace_form_cache_is_empty_after_import():
+    # a warm cache would cost every CLI start the Gram passes
+    src = os.path.dirname(os.path.dirname(os.path.abspath(etale.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import ccalc.cli, ccalc.etale as e; print(len(e._DIAGONALS))"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0\n"
 
 
 # -- SW classes ----------------------------------------------------------------

@@ -93,6 +93,14 @@ def test_mul_model_mismatch():
         symbol(["a"], EUC) * symbol(["a"], CLO)
 
 
+def test_elements_are_immutable():
+    x = symbol(["a", "b"], EUC)
+    for name, value in (("model", CLO), ("support", frozenset()), ("other", 1)):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(x, name, value)
+    assert x.model is EUC and x == symbol(["a", "b"], EUC)
+
+
 # -- residue -----------------------------------------------------------------
 
 

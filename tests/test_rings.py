@@ -469,6 +469,15 @@ def test_terms_is_a_fresh_view():
         p.terms = {}
 
 
+def test_slots_cannot_be_reassigned():
+    r = chern_ring()
+    p = r.gen("t") + r.gen("c1")
+    for name in ("ring", "_terms"):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(p, name, None)
+    assert p.ring is r and p == r.gen("t") + r.gen("c1")
+
+
 # -- exact division ----------------------------------------------------------
 
 
