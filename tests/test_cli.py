@@ -1,10 +1,12 @@
 """Exit codes, golden worksheets, and JSON round trips for the ccalc CLI."""
 
 import json
+import re
 import time
 
 import pytest
 
+from ccalc.checks import CheckLine
 from ccalc.chow import class_z
 from ccalc.cli import DEGREE_DIGITS, main
 from ccalc.etale import ROOTS_LIMIT, SW_CAP_LIMIT, SW_NAMES_LIMIT
@@ -495,3 +497,98 @@ def test_help_exits_cleanly(capsys):
     assert main(["--help"]) == 0
     out, _ = capsys.readouterr()
     assert "classz" in out and "check-all" in out
+
+
+# -- check-all ---------------------------------------------------------------------
+
+PASSING = [("one", True, ""), ("two", True, "")]
+FAILING = [("one", True, ""), ("two", False, "broken detail")]
+
+
+def run_check_all(capsys, monkeypatch, lines, *argv):
+    monkeypatch.setattr(
+        "ccalc.checks.run_all", lambda: [CheckLine(*line) for line in lines]
+    )
+    return run(capsys, "check-all", *argv)
+
+
+def _mask_elapsed(text):
+    return re.sub(r"\(\d+\.\ds\)$", "(…s)", text, flags=re.M)
+
+
+@pytest.mark.parametrize(
+    "lines, code, text",
+    [
+        (PASSING, 0, ["ok    one", "ok    two", "all 2 checks passed (…s)"]),
+        (
+            FAILING,
+            1,
+            [
+                "ok    one",
+                "FAIL  two",
+                "      broken detail",
+                "1 of 2 checks FAILED (…s)",
+            ],
+        ),
+    ],
+    ids=["passing", "failing"],
+)
+def test_check_all_text(capsys, monkeypatch, lines, code, text):
+    got, out, err = run_check_all(capsys, monkeypatch, lines)
+    assert (got, err) == (code, "")
+    assert _mask_elapsed(out).splitlines() == text
+
+
+@pytest.mark.parametrize("lines, code", [(PASSING, 0), (FAILING, 1)], ids=["passing", "failing"])
+def test_check_all_json(capsys, monkeypatch, lines, code):
+    got, out, err = run_check_all(capsys, monkeypatch, lines, "--json")
+    assert (got, err) == (code, "")
+    data = json.loads(out)
+    assert isinstance(data.pop("elapsed"), float)
+    assert data == {
+        "command": "check-all",
+        "checks": [{"name": n, "ok": ok, "detail": d} for n, ok, d in lines],
+        "all_ok": code == 0,
+    }
+
+
+# -- usage lines ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "command, usage",
+    [
+        ([], "usage: ccalc [-h] command ..."),
+        (["classz"], "usage: ccalc classz [-h] -d D [--json]"),
+        (["classd"], "usage: ccalc classd [-h] -d D [--json]"),
+        (["rvalue"], "usage: ccalc rvalue [-h] -d D [--json]"),
+        (
+            ["sw"],
+            "usage: ccalc sw [-h] --algebra ALGEBRA [--model {closed,euclidean,generic}]"
+            " [--max-degree MAX_DEGREE] [--json]",
+        ),
+        (
+            ["lines"],
+            "usage: ccalc lines [-h] [--gens GENS] [--verify-position] [--certificate]"
+            " [--json]",
+        ),
+        (
+            ["brauer"],
+            "usage: ccalc brauer [-h] --stack {xd,xdfr,x4fr,m3,m3-minus-h3,a3} [-d D]"
+            " [--char CHAR] [--closed] [--json]",
+        ),
+        (
+            ["residue"],
+            "usage: ccalc residue [-h] --expr EXPR --at AT"
+            " [--model {closed,euclidean,generic}] [--json]",
+        ),
+        (["check-all"], "usage: ccalc check-all [-h] [--json]"),
+    ],
+    ids=lambda v: " ".join(v) or "ccalc" if isinstance(v, list) else None,
+)
+def test_help_usage_line(capsys, monkeypatch, command, usage):
+    # wide enough that no usage line wraps, so it reads the same on every Python
+    monkeypatch.setenv("COLUMNS", "200")
+    code, out, err = run(capsys, *command, "--help")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == usage
