@@ -1,11 +1,13 @@
 """Worksheet runner: every computation in the package as one subcommand.
 
-Each subcommand prints a human-readable worksheet by default and a single
-JSON document with --json; whenever a recorded expected value exists for the
-command (the closed forms for the locus classes) the result carries an oracle
-comparison, and a mismatch turns the exit code to 1.  `check-all` runs the
-whole oracle table plus the randomized property suites from `checks` and
-exits 0 only if every line passes.
+Every handler returns one result shape, `(lines, payload, ok)`: the
+worksheet's text lines, its JSON payload and whether it passed.  `main` alone
+renders it: the lines by default, or with --json the payload plus `"command"`
+and `"elapsed"` as a single JSON document, and it exits 1 when the handler did
+not pass.  The locus-class worksheets pass when they match their recorded
+closed forms (the payload's `"oracle"` object); `check-all` runs the whole
+oracle table plus the randomized property suites from `checks` and passes only
+if every line does.
 
 Exit codes: 0 success, 1 computation error or oracle mismatch, 2 usage error.
 """
@@ -16,7 +18,6 @@ import os
 import re
 import sys
 import time
-from math import gcd
 
 from . import checks
 from .chow import DegreeTooSmall, class_bin, class_z, r_value
@@ -36,7 +37,7 @@ from .etale import (
     galois_sw_total,
     parse_algebra,
 )
-from .groups import GroupsError, brauer_stack
+from .groups import GroupsError, brauer_stack, n_torsion
 from .ksymbols import KError, MODEL_PRESETS, euclidean_model, parse_kelement, residue
 from .rings import RingError
 
@@ -49,37 +50,6 @@ DEGREE_DIGITS = 1000
 
 class UsageError(Exception):
     """Bad arguments that argparse alone cannot catch; exits with code 2."""
-
-
-class WorksheetResult:
-    """One executed subcommand: the command echo, the rendered output lines,
-    the JSON payload, the oracle comparison (expected, computed, match) when
-    a recorded value exists, and the elapsed wall time (filled in by the
-    dispatcher)."""
-
-    def __init__(self, command, primary, payload, oracle=None):
-        self.command = command
-        self.primary = list(primary)
-        self.payload = payload
-        self.oracle = oracle
-        self.elapsed = 0.0
-
-    @property
-    def match(self):
-        return None if self.oracle is None else self.oracle[2]
-
-    def to_json(self):
-        data = {"command": self.command}
-        data.update(self.payload)
-        if self.oracle is not None:
-            expected, computed, match = self.oracle
-            data["oracle"] = {
-                "expected": expected,
-                "computed": computed,
-                "match": match,
-            }
-        data["elapsed"] = round(self.elapsed, 6)
-        return data
 
 
 # -- shared rendering helpers ---------------------------------------------------
@@ -100,7 +70,7 @@ def _compact(coeffs, order):
     return " ".join(chunks) if chunks else "0"
 
 
-def _class_result(command, report, order, expected):
+def _class_result(report, order, expected):
     match = report.basis_coefficients == expected and report.divisibility_ok
     verdict = "[matches closed form]" if match else "[DIFFERS from closed form]"
     if report.content > 1:
@@ -119,16 +89,18 @@ def _class_result(command, report, order, expected):
         head,
         "content: %d (expected divisor %d)" % (report.content, report.expected_divisor),
     ]
-    return WorksheetResult(
-        command,
-        lines,
-        report.to_json(),
-        oracle=(expected, dict(report.basis_coefficients), match),
-    )
+    payload = report.to_json()
+    payload["oracle"] = {
+        "expected": expected,
+        "computed": dict(report.basis_coefficients),
+        "match": match,
+    }
+    return lines, payload, match
 
 
-def _field_model(model_name, text, drop, extra=()):
-    """Build the named preset model over the identifiers appearing in text."""
+def _field_model(model_name, text, kind, drop, extra=()):
+    """Build the named preset model over the identifiers appearing in text,
+    then check each of its indeterminates as a `kind` name."""
     if model_name is None:
         model_name = os.environ.get("CCALC_MODEL", "euclidean")
     if model_name not in MODEL_PRESETS:
@@ -137,7 +109,10 @@ def _field_model(model_name, text, drop, extra=()):
             % (model_name, ", ".join(sorted(MODEL_PRESETS)))
         )
     names = set(_IDENT.findall(text)) - set(drop) | set(extra)
-    return MODEL_PRESETS[model_name](tuple(sorted(names)))
+    model = MODEL_PRESETS[model_name](tuple(sorted(names)))
+    for n in model.indeterminates:
+        _check_name(n, kind)
+    return model
 
 
 def _check_name(name, kind):
@@ -151,34 +126,30 @@ def _check_name(name, kind):
 
 def cmd_classz(args):
     report = class_z(args.d)
-    return _class_result("classz", report, ("h", "c1"), checks.classz_oracle(args.d))
+    return _class_result(report, ("h", "c1"), checks.classz_oracle(args.d))
 
 
 def cmd_classd(args):
     report = class_bin(args.d)
-    return _class_result(
-        "classd", report, ("hz", "c1", "u"), checks.classd_oracle(args.d)
-    )
+    return _class_result(report, ("hz", "c1", "u"), checks.classd_oracle(args.d))
 
 
 def cmd_rvalue(args):
     r = r_value(args.d)
+    two = n_torsion(args.d)
     a = args.d * (args.d - 1) ** 2
     b = 3 * (args.d - 2)
     lines = [
         "r(%d) = gcd(%d, %d) = %d" % (args.d, a, b, r),
-        "2-torsion kernel order: %d" % gcd(2, r),
+        "2-torsion kernel order: %d" % two,
     ]
-    payload = {"d": args.d, "r": r, "gcd_of": [a, b], "two_torsion": gcd(2, r)}
-    return WorksheetResult("rvalue", lines, payload)
+    return lines, {"d": args.d, "r": r, "gcd_of": [a, b], "two_torsion": two}, True
 
 
 def cmd_sw(args):
     if args.max_degree is not None and args.max_degree < 0:
         raise UsageError("--max-degree must be >= 0")
-    model = _field_model(args.model, args.algebra, drop=("F", "sqrt"))
-    for n in model.indeterminates:
-        _check_name(n, "square-root")
+    model = _field_model(args.model, args.algebra, "square-root", drop=("F", "sqrt"))
     if len(model.indeterminates) > SW_NAMES_LIMIT:
         raise EtaleError(
             "algebra over %d names; the limit is %d"
@@ -200,7 +171,7 @@ def cmd_sw(args):
         "cap": sw.cap,
         "classes": classes,
     }
-    return WorksheetResult("sw", lines, payload)
+    return lines, payload, True
 
 
 def cmd_lines(args):
@@ -276,7 +247,7 @@ def cmd_lines(args):
             "at": list(cert.at),
             "chain": [str(x) for x in cert.chain],
         }
-    return WorksheetResult("lines", lines, payload)
+    return lines, payload, True
 
 
 def cmd_brauer(args):
@@ -293,13 +264,13 @@ def cmd_brauer(args):
         "params": {"d": args.d, "char": args.char, "closed": args.closed},
     }
     payload.update(desc.to_json())
-    return WorksheetResult("brauer", [str(desc)], payload)
+    return [str(desc)], payload, True
 
 
 def cmd_residue(args):
-    model = _field_model(args.model, args.expr, drop=("eps",), extra=(args.at,))
-    for n in model.indeterminates:
-        _check_name(n, "indeterminate")
+    model = _field_model(
+        args.model, args.expr, "indeterminate", drop=("eps",), extra=(args.at,)
+    )
     x = parse_kelement(args.expr, model)
     result = residue(x, args.at)
     lines = ["residue at %s: %s" % (args.at, result)]
@@ -309,38 +280,43 @@ def cmd_residue(args):
         "model": model.name,
         "result": str(result),
     }
-    return WorksheetResult("residue", lines, payload)
+    return lines, payload, True
 
 
 def cmd_check_all(args):
     t0 = time.perf_counter()
-    lines = checks.run_all()
+    results = checks.run_all()
     elapsed = time.perf_counter() - t0
-    ok = all(line.ok for line in lines)
-    if args.json:
-        payload = {
-            "command": "check-all",
-            "checks": [
-                {"name": l.name, "ok": l.ok, "detail": l.detail} for l in lines
-            ],
-            "all_ok": ok,
-            "elapsed": round(elapsed, 3),
-        }
-        print(json.dumps(payload, sort_keys=True))
+    lines = []
+    for check in results:
+        lines.append("%s  %s" % ("ok  " if check.ok else "FAIL", check.name))
+        if not check.ok:
+            lines.append("      %s" % check.detail)
+    failed = sum(not check.ok for check in results)
+    if failed:
+        lines.append("%d of %d checks FAILED (%.1fs)" % (failed, len(results), elapsed))
     else:
-        for line in lines:
-            print("%s  %s" % ("ok  " if line.ok else "FAIL", line.name))
-            if not line.ok:
-                print("      %s" % line.detail)
-        failed = sum(1 for line in lines if not line.ok)
-        if failed:
-            print("%d of %d checks FAILED (%.1fs)" % (failed, len(lines), elapsed))
-        else:
-            print("all %d checks passed (%.1fs)" % (len(lines), elapsed))
-    return 0 if ok else 1
+        lines.append("all %d checks passed (%.1fs)" % (len(results), elapsed))
+    payload = {"checks": [check._asdict() for check in results], "all_ok": not failed}
+    return lines, payload, not failed
 
 
 # -- parser and dispatch -----------------------------------------------------------
+
+
+def _add_command(sub, name, handler, summary):
+    p = sub.add_parser(name, help=summary)
+    p.set_defaults(handler=handler)
+    return p
+
+
+def _add_model(p):
+    p.add_argument(
+        "--model",
+        choices=sorted(MODEL_PRESETS),
+        default=None,
+        help="field model (default: CCALC_MODEL or euclidean)",
+    )
 
 
 def _add_json(p):
@@ -356,44 +332,39 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    p = sub.add_parser(
-        "classz", help="degree-1 class of the singular-curve locus"
+    p = _add_command(
+        sub, "classz", cmd_classz, "degree-1 class of the singular-curve locus"
     )
     p.add_argument("-d", type=int, required=True, help="curve degree (>= 3)")
     _add_json(p)
 
-    p = sub.add_parser(
-        "classd", help="residual class of curves with two singular points"
+    p = _add_command(
+        sub, "classd", cmd_classd, "residual class of curves with two singular points"
     )
     p.add_argument("-d", type=int, required=True, help="curve degree (>= 4)")
     _add_json(p)
 
-    p = sub.add_parser(
-        "rvalue", help="content gcd(d(d-1)^2, 3(d-2)) of the residual class"
+    p = _add_command(
+        sub, "rvalue", cmd_rvalue, "content gcd(d(d-1)^2, 3(d-2)) of the residual class"
     )
     p.add_argument("-d", type=int, required=True, help="curve degree (>= 4)")
     _add_json(p)
 
-    p = sub.add_parser(
-        "sw", help="Galois-corrected trace-form classes of an etale algebra"
+    p = _add_command(
+        sub, "sw", cmd_sw, "Galois-corrected trace-form classes of an etale algebra"
     )
     p.add_argument(
         "--algebra", required=True, help='e.g. "F(sqrt(a),sqrt(b)) * F^2"'
     )
-    p.add_argument(
-        "--model",
-        choices=sorted(MODEL_PRESETS),
-        default=None,
-        help="field model (default: CCALC_MODEL or euclidean)",
-    )
+    _add_model(p)
     p.add_argument(
         "--max-degree", type=int, default=None, dest="max_degree",
         help="materialize classes up to this degree (default min(rank, 7))",
     )
     _add_json(p)
 
-    p = sub.add_parser(
-        "lines", help="27 lines over three conjugate point-pairs"
+    p = _add_command(
+        sub, "lines", cmd_lines, "27 lines over three conjugate point-pairs"
     )
     p.add_argument(
         "--gens",
@@ -413,7 +384,7 @@ def build_parser():
     )
     _add_json(p)
 
-    p = sub.add_parser("brauer", help="group descriptor for a moduli stack")
+    p = _add_command(sub, "brauer", cmd_brauer, "group descriptor for a moduli stack")
     p.add_argument(
         "--stack",
         required=True,
@@ -430,35 +401,21 @@ def build_parser():
     )
     _add_json(p)
 
-    p = sub.add_parser("residue", help="ramification of a symbol at a variable")
+    p = _add_command(
+        sub, "residue", cmd_residue, "ramification of a symbol at a variable"
+    )
     p.add_argument("--expr", required=True, help='e.g. "{a,b} + {-1,a}"')
     p.add_argument("--at", required=True, help="indeterminate to ramify at")
-    p.add_argument(
-        "--model",
-        choices=sorted(MODEL_PRESETS),
-        default=None,
-        help="field model (default: CCALC_MODEL or euclidean)",
-    )
+    _add_model(p)
     _add_json(p)
 
-    p = sub.add_parser(
-        "check-all", help="run the full oracle table and property suites"
+    p = _add_command(
+        sub, "check-all", cmd_check_all, "run the full oracle table and property suites"
     )
     _add_json(p)
 
     return parser
 
-
-HANDLERS = {
-    "classz": cmd_classz,
-    "classd": cmd_classd,
-    "rvalue": cmd_rvalue,
-    "sw": cmd_sw,
-    "lines": cmd_lines,
-    "brauer": cmd_brauer,
-    "residue": cmd_residue,
-    "check-all": cmd_check_all,
-}
 
 _CAUGHT = (DegreeTooSmall, RingError, KError, EtaleError, CubicError, GroupsError, SyntaxError)
 
@@ -481,7 +438,7 @@ def main(argv=None):
     try:
         if abs(getattr(args, "d", None) or 0) >= 10 ** DEGREE_DIGITS:
             raise UsageError("-d has more than %d digits" % DEGREE_DIGITS)
-        result = HANDLERS[args.command](args)
+        lines, payload, ok = args.handler(args)
     except UsageError as e:
         _emit_error(args, str(e), "UsageError")
         return 2
@@ -489,15 +446,15 @@ def main(argv=None):
         _emit_error(args, str(e), type(e).__name__)
         return 1
 
-    if isinstance(result, int):
-        return result
-    result.elapsed = time.perf_counter() - t0
     if args.json:
-        print(json.dumps(result.to_json(), sort_keys=True))
+        payload = dict(
+            payload, command=args.command, elapsed=round(time.perf_counter() - t0, 6)
+        )
+        print(json.dumps(payload, sort_keys=True))
     else:
-        for line in result.primary:
+        for line in lines:
             print(line)
-    return 0 if result.match in (None, True) else 1
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

@@ -487,12 +487,6 @@ class Poly:
     def is_zero(self):
         return not self._terms
 
-    def degree(self):
-        """Maximal graded degree of a term (None for the zero Poly)."""
-        if not self._terms:
-            return None
-        return max(self._terms) >> self.ring._G
-
     def homogeneous_degree(self):
         G = self.ring._G
         degs = {e >> G for e in self._terms}

@@ -539,7 +539,9 @@ def test_check_all_text(capsys, monkeypatch, lines, code, text):
     assert _mask_elapsed(out).splitlines() == text
 
 
-@pytest.mark.parametrize("lines, code", [(PASSING, 0), (FAILING, 1)], ids=["passing", "failing"])
+@pytest.mark.parametrize(
+    "lines, code", [(PASSING, 0), (FAILING, 1)], ids=["passing", "failing"]
+)
 def test_check_all_json(capsys, monkeypatch, lines, code):
     got, out, err = run_check_all(capsys, monkeypatch, lines, "--json")
     assert (got, err) == (code, "")
