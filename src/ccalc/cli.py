@@ -9,6 +9,11 @@ closed forms (the payload's `"oracle"` object); `check-all` runs the whole
 oracle table plus the randomized property suites from `checks` and passes only
 if every line does.
 
+The subcommands are the rows of one table, `COMMANDS`.  When the first
+argument names one of them, `main` builds only that subcommand's parser, whose
+usage, help and errors never mention the others; otherwise (no arguments,
+`--help`, an unknown command) it builds the full parser.
+
 Exit codes: 0 success, 1 computation error or oracle mismatch, 2 usage error.
 """
 
@@ -304,26 +309,109 @@ def cmd_check_all(args):
 # -- parser and dispatch -----------------------------------------------------------
 
 
-def _add_command(sub, name, handler, summary):
-    p = sub.add_parser(name, help=summary)
-    p.set_defaults(handler=handler)
-    return p
+def _option(*flags, **kwargs):
+    """One option of a subcommand, as its `add_argument` arguments."""
+    return flags, kwargs
 
 
-def _add_model(p):
-    p.add_argument(
-        "--model",
-        choices=sorted(MODEL_PRESETS),
-        default=None,
-        help="field model (default: CCALC_MODEL or euclidean)",
-    )
+def _degree(minimum):
+    return _option("-d", type=int, required=True, help="curve degree (>= %d)" % minimum)
 
 
-def _add_json(p):
-    p.add_argument("--json", action="store_true", help="machine-readable output")
+_MODEL = _option(
+    "--model",
+    choices=sorted(MODEL_PRESETS),
+    default=None,
+    help="field model (default: CCALC_MODEL or euclidean)",
+)
+_JSON = _option("--json", action="store_true", help="machine-readable output")
+
+# The subcommands in --help order: name -> (handler, summary, options).
+# `build_parser` gives each one --json as its last option, since `main` reads
+# it for all of them.
+COMMANDS = {
+    "classz": (cmd_classz, "degree-1 class of the singular-curve locus", (_degree(3),)),
+    "classd": (
+        cmd_classd,
+        "residual class of curves with two singular points",
+        (_degree(4),),
+    ),
+    "rvalue": (
+        cmd_rvalue,
+        "content gcd(d(d-1)^2, 3(d-2)) of the residual class",
+        (_degree(4),),
+    ),
+    "sw": (
+        cmd_sw,
+        "Galois-corrected trace-form classes of an etale algebra",
+        (
+            _option("--algebra", required=True, help='e.g. "F(sqrt(a),sqrt(b)) * F^2"'),
+            _MODEL,
+            _option(
+                "--max-degree", type=int, default=None, dest="max_degree",
+                help="materialize classes up to this degree (default min(rank, 7))",
+            ),
+        ),
+    ),
+    "lines": (
+        cmd_lines,
+        "27 lines over three conjugate point-pairs",
+        (
+            _option(
+                "--gens",
+                default=None,
+                help="two or three comma-separated square-class names (default a,b)",
+            ),
+            _option(
+                "--verify-position",
+                action="store_true",
+                dest="verify_position",
+                help="evaluate all degeneracy determinants exactly",
+            ),
+            _option(
+                "--certificate",
+                action="store_true",
+                help="append the double-residue nontriviality certificate",
+            ),
+        ),
+    ),
+    "brauer": (
+        cmd_brauer,
+        "group descriptor for a moduli stack",
+        (
+            _option(
+                "--stack",
+                required=True,
+                choices=["xd", "xdfr", "x4fr", "m3", "m3-minus-h3", "a3"],
+            ),
+            _option(
+                "-d", type=int, default=None, help="curve degree (xd and xdfr only)"
+            ),
+            _option(
+                "--char", type=int, default=0, help="base-field characteristic (0 or p)"
+            ),
+            _option(
+                "--closed",
+                action="store_true",
+                help="base field algebraically closed (xdfr and x4fr only)",
+            ),
+        ),
+    ),
+    "residue": (
+        cmd_residue,
+        "ramification of a symbol at a variable",
+        (
+            _option("--expr", required=True, help='e.g. "{a,b} + {-1,a}"'),
+            _option("--at", required=True, help="indeterminate to ramify at"),
+            _MODEL,
+        ),
+    ),
+    "check-all": (cmd_check_all, "run the full oracle table and property suites", ()),
+}
 
 
-def build_parser():
+def build_parser(command=None):
+    """The ccalc parser: with every subcommand, or with `command`'s alone."""
     parser = argparse.ArgumentParser(
         prog="ccalc",
         description="exact worksheets for singular-curve locus classes, "
@@ -331,89 +419,12 @@ def build_parser():
         "bookkeeping, and the group descriptors they feed",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-
-    p = _add_command(
-        sub, "classz", cmd_classz, "degree-1 class of the singular-curve locus"
-    )
-    p.add_argument("-d", type=int, required=True, help="curve degree (>= 3)")
-    _add_json(p)
-
-    p = _add_command(
-        sub, "classd", cmd_classd, "residual class of curves with two singular points"
-    )
-    p.add_argument("-d", type=int, required=True, help="curve degree (>= 4)")
-    _add_json(p)
-
-    p = _add_command(
-        sub, "rvalue", cmd_rvalue, "content gcd(d(d-1)^2, 3(d-2)) of the residual class"
-    )
-    p.add_argument("-d", type=int, required=True, help="curve degree (>= 4)")
-    _add_json(p)
-
-    p = _add_command(
-        sub, "sw", cmd_sw, "Galois-corrected trace-form classes of an etale algebra"
-    )
-    p.add_argument(
-        "--algebra", required=True, help='e.g. "F(sqrt(a),sqrt(b)) * F^2"'
-    )
-    _add_model(p)
-    p.add_argument(
-        "--max-degree", type=int, default=None, dest="max_degree",
-        help="materialize classes up to this degree (default min(rank, 7))",
-    )
-    _add_json(p)
-
-    p = _add_command(
-        sub, "lines", cmd_lines, "27 lines over three conjugate point-pairs"
-    )
-    p.add_argument(
-        "--gens",
-        default=None,
-        help="two or three comma-separated square-class names (default a,b)",
-    )
-    p.add_argument(
-        "--verify-position",
-        action="store_true",
-        dest="verify_position",
-        help="evaluate all degeneracy determinants exactly",
-    )
-    p.add_argument(
-        "--certificate",
-        action="store_true",
-        help="append the double-residue nontriviality certificate",
-    )
-    _add_json(p)
-
-    p = _add_command(sub, "brauer", cmd_brauer, "group descriptor for a moduli stack")
-    p.add_argument(
-        "--stack",
-        required=True,
-        choices=["xd", "xdfr", "x4fr", "m3", "m3-minus-h3", "a3"],
-    )
-    p.add_argument("-d", type=int, default=None, help="curve degree (xd and xdfr only)")
-    p.add_argument(
-        "--char", type=int, default=0, help="base-field characteristic (0 or p)"
-    )
-    p.add_argument(
-        "--closed",
-        action="store_true",
-        help="base field algebraically closed (xdfr and x4fr only)",
-    )
-    _add_json(p)
-
-    p = _add_command(
-        sub, "residue", cmd_residue, "ramification of a symbol at a variable"
-    )
-    p.add_argument("--expr", required=True, help='e.g. "{a,b} + {-1,a}"')
-    p.add_argument("--at", required=True, help="indeterminate to ramify at")
-    _add_model(p)
-    _add_json(p)
-
-    p = _add_command(
-        sub, "check-all", cmd_check_all, "run the full oracle table and property suites"
-    )
-    _add_json(p)
-
+    for name, (handler, summary, options) in COMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, help=summary)
+            p.set_defaults(handler=handler)
+            for flags, kwargs in options + (_JSON,):
+                p.add_argument(*flags, **kwargs)
     return parser
 
 
@@ -428,7 +439,13 @@ def _emit_error(args, message, kind):
 
 
 def main(argv=None):
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # A subparser's usage and help never list its siblings, and the top-level
+    # usage names no command, so a request that starts with a command parses
+    # and fails the same with that subparser alone.  Anything else (no
+    # command, --help, an unknown name) needs the full list.
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:

@@ -1,14 +1,16 @@
 """Exit codes, golden worksheets, and JSON round trips for the ccalc CLI."""
 
+import argparse
 import json
 import re
+import sys
 import time
 
 import pytest
 
 from ccalc.checks import CheckLine
 from ccalc.chow import class_z
-from ccalc.cli import DEGREE_DIGITS, main
+from ccalc.cli import COMMANDS, DEGREE_DIGITS, build_parser, main
 from ccalc.etale import ROOTS_LIMIT, SW_CAP_LIMIT, SW_NAMES_LIMIT
 
 
@@ -21,6 +23,15 @@ def run(capsys, *argv):
     code = main(list(argv))
     out, err = capsys.readouterr()
     return code, out, err
+
+
+def parse(capsys, parser, argv):
+    """`parser.parse_args(argv)` as (exit code or namespace, stdout, stderr)."""
+    try:
+        result = vars(parser.parse_args(argv))
+    except SystemExit as e:
+        result = e.code
+    return (result, *capsys.readouterr())
 
 
 # -- locus classes -------------------------------------------------------------
@@ -499,6 +510,17 @@ def test_help_exits_cleanly(capsys):
     assert "classz" in out and "check-all" in out
 
 
+@pytest.mark.parametrize(
+    "argv", [["rvalue", "-d", "7"], ["--help"], ["frobnicate"]], ids=" ".join
+)
+def test_main_reads_sys_argv(capsys, monkeypatch, argv):
+    # the installed ccalc script calls main() with no arguments
+    expected = run(capsys, *argv)
+    monkeypatch.setattr(sys, "argv", ["ccalc", *argv])
+    code = main()
+    assert (code, *capsys.readouterr()) == expected
+
+
 # -- check-all ---------------------------------------------------------------------
 
 PASSING = [("one", True, ""), ("two", True, "")]
@@ -594,3 +616,47 @@ def test_help_usage_line(capsys, monkeypatch, command, usage):
     code, out, err = run(capsys, *command, "--help")
     assert (code, err) == (0, "")
     assert out.splitlines()[0] == usage
+    # main builds only the named subcommand's parser; its help is the full one's
+    assert parse(capsys, build_parser(), [*command, "--help"]) == (0, out, "")
+
+
+# -- the parser of one subcommand against the full parser -----------------------------
+
+
+def subparsers(parser):
+    (action,) = [
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    return action.choices
+
+
+# per subcommand: valid arguments, and arguments that miss a required option
+PARSE_CORPUS = {
+    "classz": (["-d", "4"], []),
+    "classd": (["-d", "5", "--json"], []),
+    "rvalue": (["-d", "7"], ["--json"]),
+    "sw": (["--algebra", "F(sqrt(a))", "--model", "closed"], ["--max-degree", "2"]),
+    "lines": (["--gens", "a,b", "--verify-position", "--certificate"], None),
+    "brauer": (["--stack", "xd", "-d", "5"], ["-d", "5"]),
+    "residue": (["--expr", "{a,b}", "--at", "a"], ["--expr", "{a,b}"]),
+    "check-all": (["--json"], None),
+}
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+def test_named_parser_matches_full_parser(capsys, monkeypatch, name):
+    monkeypatch.setenv("COLUMNS", "200")
+    full, named = build_parser(), build_parser(name)
+    assert list(subparsers(full)) == list(COMMANDS)
+    assert list(subparsers(named)) == [name]
+    for method in ("format_usage", "format_help"):
+        expected = getattr(subparsers(full)[name], method)()
+        assert getattr(subparsers(named)[name], method)() == expected
+    valid, missing = PARSE_CORPUS[name]
+    got = parse(capsys, named, [name, *valid])
+    assert got == parse(capsys, full, [name, *valid])
+    assert got[0]["command"] == name
+    for argv in [valid + ["--bogus"]] + ([missing] if missing is not None else []):
+        got = parse(capsys, named, [name, *argv])
+        assert got == parse(capsys, full, [name, *argv])
+        assert got[0] == 2

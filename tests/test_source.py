@@ -92,35 +92,65 @@ def test_trace_form_oracle_shares_no_code_with_etale():
 OUTSIDE_CALLERS = {"etale.alpha_tot_product_check"}
 
 
+def _is_property(function):
+    return any(
+        isinstance(d, ast.Name) and d.id == "property" for d in function.decorator_list
+    )
+
+
 def test_every_public_name_has_a_library_caller():
     """A public module-level function or class, or a public method, defined in
-    src/ccalc is referenced (as a name, an attribute or an import alias)
-    somewhere in src/ccalc; code that only the tests call is deleted, and the
-    tests check the same behaviour through the public operations."""
-    defined, referenced = [], set()
+    src/ccalc has a caller somewhere in src/ccalc; code that only the tests
+    call is deleted, and the tests check the same behaviour through the public
+    operations.
+
+    A function or class counts as used when its name is referenced (as a
+    name, an attribute or an import alias), and a property when its name is
+    read as an attribute.  A method counts as used only through an attribute
+    read `x.name`, and, when some code in src/ccalc also stores an attribute of
+    that name (`x.name = ...`), only through a call `x.name(...)`; otherwise
+    a method such as `Poly.degree()` would pass on the strength of
+    `report.degree`, which reads `LocusClassReport`'s stored attribute."""
+    defined, properties, methods = [], [], []
+    referenced, loaded, stored, called = set(), set(), set(), set()
     for path in SOURCES:
         tree = ast.parse(path.read_text(), str(path))
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 defined.append("%s.%s" % (path.stem, node.name))
             if isinstance(node, ast.ClassDef):
-                defined += [
-                    "%s.%s.%s" % (path.stem, node.name, item.name)
-                    for item in node.body
-                    if isinstance(item, ast.FunctionDef)
-                ]
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef):
+                        kind = properties if _is_property(item) else methods
+                        kind.append("%s.%s.%s" % (path.stem, node.name, item.name))
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 referenced.add(node.id)
             elif isinstance(node, ast.Attribute):
                 referenced.add(node.attr)
+                if isinstance(node.ctx, ast.Load):
+                    loaded.add(node.attr)
+                elif isinstance(node.ctx, ast.Store):
+                    stored.add(node.attr)
             elif isinstance(node, ast.alias):
                 referenced.add(node.name)
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                called.add(node.func.attr)
+
+    def leaf(qualified):
+        return qualified.rpartition(".")[2]
+
+    # every public name, with the set its spelling must be in to count as used
+    uses = [(qualified, referenced) for qualified in defined]
+    uses += [(qualified, loaded) for qualified in properties]
+    uses += [
+        (qualified, called if leaf(qualified) in stored else loaded)
+        for qualified in methods
+    ]
     unused = {
         qualified
-        for qualified in defined
-        if not qualified.rpartition(".")[2].startswith("_")
-        and qualified.rpartition(".")[2] not in referenced
+        for qualified, spellings in uses
+        if not leaf(qualified).startswith("_") and leaf(qualified) not in spellings
     }
-    assert defined
+    assert defined and properties and methods
     assert unused <= OUTSIDE_CALLERS, sorted(unused - OUTSIDE_CALLERS)
