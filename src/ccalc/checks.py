@@ -278,7 +278,7 @@ def check_line_orbits():
         )
     )
 
-    with_bitangent = bitangent_algebra(cfg)
+    with_bitangent = bitangent_algebra(report.algebra)
     hand = parse_algebra(LINES_ALGEBRA_WITH_BITANGENT, model)
     want_a2 = parse_kelement(LINES_ALPHA2, model)
     a2_orbit = galois_sw_total(with_bitangent, max_degree=2).alpha(2)
@@ -319,7 +319,9 @@ def check_three_class_invariants():
     model = cfg.model
     out = []
 
-    sw = galois_sw_total(bitangent_algebra(cfg))
+    sw = galois_sw_total(
+        bitangent_algebra(orbit_decomposition(build_action(cfg)).algebra)
+    )
     bad = [
         deg
         for deg, text in sorted(THREE_CLASS_DEGREE_PARTS.items())
@@ -613,11 +615,11 @@ PROPERTY_SUITES = (
 )
 
 
-def check_properties(seed=DEFAULT_SEED, cases=DEFAULT_CASES):
+def check_properties(seed=DEFAULT_SEED):
     out = []
     for name, suite in PROPERTY_SUITES:
         rnd = random.Random("%s|%s" % (seed, name))
-        ok, detail = suite(rnd, cases)
+        ok, detail = suite(rnd, DEFAULT_CASES)
         out.append(CheckLine(name, ok, detail))
     return out
 
@@ -625,7 +627,7 @@ def check_properties(seed=DEFAULT_SEED, cases=DEFAULT_CASES):
 # -- the full suite -------------------------------------------------------------
 
 
-def run_all(seed=DEFAULT_SEED, cases=DEFAULT_CASES):
+def run_all(seed=DEFAULT_SEED):
     """Every oracle check and property suite, as a flat list of CheckLines."""
     lines = []
     lines.extend(check_locus_classes())
@@ -636,5 +638,5 @@ def run_all(seed=DEFAULT_SEED, cases=DEFAULT_CASES):
     lines.extend(check_general_position())
     lines.extend(check_three_class_invariants())
     lines.extend(check_group_evaluators())
-    lines.extend(check_properties(seed, cases))
+    lines.extend(check_properties(seed))
     return lines

@@ -29,6 +29,7 @@ from .chow import DegreeTooSmall, class_bin, class_z, r_value
 from .cubic import (
     CubicError,
     PointConfig,
+    bitangent_algebra,
     build_action,
     nontriviality_certificate,
     orbit_decomposition,
@@ -36,7 +37,6 @@ from .cubic import (
 )
 from .etale import (
     SW_NAMES_LIMIT,
-    EtaleAlgebraExpr,
     EtaleError,
     field_str,
     galois_sw_total,
@@ -194,15 +194,12 @@ def cmd_lines(args):
     cfg = PointConfig(model, tuple(frozenset({n}) for n in names))
 
     ls = build_action(cfg)
+    group = list(ls.names.values())
     report = orbit_decomposition(ls)
-    with_bitangent = report.algebra.times(EtaleAlgebraExpr(model, [((), 1)]))
+    with_bitangent = bitangent_algebra(report.algebra)
     alpha2 = galois_sw_total(with_bitangent, max_degree=2).alpha(2)
 
-    lines = [
-        "group of order %d: %s"
-        % (len(ls.elements), ", ".join(name for name, _ in ls.elements)),
-        "orbits:",
-    ]
+    lines = ["group of order %d: %s" % (len(group), ", ".join(group)), "orbits:"]
     for o in report.orbits:
         lines.append(
             "  %-16s over %s" % ("+".join(o.labels), field_str(o.extension, model))
@@ -216,7 +213,7 @@ def cmd_lines(args):
 
     payload = {
         "gens": list(names),
-        "group": [name for name, _ in ls.elements],
+        "group": group,
         "orbits": [
             {
                 "labels": list(o.labels),

@@ -8,7 +8,9 @@ group is the character group of the subgroup M generated by the m_i: an
 element is a bitmask g whose bit j is set when it negates the square root of
 the j-th basis class of M, elements compose by XOR, and g swaps the i-th
 point pair exactly when g meets the coordinate mask of m_i over that basis in
-an odd number of bits.  The 27 labels — six exceptional divisors E_i,
+an odd number of bits.  The mask is the element: the action, the point
+permutations and the stabilizers are computed on masks, and names such as
+sigma*tau exist only to render the group and the stabilizers.  The 27 labels — six exceptional divisors E_i,
 fifteen lines L_ij through point pairs, six conics C_i through five points —
 inherit the permutation, and each orbit is defined over the fixed field of
 its stabilizer.  Summing over orbits yields an etale algebra whose
@@ -37,12 +39,10 @@ class ActionNotHomomorphism(CubicError):
 
 
 class DeterminantZero(CubicError):
-    def __init__(self, failures, report):
-        super().__init__("degenerate configuration: %s" % ", ".join(
-            label for label, _ in failures
-        ))
-        self.failures = failures
+    def __init__(self, report):
+        self.failures = [label for label, ok in report.checks if not ok]
         self.report = report
+        super().__init__("degenerate configuration: %s" % ", ".join(self.failures))
 
 
 class CertificateFails(CubicError):
@@ -151,34 +151,30 @@ _LABEL_POS = {lab: i for i, lab in enumerate(LABELS)}
 class LineSet:
     """The 27 labels with the Galois permutations and the group structure.
 
-    A group element is an int g < 2^k whose bit j is set when g negates the
-    square root of basis[j], so elements compose by XOR.  `elements` holds
-    the (name, mask) pair of every element of the group."""
+    A group element is its mask: an int g < 2^k whose bit j is set when g
+    negates the square root of basis[j], so elements compose by XOR.
+    `action` and `point_perms` are keyed by mask, in display order; `names`
+    maps each mask to its name (1, sigma, tau, sigma*tau, ...) and is read
+    only to render the group."""
 
-    def __init__(self, config, basis, elements, point_perms):
+    def __init__(self, config, basis, names, point_perms):
         self.config = config
         self.basis = basis  # basis of M as square classes
-        self.elements = tuple(elements)
-        self._mask = dict(elements)
-        self._name = {g: name for name, g in elements}
+        self.names = names
         self.point_perms = point_perms
-        self.action = {
-            name: self._induced(point_perms[name]) for name, _ in elements
-        }
+        self.action = {g: _induced(pp) for g, pp in point_perms.items()}
 
-    @staticmethod
-    def _induced(pp):
-        out = {}
-        for i in range(1, 7):
-            out["E%d" % i] = "E%d" % pp[i]
-            out["C%d" % i] = "C%d" % pp[i]
-        for i, j in combinations(range(1, 7), 2):
-            a, b = sorted((pp[i], pp[j]))
-            out["L%d%d" % (i, j)] = "L%d%d" % (a, b)
-        return out
 
-    def compose_name(self, g, h):
-        return self._name[self._mask[g] ^ self._mask[h]]
+def _induced(pp):
+    """The permutation of the 27 labels induced by a point permutation."""
+    out = {}
+    for i in range(1, 7):
+        out["E%d" % i] = "E%d" % pp[i]
+        out["C%d" % i] = "C%d" % pp[i]
+    for i, j in combinations(range(1, 7), 2):
+        a, b = sorted((pp[i], pp[j]))
+        out["L%d%d" % (i, j)] = "L%d%d" % (a, b)
+    return out
 
 
 def build_action(cfg):
@@ -195,29 +191,26 @@ def build_action(cfg):
     k = len(basis)
     gen_names = ["sigma", "tau"] if k <= 2 else ["sigma%d" % j for j in range(1, k + 1)]
 
-    elements = []
-    point_perms = {}
-    for g in range(1 << k):
-        neg = [j for j in range(k) if g >> j & 1]
-        name = "*".join(gen_names[j] for j in neg) or "1"
-        pp = {}
+    names, point_perms = {}, {}
+    # display order: by the number of negated roots, then by which ones
+    for neg in (c for r in range(k + 1) for c in combinations(range(k), r)):
+        g = sum(1 << j for j in neg)
+        names[g] = "*".join(gen_names[j] for j in neg) or "1"
+        pp = point_perms[g] = {}
         for i, c in enumerate(coords, start=1):
             p, q = 2 * i - 1, 2 * i
             pp[p], pp[q] = (q, p) if (c & g).bit_count() % 2 else (p, q)
-        elements.append(((len(neg), neg), name, g))
-        point_perms[name] = pp
-    elements.sort()
 
-    ls = LineSet(cfg, basis, [(name, g) for _, name, g in elements], point_perms)
+    ls = LineSet(cfg, basis, names, point_perms)
     # homomorphism check on all pairs, through the label action itself
-    for g, _ in ls.elements:
-        for h, _ in ls.elements:
-            gh = ls.compose_name(g, h)
+    action = ls.action
+    for g in action:
+        for h in action:
             for lab in LABELS:
-                if ls.action[g][ls.action[h][lab]] != ls.action[gh][lab]:
+                if action[g][action[h][lab]] != action[g ^ h][lab]:
                     raise ActionNotHomomorphism(
                         "action of %s after %s differs from %s on %s"
-                        % (g, h, gh, lab)
+                        % (names[g], names[h], names[g ^ h], lab)
                     )
     return ls
 
@@ -248,24 +241,24 @@ def orbit_decomposition(ls):
     for lab in LABELS:
         if lab in seen:
             continue
-        # elements is the whole group, so the orbit is the set of images
-        orbit = {ls.action[name][lab] for name, _ in ls.elements}
+        # the action covers the whole group, so the orbit is the set of images
+        orbit = {perm[lab] for perm in ls.action.values()}
         seen |= orbit
-        stab = [(name, g) for name, g in ls.elements if ls.action[name][lab] == lab]
-        if len(orbit) * len(stab) != len(ls.elements):
+        stab = [g for g, perm in ls.action.items() if perm[lab] == lab]
+        if len(orbit) * len(stab) != len(ls.action):
             raise ActionNotHomomorphism(
                 "orbit of %s breaks the orbit-stabilizer count" % lab
             )
         fixed = [
             m
             for m, c in span.items()
-            if m and all((c & g).bit_count() % 2 == 0 for _, g in stab)
+            if m and all((c & g).bit_count() % 2 == 0 for g in stab)
         ]
         ext, _ = gf2_eliminate(fixed)
         orbits.append(
             Orbit(
                 tuple(sorted(orbit, key=_LABEL_POS.__getitem__)),
-                tuple(name for name, _ in stab),
+                tuple(ls.names[g] for g in stab),
                 ext,
             )
         )
@@ -281,11 +274,10 @@ def orbit_decomposition(ls):
     return OrbitReport(orbits, algebra)
 
 
-def bitangent_algebra(cfg):
-    """The 27-line algebra plus the one extra rank-1 factor; rank 28."""
-    report = orbit_decomposition(build_action(cfg))
-    extra = EtaleAlgebraExpr(cfg.model, [((), 1)])
-    return report.algebra.times(extra)
+def bitangent_algebra(lines):
+    """The 27-line algebra `lines` (an `OrbitReport.algebra`) times one
+    extra rank-1 factor F: the rank-28 algebra of the 28 bitangents."""
+    return lines.times(EtaleAlgebraExpr(lines.model, [((), 1)]))
 
 
 # -- general position ------------------------------------------------------------
@@ -326,25 +318,14 @@ def verify_general_position(cfg):
         )
     pts = cfg.coordinates
     checks = []
-    failures = []
     for i, j, k in combinations(range(6), 3):
         det = _det([list(pts[i]), list(pts[j]), list(pts[k])])
-        label = "line(%d,%d,%d)" % (i + 1, j + 1, k + 1)
-        ok = not det.is_zero()
-        checks.append((label, ok))
-        if not ok:
-            failures.append((label, (i + 1, j + 1, k + 1)))
-    conic_rows = []
-    for u, v, w in pts:
-        conic_rows.append([u * u, u * v, v * v, u * w, v * w, w * w])
-    det = _det(conic_rows)
-    ok = not det.is_zero()
-    checks.append(("conic(1..6)", ok))
-    if not ok:
-        failures.append(("conic(1..6)", (1, 2, 3, 4, 5, 6)))
+        checks.append(("line(%d,%d,%d)" % (i + 1, j + 1, k + 1), not det.is_zero()))
+    conic_rows = [[u * u, u * v, v * v, u * w, v * w, w * w] for u, v, w in pts]
+    checks.append(("conic(1..6)", not _det(conic_rows).is_zero()))
     report = PositionReport(checks)
-    if failures:
-        raise DeterminantZero(failures, report)
+    if not report.all_nonzero:
+        raise DeterminantZero(report)
     return report
 
 
@@ -360,6 +341,11 @@ def nontriviality_certificate(alg):
     injective on constants) by a double residue, at the model's second
     indeterminate and then its first, ending at 1."""
     inds = alg.model.indeterminates
+    if len(inds) < 2:
+        raise CertificateFails(
+            "the double residue needs two indeterminates; the model has %d"
+            % len(inds)
+        )
     at = (inds[1], inds[0])
     alpha2 = galois_sw_total(alg, max_degree=2).alpha(2)
     chain = [alpha2]

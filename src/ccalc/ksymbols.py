@@ -48,6 +48,15 @@ _CONSTANT_SPELLING = {"minus_one": "-1", "two": "2"}
 # m copies of -1, so the output grows with m.
 EPS_POWER_LIMIT = 1000
 
+# Most basis-symbol products `symbol` may form while it multiplies its entries
+# out, one entry at a time: the sum over the entries of (basis symbols so far)
+# x (pieces of the entry).  It bounds both the time and the support of one
+# symbol, which otherwise grow exponentially with the entries: r entries of
+# three disjoint names expand to 3^r basis symbols, and `ccalc residue` took
+# 31 s on 12 of them.  At the bound, {a,b,x0*x1,...,x24*x25} (8192 basis
+# symbols) takes 0.5 s, interpreter start included (Python 3.11, 2-vCPU Xeon).
+EXPANSION_LIMIT = 16384
+
 
 class FieldModel:
     """Names and triviality flags for symbol entries.
@@ -254,15 +263,23 @@ def symbol(entries, model):
     An entry (a signed monomial, i.e. a square class) is the sum of one basis
     symbol per name in it that the model does not trivialize: (1, {}) for -1,
     (0, {n}) otherwise.  The symbol is the product of these sums, so
-    {x,x} = {-1,x} follows from the product rule.
+    {x,x} = {-1,x} follows from the product rule.  Raises KError when that
+    product would form more than EXPANSION_LIMIT basis-symbol products.
     """
     acc = {(0, frozenset())}
+    products = 0
     for entry in entries:
         pieces = {
             (1, frozenset()) if n == "minus_one" else (0, frozenset({n}))
             for n in _as_monomial(entry, model)
             if not model.is_trivial(n)
         }
+        products += len(acc) * len(pieces)
+        if products > EXPANSION_LIMIT:
+            raise KError(
+                "symbol expansion needs more than %d basis-symbol products"
+                % EXPANSION_LIMIT
+            )
         acc = _product(model, acc, pieces)
     return KElement(model, acc)
 

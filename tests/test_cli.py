@@ -12,6 +12,7 @@ from ccalc.checks import CheckLine
 from ccalc.chow import class_z
 from ccalc.cli import COMMANDS, DEGREE_DIGITS, build_parser, main
 from ccalc.etale import ROOTS_LIMIT, SW_CAP_LIMIT, SW_NAMES_LIMIT
+from ccalc.ksymbols import EXPANSION_LIMIT
 
 
 @pytest.fixture(autouse=True)
@@ -314,8 +315,32 @@ def test_lines_three_generators(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["rank"] == 27
-    assert data["group"][:4] == ["1", "sigma1", "sigma2", "sigma3"]
+    assert data["group"] == [
+        "1", "sigma1", "sigma2", "sigma3",
+        "sigma1*sigma2", "sigma1*sigma3", "sigma2*sigma3", "sigma1*sigma2*sigma3",
+    ]
     assert data["alpha2"] == "{a,b} + {a,c} + {b,c} + {-1,a} + {-1,b} + {-1,c}"
+    # every orbit in display order: labels, stabilizer, fixed field
+    fixes_a = ["1", "sigma2", "sigma3", "sigma2*sigma3"]
+    fixes_b = ["1", "sigma1", "sigma3", "sigma1*sigma3"]
+    fixes_c = ["1", "sigma1", "sigma2", "sigma1*sigma2"]
+    assert [
+        (o["labels"], o["size"], o["stabilizer"], o["fixed_field"])
+        for o in data["orbits"]
+    ] == [
+        (["L12"], 1, data["group"], "F"),
+        (["L34"], 1, data["group"], "F"),
+        (["L56"], 1, data["group"], "F"),
+        (["E1", "E2"], 2, fixes_a, "F(sqrt(a))"),
+        (["E3", "E4"], 2, fixes_b, "F(sqrt(b))"),
+        (["E5", "E6"], 2, fixes_c, "F(sqrt(c))"),
+        (["C1", "C2"], 2, fixes_a, "F(sqrt(a))"),
+        (["C3", "C4"], 2, fixes_b, "F(sqrt(b))"),
+        (["C5", "C6"], 2, fixes_c, "F(sqrt(c))"),
+        (["L13", "L14", "L23", "L24"], 4, ["1", "sigma3"], "F(sqrt(a),sqrt(b))"),
+        (["L15", "L16", "L25", "L26"], 4, ["1", "sigma2"], "F(sqrt(a),sqrt(c))"),
+        (["L35", "L36", "L45", "L46"], 4, ["1", "sigma1"], "F(sqrt(b),sqrt(c))"),
+    ]
 
 
 def test_lines_gens_count_is_validated(capsys):
@@ -479,6 +504,22 @@ def test_residue_eps_power_at_the_limit(capsys):
     code, out, _ = run(capsys, "residue", "--expr", "eps^1000*{a}", "--at", "a")
     assert code == 0
     assert out == "residue at a: {%s}\n" % ",".join(["-1"] * 1000)
+
+
+def test_residue_expansion_limit(capsys):
+    # {a, b, x0*x1, ..., x24*x25} forms 1 + 1 + 2 + 4 + ... + 2^13 products
+    pairs = ["x%d*x%d" % (2 * i, 2 * i + 1) for i in range(13)]
+    assert 2 + sum(2 ** k for k in range(1, 14)) == EXPANSION_LIMIT
+    at_limit = "{%s}" % ",".join(["a", "b"] + pairs)
+    code, out, _ = run(capsys, "residue", "--expr", at_limit, "--at", "a", "--json")
+    assert code == 0 and len(json.loads(out)["result"].split(" + ")) == 2 ** 13
+    past = "{%s}" % ",".join(["a", "b", "c"] + pairs)
+    code, out, err = run(capsys, "residue", "--expr", past, "--at", "a")
+    assert code == 1 and out == ""
+    assert err == (
+        "error: symbol expansion needs more than %d basis-symbol products\n"
+        % EXPANSION_LIMIT
+    )
 
 
 @pytest.mark.parametrize(

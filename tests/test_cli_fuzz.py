@@ -64,7 +64,14 @@ SYMBOL_TERM = st.one_of(
          "eps^1001", "eps*", "{}", "{a", "a}", "", "}{", "{a}}", "eps^³"]
     ),
 )
-EXPR = st.lists(SYMBOL_TERM, min_size=1, max_size=4).map(" + ".join)
+# r entries of three disjoint names expand to 3^r basis symbols; from r = 9 on
+# the expansion is past ksymbols.EXPANSION_LIMIT and exits 1
+DISJOINT_ENTRIES = st.integers(min_value=1, max_value=12).map(
+    lambda r: "{%s}" % ",".join("x%d*x%d*x%d" % (3 * i, 3 * i + 1, 3 * i + 2)
+                                for i in range(r))
+)
+EXPR = st.lists(st.one_of(SYMBOL_TERM, DISJOINT_ENTRIES), min_size=1,
+                max_size=4).map(" + ".join)
 
 MODEL = st.sampled_from(["closed", "euclidean", "generic", "bogus"])
 JSON = st.lists(st.just("--json"), max_size=1)

@@ -42,19 +42,25 @@ def test_label_inventory():
 # -- group and action, default configuration -----------------------------------
 
 
+def _bitangent(cfg):
+    return bitangent_algebra(orbit_decomposition(build_action(cfg)).algebra)
+
+
 def test_default_group_elements():
     ls = build_action(default_config())
-    assert [name for name, _ in ls.elements] == ["1", "sigma", "tau", "sigma*tau"]
-    assert ls.action["1"] == {lab: lab for lab in LABELS}
+    # the mask is the element; names only render it, in display order
+    assert ls.names == {0: "1", 1: "sigma", 2: "tau", 3: "sigma*tau"}
+    assert list(ls.action) == list(ls.point_perms) == [0, 1, 2, 3]
+    assert ls.action[0] == {lab: lab for lab in LABELS}
 
 
 def test_default_point_swaps():
     ls = build_action(default_config())
-    # sigma negates sqrt(a): swaps pair 1 and pair 3, fixes pair 2
-    assert ls.point_perms["sigma"] == {1: 2, 2: 1, 3: 3, 4: 4, 5: 6, 6: 5}
-    # tau negates sqrt(b): swaps pair 2 and pair 3
-    assert ls.point_perms["tau"] == {1: 1, 2: 2, 3: 4, 4: 3, 5: 6, 6: 5}
-    assert ls.point_perms["sigma*tau"] == {1: 2, 2: 1, 3: 4, 4: 3, 5: 5, 6: 6}
+    # sigma (mask 1) negates sqrt(a): swaps pair 1 and pair 3, fixes pair 2
+    assert ls.point_perms[1] == {1: 2, 2: 1, 3: 3, 4: 4, 5: 6, 6: 5}
+    # tau (mask 2) negates sqrt(b): swaps pair 2 and pair 3
+    assert ls.point_perms[2] == {1: 1, 2: 2, 3: 4, 4: 3, 5: 6, 6: 5}
+    assert ls.point_perms[1 ^ 2] == {1: 2, 2: 1, 3: 4, 4: 3, 5: 5, 6: 6}
 
 
 def test_third_class_equal_to_the_first_shares_its_swaps():
@@ -62,35 +68,36 @@ def test_third_class_equal_to_the_first_shares_its_swaps():
     a, b = frozenset({"a"}), frozenset({"b"})
     ls = build_action(PointConfig(model, (a, b, a)))
     assert ls.basis == [a, b]
-    assert ls.point_perms["sigma"] == {1: 2, 2: 1, 3: 3, 4: 4, 5: 6, 6: 5}
-    assert ls.point_perms["tau"] == {1: 1, 2: 2, 3: 4, 4: 3, 5: 5, 6: 6}
+    assert ls.point_perms[1] == {1: 2, 2: 1, 3: 3, 4: 4, 5: 6, 6: 5}
+    assert ls.point_perms[2] == {1: 1, 2: 2, 3: 4, 4: 3, 5: 5, 6: 6}
 
 
 def test_action_on_lines():
     ls = build_action(default_config())
-    assert ls.action["sigma"]["E1"] == "E2"
-    assert ls.action["sigma"]["L13"] == "L23"
-    assert ls.action["tau"]["L13"] == "L14"
-    assert ls.action["sigma*tau"]["L13"] == "L24"
-    assert ls.action["sigma"]["L12"] == "L12"
-    assert ls.action["tau"]["C3"] == "C4"
+    sigma, tau = 1, 2
+    assert ls.action[sigma]["E1"] == "E2"
+    assert ls.action[sigma]["L13"] == "L23"
+    assert ls.action[tau]["L13"] == "L14"
+    assert ls.action[sigma ^ tau]["L13"] == "L24"
+    assert ls.action[sigma]["L12"] == "L12"
+    assert ls.action[tau]["C3"] == "C4"
 
 
 @pytest.mark.parametrize("make", [default_config, three_class_config])
 def test_action_is_group_homomorphism(make):
     ls = build_action(make())
-    for g, _ in ls.elements:
-        for h, _ in ls.elements:
-            gh = ls.compose_name(g, h)
+    assert sorted(ls.action) == list(range(len(ls.action)))
+    for g in ls.action:
+        for h in ls.action:
             for lab in LABELS:
-                assert ls.action[g][ls.action[h][lab]] == ls.action[gh][lab]
+                assert ls.action[g][ls.action[h][lab]] == ls.action[g ^ h][lab]
 
 
 @pytest.mark.parametrize("make", [default_config, three_class_config])
 def test_orbit_stabilizer_count(make):
     ls = build_action(make())
     report = orbit_decomposition(ls)
-    order = len(ls.elements)
+    order = len(ls.action)
     assert sum(len(o.labels) for o in report.orbits) == 27
     for o in report.orbits:
         assert len(o.labels) * len(o.stabilizer) == order
@@ -138,7 +145,7 @@ def test_default_line_algebra():
 
 def test_bitangent_algebra():
     cfg = default_config()
-    alg = bitangent_algebra(cfg)
+    alg = _bitangent(cfg)
     assert alg.rank == 28
     assert alg == parse_algebra(
         "F^3 * F(sqrt(a))^2 * F(sqrt(b))^2 * F(sqrt(a*b))^2 * "
@@ -163,7 +170,7 @@ def test_swapping_the_two_classes_gives_the_same_algebra():
 
 def test_alpha2_of_line_algebra_two_routes():
     cfg = default_config()
-    alg = bitangent_algebra(cfg)
+    alg = _bitangent(cfg)
     a2 = galois_sw_total(alg, max_degree=2).alpha(2)
     assert a2 == symbol(["a", "b"], cfg.model) + symbol(["-1", "a*b"], cfg.model)
     assert str(a2) == "{a,b} + {-1,a} + {-1,b}"
@@ -225,7 +232,13 @@ def test_degenerate_configuration_is_caught():
     cfg2 = PointConfig(cfg.model, cfg.pair_classes, coordinates=bad)
     with pytest.raises(DeterminantZero) as err:
         verify_general_position(cfg2)
-    assert "line(1,3,5)" in [lab for lab, _ in err.value.failures]
+    assert err.value.failures == [
+        lab for lab, ok in err.value.report.checks if not ok
+    ]
+    assert "line(1,3,5)" in err.value.failures
+    assert str(err.value) == "degenerate configuration: " + ", ".join(
+        err.value.failures
+    )
     assert len(err.value.report.checks) == 21
     assert not err.value.report.all_nonzero
 
@@ -243,7 +256,7 @@ def test_position_needs_coordinates():
 
 def test_certificate_default():
     cfg = default_config()
-    cert = nontriviality_certificate(bitangent_algebra(cfg))
+    cert = nontriviality_certificate(_bitangent(cfg))
     assert cert.at == ("b", "a")
     assert len(cert.chain) == 3
     assert cert.chain[1] == parse_kelement("{a} + eps", cfg.model)
@@ -257,14 +270,20 @@ def test_certificate_fails_for_split_algebra():
         nontriviality_certificate(split)
 
 
+def test_certificate_needs_two_indeterminates():
+    alg = parse_algebra("F(sqrt(a))", euclidean_model(("a",)))
+    with pytest.raises(CertificateFails, match="two indeterminates"):
+        nontriviality_certificate(alg)
+
+
 # -- the three-parameter configuration ---------------------------------------------
 
 
 def test_three_class_orbits_and_algebra():
     cfg = three_class_config()
     ls = build_action(cfg)
-    assert len(ls.elements) == 8
-    assert ls.elements[1][0] == "sigma1" and ls.elements[-1][0] == "sigma1*sigma2*sigma3"
+    assert list(ls.names) == [0, 1, 2, 4, 3, 5, 6, 7]
+    assert ls.names[1] == "sigma1" and ls.names[7] == "sigma1*sigma2*sigma3"
     report = orbit_decomposition(ls)
     assert report.orbit_sizes() == [1, 1, 1, 2, 2, 2, 2, 2, 2, 4, 4, 4]
     assert report.algebra == parse_algebra(
@@ -276,7 +295,7 @@ def test_three_class_orbits_and_algebra():
 
 def test_three_class_alpha_degree_parts():
     cfg = three_class_config()
-    sw = galois_sw_total(bitangent_algebra(cfg), max_degree=8)
+    sw = galois_sw_total(_bitangent(cfg), max_degree=8)
     expect = {
         1: "0",
         2: "{a,b} + {a,c} + {b,c} + {-1,a} + {-1,b} + {-1,c}",
@@ -293,7 +312,7 @@ def test_three_class_alpha_degree_parts():
 
 def test_three_class_residue_words_distinguish_the_invariants():
     cfg = three_class_config()
-    sw = galois_sw_total(bitangent_algebra(cfg))
+    sw = galois_sw_total(_bitangent(cfg))
     invariants = [sw.alpha(0), sw.alpha(2), sw.alpha(4), sw.alpha(6)]
     table = {
         ("b", "a"): ["0", "1", "0", "eps^3*{c}"],
@@ -312,7 +331,7 @@ def test_three_class_residue_words_distinguish_the_invariants():
 
 
 def test_three_class_certificate():
-    cert = nontriviality_certificate(bitangent_algebra(three_class_config()))
+    cert = nontriviality_certificate(_bitangent(three_class_config()))
     assert cert.at == ("b", "a")
     assert cert.chain[-1].is_one()
 

@@ -92,6 +92,32 @@ def test_trace_form_oracle_shares_no_code_with_etale():
 OUTSIDE_CALLERS = {"etale.alpha_tot_product_check"}
 
 
+# The namedtuples of src/ccalc, whose fields the public-name guard checks.
+NAMEDTUPLES = {
+    "checks.CheckLine",
+    "cubic.Certificate",
+    "cubic.Orbit",
+    "groups.DivisibilityResult",
+}
+
+
+def _is_namedtuple(node):
+    """`Name = namedtuple("Name", fields)` at module level."""
+    return (
+        isinstance(node, ast.Assign)
+        and isinstance(node.value, ast.Call)
+        and isinstance(node.value.func, ast.Name)
+        and node.value.func.id == "namedtuple"
+    )
+
+
+def _field_names(spec):
+    """The field names of a namedtuple spec: "a b" or ["a", "b"]."""
+    if isinstance(spec, ast.Constant):
+        return spec.value.split()
+    return [elt.value for elt in spec.elts]
+
+
 def _is_property(function):
     return any(
         isinstance(d, ast.Name) and d.id == "property" for d in function.decorator_list
@@ -110,14 +136,21 @@ def test_every_public_name_has_a_library_caller():
     read `x.name`, and, when some code in src/ccalc also stores an attribute of
     that name (`x.name = ...`), only through a call `x.name(...)`; otherwise
     a method such as `Poly.degree()` would pass on the strength of
-    `report.degree`, which reads `LocusClassReport`'s stored attribute."""
-    defined, properties, methods = [], [], []
+    `report.degree`, which reads `LocusClassReport`'s stored attribute.
+
+    A field of a namedtuple defined at module level counts as used when it is
+    read as an attribute, as a property is."""
+    defined, properties, methods, fields = [], [], [], []
     referenced, loaded, stored, called = set(), set(), set(), set()
     for path in SOURCES:
         tree = ast.parse(path.read_text(), str(path))
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 defined.append("%s.%s" % (path.stem, node.name))
+            if _is_namedtuple(node):
+                name, spec = node.value.args
+                for field in _field_names(spec):
+                    fields.append("%s.%s.%s" % (path.stem, name.value, field))
             if isinstance(node, ast.ClassDef):
                 for item in node.body:
                     if isinstance(item, ast.FunctionDef):
@@ -142,7 +175,7 @@ def test_every_public_name_has_a_library_caller():
 
     # every public name, with the set its spelling must be in to count as used
     uses = [(qualified, referenced) for qualified in defined]
-    uses += [(qualified, loaded) for qualified in properties]
+    uses += [(qualified, loaded) for qualified in properties + fields]
     uses += [
         (qualified, called if leaf(qualified) in stored else loaded)
         for qualified in methods
@@ -153,4 +186,5 @@ def test_every_public_name_has_a_library_caller():
         if not leaf(qualified).startswith("_") and leaf(qualified) not in spellings
     }
     assert defined and properties and methods
+    assert {f.rsplit(".", 1)[0] for f in fields} == NAMEDTUPLES, fields
     assert unused <= OUTSIDE_CALLERS, sorted(unused - OUTSIDE_CALLERS)
