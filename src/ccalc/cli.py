@@ -274,15 +274,11 @@ def cmd_residue(args):
         args.model, args.expr, "indeterminate", drop=("eps",), extra=(args.at,)
     )
     x = parse_kelement(args.expr, model)
-    result = residue(x, args.at)
-    lines = ["residue at %s: %s" % (args.at, result)]
-    payload = {
-        "expr": str(x),
-        "at": args.at,
-        "model": model.name,
-        "result": str(result),
-    }
-    return lines, payload, True
+    result = str(residue(x, args.at))
+    payload = {"at": args.at, "model": model.name, "result": result}
+    if args.json:
+        payload["expr"] = str(x)
+    return ["residue at %s: %s" % (args.at, result)], payload, True
 
 
 def cmd_check_all(args):

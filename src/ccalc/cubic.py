@@ -83,7 +83,6 @@ class PointConfig:
             reduced.append(reduced[0] ^ reduced[1])
         self.pair_classes = tuple(reduced)
 
-        self.position_ring = None
         self.coordinates = None
         names = sorted(set().union(*self.pair_classes))
         pool = [g for g in _SQRT_GENS if g not in names]
@@ -91,7 +90,6 @@ class PointConfig:
             self.coordinates = list(coordinates)
             if len(self.coordinates) != 6:
                 raise CubicError("expected six coordinate triples")
-            self.position_ring = self.coordinates[0][0].ring
         elif all(n in model.indeterminates for n in names) and len(names) <= len(
             pool
         ):
@@ -102,7 +100,6 @@ class PointConfig:
                     sqrt_of[n]: (2, [[], [(-1, {n: 1})]]) for n in names
                 },
             )
-            self.position_ring = ring
             roots = []
             for m in self.pair_classes:
                 r = ring.one

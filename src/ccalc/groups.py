@@ -2,14 +2,23 @@
 Abstract abelian-group descriptors for the Brauer-group and torsion-order
 bookkeeping attached to the moduli stacks of plane curves and genus-3 curves.
 
-Everything here is arithmetic on top of the two orders the intersection layer
-produces: beta_1's order 3^{i_d}(d-1)^2 (the content of the singular-locus
-class, `chow.beta1_order`) and the kernel-of-doubling order
-gcd(2, gcd(d(d-1)^2, 3(d-2))).  Galois cohomology of the base field is never
+Two numbers are computed by the intersection layer: beta_1's order
+3^{i_d}(d-1)^2, the content of the singular-locus class (`chow.beta1_order`),
+and the kernel-of-doubling order gcd(2, r(d)) = gcd(2, d), with r(d) the
+content of the two-singular-point class (`n_torsion`).  `consistency_report`
+ties both back to `chow`.  The framed descriptors and M_3 - H_3 read their
+H^1 order from beta1_order and their 2-torsion from gcd(2, d) (which is
+n_torsion(d) from d = 4 on), and `hyperelliptic_divisibility` reads its 9
+as beta1_order(4).
+
+The rest is input taken from the paper: Br(X_d) = Z/gcd(d, 6) over a closed
+field; the shape Br(k) + H^1(k, Z/beta_1(d)) + Z/gcd(2, d) of the framed
+stacks where their 2-torsion is determined; the identification of
+M_3 - H_3 with the framed quartic stack; Br(k) + Z/2 for M_3 and A_3; and
+the Torelli degree 2.  Galois cohomology of the base field is never
 computed: Br(k) and H^1(k, Z/n) enter as opaque named summands, and the
 undetermined p-primary torsion parts are carried as labelled placeholders,
-never expanded.  A descriptor's cyclic summands are plain orders, and
-`brauer_stack` serves every stack, the plane-curve stack X_d included.
+never expanded.  A descriptor's cyclic summands are plain orders.
 """
 
 from collections import namedtuple
@@ -167,13 +176,9 @@ def brauer_xd(d, char=0):
     return GroupDescriptor(cyclic=[gcd(d, 6)], placeholder_label=placeholder)
 
 
-# The genus-3 stacks: Z/2 (the class alpha_2), these field summands, and the
-# name of the p-primary placeholder, formatted with a positive characteristic.
-_GENUS3 = {
-    "m3": (["Br(k)"], "B_%d"),
-    "m3_minus_h3": (["Br(k)", "H^1(k, Z/9)"], None),
-    "a3": (["Br(k)"], "B''_%d"),
-}
+# The p-primary placeholders of the genus-3 stacks M_3 and A_3, formatted with
+# a positive characteristic: the rest of both groups is Br(k) + Z/2.
+_GENUS3 = {"m3": "B_%d", "a3": "B''_%d"}
 
 
 def brauer_stack(stack, d=None, char=0, closed=False):
@@ -182,13 +187,22 @@ def brauer_stack(stack, d=None, char=0, closed=False):
 
     stack: one of "xd", "xdfr", "x4fr", "m3", "m3_minus_h3", "a3".  "xd" is
     `brauer_xd(d, char)`.  For "xdfr" pass d and whether the base field is
-    algebraically closed; for even d > 4 over a non-closed field the 2-torsion
-    summand is genuinely undetermined and UndeterminedTorsion is raised.
+    algebraically closed.  The framed stack's group is
+    Br(k) + H^1(k, Z/beta_1(d)) + Z/gcd(2, d) wherever its 2-torsion summand
+    is determined: for odd d, for d = 4, and over a closed field, where the
+    field summands vanish (and a p-primary placeholder joins in positive
+    characteristic).  For even d > 4 over a non-closed field that summand is
+    only bounded and UndeterminedTorsion is raised.  "x4fr" is "xdfr" at
+    d = 4, and so is "m3_minus_h3": the non-hyperelliptic locus of M_3 is the
+    framed plane-quartic stack.  "m3" and "a3" are Br(k) + Z/2 (the class
+    alpha_2) with a p-primary placeholder in positive characteristic.
     """
     if stack == "xd":
         return brauer_xd(d, char=char)
     if stack == "x4fr":
         return brauer_stack("xdfr", d=4, char=char, closed=closed)
+    if stack == "m3_minus_h3":
+        return brauer_stack("xdfr", d=4, char=char)
     if stack == "xdfr":
         if d is None:
             raise GroupsError("xdfr needs the degree d")
@@ -197,27 +211,18 @@ def brauer_stack(stack, d=None, char=0, closed=False):
         if closed:
             placeholder = "B_{%d,%d}" % (d, char) if char else None
             return GroupDescriptor(cyclic=[gcd(2, d)], placeholder_label=placeholder)
-        if d % 2 == 1:
-            return GroupDescriptor(
-                field_summands=["Br(k)", "H^1(k, Z/%d)" % beta1_order(d)]
+        if d % 2 == 0 and d > 4:
+            raise UndeterminedTorsion(
+                "for even d > 4 over a non-closed field the 2-torsion summand N "
+                "is only bounded (N <= Z/2); pass closed=True or d=4"
             )
-        if d == 4:
-            # the one even case settled over every base field, through the
-            # identification with the non-hyperelliptic genus-3 locus
-            return GroupDescriptor(cyclic=[2], field_summands=["Br(k)", "H^1(k, Z/9)"])
-        raise UndeterminedTorsion(
-            "for even d > 4 over a non-closed field the 2-torsion summand N "
-            "is only bounded (N <= Z/2); pass closed=True or d=4"
-        )
+        summands = ["Br(k)", "H^1(k, Z/%d)" % beta1_order(d)]
+        return GroupDescriptor(cyclic=[gcd(2, d)], field_summands=summands)
     if stack not in _GENUS3:
         raise GroupsError("unknown stack %r" % (stack,))
     _require_char(char, excluded=(2,))
-    summands, placeholder = _GENUS3[stack]
-    return GroupDescriptor(
-        cyclic=[2],
-        field_summands=summands,
-        placeholder_label=placeholder % char if placeholder and char else None,
-    )
+    label = _GENUS3[stack] % char if char else None
+    return GroupDescriptor(cyclic=[2], field_summands=["Br(k)"], placeholder_label=label)
 
 
 DivisibilityResult = namedtuple("DivisibilityResult", ["value", "factors"])
@@ -225,8 +230,17 @@ DivisibilityResult = namedtuple("DivisibilityResult", ["value", "factors"])
 
 def hyperelliptic_divisibility():
     """Divisibility of the image of the hyperelliptic divisor class under the
-    degree-2 Torelli map: 9 * 2 = 18."""
-    hyperelliptic_coefficient = 9
+    degree-2 Torelli map: 9 * 2 = 18.
+
+    Pic(M_3) = Z lambda and the hyperelliptic divisor has class
+    [H_3] = 9 lambda, so the localisation sequence
+    Z[H_3] -> Pic(M_3) -> Pic(M_3 - H_3) -> 0 makes the coefficient of [H_3]
+    the order of Pic(M_3 - H_3).  That complement is the framed plane-quartic
+    stack, whose degree-1 invariant has order beta_1(4) = 9, the content of
+    class_z(4) = 27h - 36c1; so the coefficient is read as beta1_order(4).
+    The Torelli degree 2 is an input from the paper.
+    """
+    hyperelliptic_coefficient = beta1_order(4)
     torelli_degree = 2
     return DivisibilityResult(
         value=hyperelliptic_coefficient * torelli_degree,

@@ -53,8 +53,9 @@ EPS_POWER_LIMIT = 1000
 # x (pieces of the entry).  It bounds both the time and the support of one
 # symbol, which otherwise grow exponentially with the entries: r entries of
 # three disjoint names expand to 3^r basis symbols, and `ccalc residue` took
-# 31 s on 12 of them.  At the bound, {a,b,x0*x1,...,x24*x25} (8192 basis
-# symbols) takes 0.5 s, interpreter start included (Python 3.11, 2-vCPU Xeon).
+# 31 s on 12 of them.  At the bound, `ccalc residue` on {a,b,x0*x1,...,x24*x25}
+# (8192 basis symbols) takes 0.3-0.4 s, 0.5-0.6 s with --json, interpreter
+# start included (Python 3.11, 2-vCPU Xeon).
 EXPANSION_LIMIT = 16384
 
 

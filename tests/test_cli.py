@@ -12,7 +12,7 @@ from ccalc.checks import CheckLine
 from ccalc.chow import class_z
 from ccalc.cli import COMMANDS, DEGREE_DIGITS, build_parser, main
 from ccalc.etale import ROOTS_LIMIT, SW_CAP_LIMIT, SW_NAMES_LIMIT
-from ccalc.ksymbols import EXPANSION_LIMIT
+from ccalc.ksymbols import EXPANSION_LIMIT, KElement
 
 
 @pytest.fixture(autouse=True)
@@ -416,6 +416,36 @@ def test_brauer_open_genus3_locus(capsys):
     assert out.strip() == "Br(k) ⊕ H^1(k, Z/9) ⊕ Z/2"
 
 
+@pytest.mark.parametrize(
+    "stack, summands",
+    [
+        ("m3-minus-h3", ["Br(k)", "H^1(k, Z/9)", "Z/2"]),
+        ("x4fr", ["Br(k)", "H^1(k, Z/9)", "Z/2"]),
+        ("m3", ["Br(k)", "Z/2"]),
+        ("a3", ["Br(k)", "Z/2"]),
+    ],
+)
+@pytest.mark.parametrize("char", [0, 5])
+def test_brauer_genus3_and_framed_quartic_json(capsys, stack, summands, char):
+    code, out, _ = run(capsys, "brauer", "--stack", stack, "--char", str(char), "--json")
+    assert code == 0
+    data = json.loads(out)
+    del data["elapsed"]
+    expected = {
+        "command": "brauer",
+        "params": {"char": char, "closed": False, "d": None},
+        "placeholder": False,
+        "stack": stack,
+        "summands": summands,
+    }
+    label = {"m3": "B_5", "a3": "B''_5"}.get(stack) if char else None
+    if label:
+        expected.update(
+            placeholder=True, placeholder_label=label, summands=summands + [label]
+        )
+    assert data == expected
+
+
 def test_brauer_xdfr_even_degree_needs_closed_field(capsys):
     code, _, err = run(capsys, "brauer", "--stack", "xdfr", "-d", "6")
     assert code == 1
@@ -464,6 +494,22 @@ def test_residue_json(capsys):
     data = json.loads(out)
     assert data["result"] == "{-1,-1,-1}"
     assert data["at"] == "c"
+
+
+@pytest.mark.parametrize("flags, renders", [([], 1), (["--json"], 2)], ids=["text", "json"])
+def test_residue_renders_only_what_it_prints(capsys, monkeypatch, flags, renders):
+    # the result once; the parsed expression only for the JSON payload
+    calls = []
+    render = KElement.render
+
+    def counted(self):
+        calls.append(self)
+        return render(self)
+
+    monkeypatch.setattr(KElement, "render", counted)
+    code, out, _ = run(capsys, "residue", "--expr", "{a,b} + {-1,a}", "--at", "a", *flags)
+    assert code == 0
+    assert len(calls) == renders
 
 
 def test_residue_at_a_constant_fails(capsys):

@@ -205,7 +205,7 @@ def test_third_class_defaults_to_the_product():
 
 def test_default_coordinates_shape():
     cfg = default_config()
-    x = cfg.position_ring.gen("x")
+    x = cfg.coordinates[0][0].ring.gen("x")
     assert cfg.coordinates[0][0] == x and cfg.coordinates[1][0] == -x
     assert (x * x).__str__() == "a"
 
@@ -225,7 +225,7 @@ def test_general_position_three_class_config():
 
 def test_degenerate_configuration_is_caught():
     cfg = default_config()
-    ring = cfg.position_ring
+    ring = cfg.coordinates[0][0].ring
     bad = list(cfg.coordinates)
     # move the first point of pair 3 onto the line through points 1 and 3
     bad[4] = (ring.gen("x") + ring.gen("y"), ring.one, ring.one)

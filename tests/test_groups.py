@@ -136,6 +136,12 @@ def test_xdfr_quartic_matches_the_genus3_open_locus():
     assert str(quartic) == "Br(k) ⊕ H^1(k, Z/9) ⊕ Z/2"
     assert quartic == brauer_stack("m3_minus_h3")
     assert quartic == brauer_stack("x4fr")
+    # M_3 minus H_3 is the framed quartic stack in every allowed characteristic
+    for p in (0, 3, 5, 7, 11, 10 ** 18 + 3):
+        open_locus = brauer_stack("m3_minus_h3", char=p)
+        framed = brauer_stack("x4fr", char=p)
+        assert str(open_locus) == str(framed) == str(quartic)
+        assert open_locus.to_json() == framed.to_json() == quartic.to_json()
 
 
 def test_xdfr_even_degree_refuses_over_general_fields():
@@ -217,6 +223,8 @@ def test_hyperelliptic_divisibility():
     result = hyperelliptic_divisibility()
     assert result.value == 18
     assert result.factors == (9, 2)
+    # the coefficient of [H_3] is the order of Pic(M_3 - H_3), i.e. beta_1(4)
+    assert result.factors[0] == beta1_order(4)
     assert result.factors[0] * result.factors[1] == result.value
     # the 2-part of 18 is the Z/2 used in the genus-3 descriptors
     assert result.value & -result.value == 2

@@ -2,6 +2,7 @@
 
 import ast
 import sys
+import warnings
 from pathlib import Path
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "ccalc").glob("*.py"))
@@ -17,6 +18,16 @@ def test_library_has_no_assert_statements():
     ]
     assert SOURCES
     assert not found, found
+
+
+def test_library_compiles_without_warnings():
+    """No module draws a compile-time warning, such as the invalid escape
+    `\\ ` in a docstring (a SyntaxWarning from Python 3.12 on)."""
+    assert SOURCES
+    for path in SOURCES:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            compile(path.read_text(), str(path), "exec")
 
 
 def test_library_imports_only_the_stdlib():
