@@ -558,10 +558,12 @@ def _independent_galois_sw(alg):
     `etale`: it reads the trace form in closed form, diag(2^s*m_S) over the
     subsets S of the s square roots (Conner-Perlis), so entry S has the square
     class prod_(j in S) m_j, times 2 when s is odd.  It accumulates sigma_i of
-    their symbols one entry at a time and adds {2}*alpha_(i-1) in even degrees.
+    their symbols one entry at a time, each pass up to the number of entries
+    taken so far, and adds {2}*alpha_(i-1) in even degrees.
     """
     model = alg.model
     e = [one(model)] + [zero(model)] * alg.rank
+    top = 0  # a product of top factors 1 + x has no term above degree top
     for ext, mult in alg.factors:
         s = len(ext)
         for mask in range(2 ** s):
@@ -571,7 +573,8 @@ def _independent_galois_sw(alg):
                     cls ^= m
             sym = symbol([cls], model)
             for _ in range(mult):
-                for i in range(alg.rank, 0, -1):
+                top += 1
+                for i in range(min(alg.rank, top), 0, -1):
                     e[i] = e[i] + sym * e[i - 1]
     two = symbol(["2"], model)
     return [c + two * e[i - 1] if i and i % 2 == 0 else c for i, c in enumerate(e)]

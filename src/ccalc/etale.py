@@ -398,8 +398,11 @@ def sw_total(alg, max_degree=None):
     nonzero diagonal symbol c with its multiplicity n over the algebra.  Then
     it multiplies in (1 + c)^n truncated at the cap, as the product of the
     1 + c^(2^b) over the bits 2^b <= cap of n (module docstring): one pass of
-    at most cap symbol products per bit.  The cap is min(rank, max_degree),
-    with max_degree 7 by default; a cap above SW_CAP_LIMIT raises EtaleError.
+    at most cap symbol products per bit.  A pass stops at the degree reached
+    so far: a product of j factors 1 + x (x of degree 1, each 1 + c^(2^b)
+    counting as 2^b of them) has no term above degree j.  The cap is
+    min(rank, max_degree), with max_degree 7 by default; a cap above
+    SW_CAP_LIMIT raises EtaleError.
     """
     model = alg.model
     cap = min(alg.rank, 7 if max_degree is None else max_degree)
@@ -414,12 +417,14 @@ def sw_total(alg, max_degree=None):
             if not sym.is_zero():
                 counts[sym] = counts.get(sym, 0) + mult
     e = [one(model)] + [zero(model)] * cap
+    top = 0  # e[i] is zero for i > top
     for c, n in counts.items():
         power, step = c, 1  # power = c^step
         while step <= cap:
             if n & step:
-                for i in range(cap, step - 1, -1):
+                for i in range(min(cap, top + step), step - 1, -1):
                     e[i] = e[i] + power * e[i - step]
+                top += step
             power, step = power * power, 2 * step
     return SWClassVector(model, alg.rank, e)
 

@@ -34,6 +34,13 @@ monomial's degree) fits in 31 bits, the fields of a product stay below 2^32
 and no field carries into the next; a result above the limit raises
 RingError.  The packed form is private: ``Poly.terms`` and the public ring
 attributes use exponent tuples.
+
+A product of two normal forms is reduced as it is multiplied out.  Its terms
+are grouped by their exponent k of the top fiber; the groups with k below
+the relation degree go straight into the result, and each group with k at
+or above it is merged first and then rewritten once, by the normal form of
+that fiber's k-th power.  The lower fibers then get the same passes as any
+other input.  A relation-free ring only multiplies out and checks degrees.
 """
 
 from math import gcd
@@ -126,6 +133,14 @@ class Ring:
     are built for the normalization that needs them and then dropped.  The
     tables live as long as the ring, and their entries are never handed out
     as a Poly's terms.
+
+    A product of two Polys on a ring with fibers is normalized as it is
+    formed (``_product``): the operands are split by their exponent of the
+    top fiber g (relation degree n), the pairs of groups whose exponents sum
+    to k < n are multiplied straight into the result, and those with k >= n
+    are merged into one dict per k that is rewritten once through table
+    entry k - n.  The passes of the lower fibers and the cap and limit check
+    (``_checked``, shared with ``_normalize``) follow.  No product is cached.
     """
 
     def __init__(self, gens, relations=None, cap=None, display_order=None):
@@ -290,17 +305,25 @@ class Ring:
         The power table of g_i holds the normal forms of g_i^k for n_i <= k
         <= the largest exponent of g_i met so far (on a capped ring, at most
         up to degree cap), so it grows with the inputs, one entry per new
-        power, and is kept for the life of the ring.
+        power, and is kept for the life of the ring.  The result goes
+        through the cap and limit check of ``_checked``.
+        """
+        if self._fiber_desc:
+            terms = self._reduce(terms, 0)
+        return self._checked(terms)
 
-        The result's top degree is its largest key shifted down to the
+    def _checked(self, terms):
+        """terms without zero coefficients, checked against the cap and the limit.
+
+        terms is a dict the caller owns; it is returned itself when it holds
+        no zero.  This is the one degree check of every normal form and
+        product.  The top degree is the largest key shifted down to the
         degree field.  Terms above the cap raise TruncationExceeded only if
         they survive cancellation; a term above DEGREE_LIMIT raises
         RingError, which keeps every exponent field of a later product
         below 2^32.
         """
-        if self._fiber_desc:
-            terms = self._reduce(terms, 0)
-        out = _nonzero(terms)
+        out = _nonzero(terms) if 0 in terms.values() else terms
         if out:
             top = max(out) >> self._G
             if top > self._bound:
@@ -312,6 +335,56 @@ class Ring:
                     "term of degree %d exceeds the degree limit %d" % (top, DEGREE_LIMIT)
                 )
         return out
+
+    def _product(self, left, right):
+        """Normal form of the product of two packed term dicts (a ring with fibers).
+
+        Both operands are split once by their exponent of the top fiber g
+        (relation degree n).  A pair of groups (a, b) with a + b < n is
+        multiplied straight into the result; the pairs with a + b = k >= n
+        are merged into one dict per k, and each monomial m*g^k of it is
+        rewritten once, as m times power-table entry k - n.  The lower
+        fibers then get their usual passes.
+        """
+        i = self._fiber_desc[0]
+        n = self._prel[i][0]
+        sh = self._shifts[i]
+        groups = ({}, {})
+        for split, terms in zip(groups, (left, right)):
+            for e, c in terms.items():
+                split.setdefault((e >> sh) & _MASK, []).append((e, c))
+        out = {}
+        high = {}
+        for a, lterms in groups[0].items():
+            for b, rterms in groups[1].items():
+                k = a + b
+                if k < n:
+                    acc = out
+                else:
+                    acc = high.get(k)
+                    if acc is None:
+                        acc = high[k] = {}
+                get = acc.get
+                for e1, c1 in lterms:
+                    for e2, c2 in rterms:
+                        e = e1 + e2
+                        acc[e] = get(e, 0) + c1 * c2
+        table = self._powers.get(i, ())
+        get = out.get
+        for k, terms in high.items():
+            if k - n >= len(table):
+                if not any(terms.values()):
+                    continue
+                table = self._fiber_powers(0, k)
+            row = table[k - n].items()
+            strip = k * self._unit[i]
+            for e, c in terms.items():
+                if c:
+                    base = e - strip
+                    for e2, c2 in row:
+                        key = base + e2
+                        out[key] = get(key, 0) + c * c2
+        return self._checked(self._reduce(out, 1))
 
     def _reduce(self, terms, start):
         """Run the fiber passes for self._fiber_desc[start:] over terms.
@@ -455,6 +528,9 @@ class Poly:
             return NotImplemented
         # Packed monomials multiply by addition; both operands have degree
         # <= DEGREE_LIMIT, so no exponent field carries.
+        ring = self.ring
+        if ring._fiber_desc:
+            return Poly(ring, ring._product(self._terms, other._terms))
         terms = {}
         get = terms.get
         other_items = other._terms.items()
@@ -462,7 +538,7 @@ class Poly:
             for e2, c2 in other_items:
                 e = e1 + e2
                 terms[e] = get(e, 0) + c1 * c2
-        return Poly(self.ring, self.ring._normalize(terms))
+        return Poly(ring, ring._checked(terms))
 
     __rmul__ = __mul__
 

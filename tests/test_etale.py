@@ -40,6 +40,7 @@ from ccalc.ksymbols import (
     symbol,
     zero,
 )
+from ccalc.checks import _independent_galois_sw
 from ccalc.rings import Ring
 
 EUC = euclidean_model(("a", "b", "c"))
@@ -585,3 +586,21 @@ def test_vanishing_bound_randomized(seed, preset):
     gsw = galois_sw_total(alg, max_degree=alg.rank)
     for i in range(alg.rank // 2 + 1, alg.rank + 1):
         assert gsw.alpha(i).is_zero()
+
+
+def test_sw_passes_that_stop_at_the_reached_degree_match_the_full_range_loop():
+    for model in (CLO, EUC, GEN):
+        rng = random.Random(11)
+        two = symbol(["2"], model)
+        for _ in range(300):
+            alg = random_algebra(rng, model, max_rank=8)
+            # the recurrence with every pass over all degrees 1..rank
+            e = [one(model)] + [zero(model)] * alg.rank
+            for ext, mult in alg.factors:
+                for d in trace_form(ext, model) * mult:
+                    sym = symbol([d], model)
+                    for i in range(alg.rank, 0, -1):
+                        e[i] = e[i] + sym * e[i - 1]
+            want = [c + two * e[i - 1] if i and i % 2 == 0 else c for i, c in enumerate(e)]
+            assert galois_sw_total(alg, max_degree=alg.rank).classes == want
+            assert _independent_galois_sw(alg) == want

@@ -212,6 +212,18 @@ def stack_normalize(ring, terms):
     return {e: c for e, c in out.items() if c}
 
 
+def random_raw(rnd, names, top):
+    """One to four terms in names, each of total exponent at most top."""
+    raw = []
+    for _ in range(rnd.randint(1, 4)):
+        mono, left = {}, top
+        for name in rnd.sample(names, len(names)):
+            mono[name] = x = rnd.randint(0, left)
+            left -= x
+        raw.append((rnd.randint(-5, 5), mono))
+    return raw
+
+
 def raw_of(p, extra=None):
     """p's terms as a raw term list, each monomial times the exponents in extra."""
     raw = []
@@ -269,17 +281,85 @@ def test_two_fiber_fresh_and_warm_rings_agree(make, warm, names, top):
     for name in names:
         warm.poly([(1, {name: top})])
     for _ in range(80):
-        raw = []
-        for _ in range(rnd.randint(1, 4)):
-            mono, left = {}, top
-            for name in rnd.sample(names, len(names)):
-                mono[name] = x = rnd.randint(0, left)
-                left -= x
-            raw.append((rnd.randint(-5, 5), mono))
+        raw = random_raw(rnd, names, top)
         fresh = make()
         want = stack_normalize(fresh, fresh._terms_from_raw(raw))
         assert fresh.poly(raw).terms == want
         assert warm.poly(raw).terms == want
+
+
+def expand(p, q):
+    """The product of p and q on exponent tuples, term by term, unreduced."""
+    out = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return out
+
+
+def no_table_entry_above_the_cap(r):
+    return all(
+        Poly(r, entry).homogeneous_degree() <= r.cap
+        for table in r._powers.values()
+        for entry in table
+    )
+
+
+@pytest.mark.parametrize(
+    "make, warm, names, top",
+    [
+        (root_ring, lambda: TWOPOINT_RING, ("l1", "l3", "h", "s", "t"), 3),
+        (root_ring, root_ring, ("l2", "h", "s", "t"), 3),
+        (sqrt_ring, sqrt_ring, ("a", "b", "ra", "rb"), 5),
+        (nested_ring, nested_ring, ("a", "s", "t"), 5),
+    ],
+    ids=["twopoint", "root", "sqrt", "nested"],
+)
+def test_products_match_the_stack_reference(make, warm, names, top):
+    rnd = random.Random(5)
+    warm = warm()
+    for name in names:
+        warm.poly([(1, {name: 2 * top})])
+    for _ in range(60):
+        fresh = make()
+        # normal-form operands rebuilt from their terms touch no power table
+        p, q = (fresh.poly(raw_of(make().poly(random_raw(rnd, names, top)))) for _ in range(2))
+        assert not fresh._powers
+        want = stack_normalize(fresh, expand(p, q))
+        assert (p * q).terms == want
+        assert (warm.poly(raw_of(p)) * warm.poly(raw_of(q))).terms == want
+    if warm.cap is not None:
+        assert no_table_entry_above_the_cap(warm)
+
+
+def test_product_terms_above_the_cap_that_survive_raise():
+    r = root_ring()
+    h, s, t = (r.gen(n) for n in ("h", "s", "t"))
+    for _ in range(2):
+        for p, q in ((s ** 2 * h ** 2, s ** 2 * h), (t ** 2 * h ** 2, t ** 2 * h),
+                     (s ** 2 * h ** 2, t ** 2 * h), (h ** 4, h ** 3 + r.gen("l1"))):
+            with pytest.raises(TruncationExceeded):
+                p * q
+        assert no_table_entry_above_the_cap(r)
+
+
+def test_product_terms_above_the_cap_that_cancel_do_not_raise():
+    # (x - l1)(x - l2)(x - l3) is the relation of either fiber x, so times h^4
+    # it is a degree-7 sum that cancels in the normal form
+    r = root_ring()
+    h, l1, l2, l3 = (r.gen(n) for n in ("h", "l1", "l2", "l3"))
+    for _ in range(2):
+        for name in ("s", "t"):
+            x = r.gen(name)
+            p = (x - l1) * (x - l2) * h ** 2
+            q = (x - l3) * h ** 2
+            assert (p * q).is_zero()
+            assert (q * p).is_zero()
+            got = (p + l1) * q
+            assert got == l1 * q
+            assert got.terms == stack_normalize(r, expand(p + l1, q))
+        assert no_table_entry_above_the_cap(r)
 
 
 def test_power_table_entries_never_become_poly_terms():
@@ -342,9 +422,8 @@ def test_power_tables_keep_no_entry_above_the_cap():
     r = root_ring()
     with pytest.raises(TruncationExceeded):
         r.poly([(1, {"s": 80})])
-    table = r._powers[r.index["s"]]
-    assert len(table) == 4  # s^3 .. s^6
-    assert all(Poly(r, entry).homogeneous_degree() <= r.cap for entry in table)
+    assert len(r._powers[r.index["s"]]) == 4  # s^3 .. s^6
+    assert no_table_entry_above_the_cap(r)
 
 
 # -- packed monomials --------------------------------------------------------
