@@ -140,12 +140,15 @@ class EtaleAlgebraExpr:
     classes may be trivial in the model, otherwise the factor would not be a
     field: gf2_eliminate checks this in O(s^2) steps, and DependentClasses
     names the first dependent class together with the earlier ones that
-    multiply with it to a square.
+    multiply with it to a square.  Two algebras are equal when every field
+    has the same total multiplicity in both, a field being the span of its
+    classes in the model (so F(sqrt(a),sqrt(b)) = F(sqrt(a),sqrt(a*b))).
     """
 
     def __init__(self, model, factors):
         self.model = model
         self.factors = []
+        self._fields = {}  # total multiplicity of each field
         for ext, mult in factors:
             ext = tuple(frozenset(m) for m in ext)
             if not (isinstance(mult, int) and mult >= 1):
@@ -159,7 +162,7 @@ class EtaleAlgebraExpr:
                 for name in mono:
                     if not model.knows(name):
                         raise UnknownName(name)
-            _, deps = gf2_eliminate(
+            basis, deps = gf2_eliminate(
                 [frozenset(n for n in m if not model.is_trivial(n)) for m in ext]
             )
             for i, dep in enumerate(deps):
@@ -169,6 +172,8 @@ class EtaleAlgebraExpr:
                         % (sorted(dep | {i}),)
                     )
             self.factors.append((ext, mult))
+            # the basis depends on the span alone, so it keys the field
+            self._fields[basis] = self._fields.get(basis, 0) + mult
         self.rank = sum(mult * 2 ** len(ext) for ext, mult in self.factors)
 
     def times(self, other):
@@ -180,16 +185,8 @@ class EtaleAlgebraExpr:
         return (
             isinstance(other, EtaleAlgebraExpr)
             and self.model == other.model
-            and self._factor_key() == other._factor_key()
+            and self._fields == other._fields
         )
-
-    def _factor_key(self):
-        """Total multiplicity of each extension, keyed by its sorted classes."""
-        out = {}
-        for ext, mult in self.factors:
-            key = tuple(sorted(tuple(sorted(m)) for m in ext))
-            out[key] = out.get(key, 0) + mult
-        return out
 
     def __str__(self):
         chunks = [
@@ -398,11 +395,11 @@ def sw_total(alg, max_degree=None):
     nonzero diagonal symbol c with its multiplicity n over the algebra.  Then
     it multiplies in (1 + c)^n truncated at the cap, as the product of the
     1 + c^(2^b) over the bits 2^b <= cap of n (module docstring): one pass of
-    at most cap symbol products per bit.  A pass stops at the degree reached
-    so far: a product of j factors 1 + x (x of degree 1, each 1 + c^(2^b)
-    counting as 2^b of them) has no term above degree j.  The cap is
-    min(rank, max_degree), with max_degree 7 by default; a cap above
-    SW_CAP_LIMIT raises EtaleError.
+    at most cap symbol products per bit, with c squared only up to the top
+    bit in use.  A pass stops at the degree reached so far: a product of j
+    factors 1 + x (x of degree 1, each 1 + c^(2^b) counting as 2^b of them)
+    has no term above degree j.  The cap is min(rank, max_degree), with
+    max_degree 7 by default; a cap above SW_CAP_LIMIT raises EtaleError.
     """
     model = alg.model
     cap = min(alg.rank, 7 if max_degree is None else max_degree)
@@ -419,13 +416,17 @@ def sw_total(alg, max_degree=None):
     e = [one(model)] + [zero(model)] * cap
     top = 0  # e[i] is zero for i > top
     for c, n in counts.items():
+        bits = n & ((1 << cap.bit_length()) - 1)  # the bits 2^b <= cap of n
         power, step = c, 1  # power = c^step
-        while step <= cap:
-            if n & step:
+        while True:
+            if bits & step:
                 for i in range(min(cap, top + step), step - 1, -1):
                     e[i] = e[i] + power * e[i - step]
                 top += step
-            power, step = power * power, 2 * step
+            step *= 2
+            if step > bits:
+                break
+            power = power * power
     return SWClassVector(model, alg.rank, e)
 
 

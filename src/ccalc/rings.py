@@ -35,12 +35,16 @@ and no field carries into the next; a result above the limit raises
 RingError.  The packed form is private: ``Poly.terms`` and the public ring
 attributes use exponent tuples.
 
-A product of two normal forms is reduced as it is multiplied out.  Its terms
-are grouped by their exponent k of the top fiber; the groups with k below
-the relation degree go straight into the result, and each group with k at
-or above it is merged first and then rewritten once, by the normal form of
-that fiber's k-th power.  The lower fibers then get the same passes as any
-other input.  A relation-free ring only multiplies out and checks degrees.
+Normal forms are reached by one rewrite, ``Ring._rewrite``: a monomial
+m*g^k of a fiber g with relation degree n <= k becomes m times the normal
+form of g^k, read from g's power table.  Its input is grouped by k, one dict
+per exponent, so each group reads its table entry once.  A product of two
+normal forms is multiplied out grouped the same way: its terms are split by
+their exponent k of the top fiber, the groups with k below the relation
+degree go straight into the result, and those at or above it are merged and
+then rewritten.  The lower fibers then get the passes of any other input:
+each pass keeps the terms of its fiber below n and rewrites the others.  A
+relation-free ring only multiplies out and checks degrees.
 """
 
 from math import gcd
@@ -135,12 +139,7 @@ class Ring:
     as a Poly's terms.
 
     A product of two Polys on a ring with fibers is normalized as it is
-    formed (``_product``): the operands are split by their exponent of the
-    top fiber g (relation degree n), the pairs of groups whose exponents sum
-    to k < n are multiplied straight into the result, and those with k >= n
-    are merged into one dict per k that is rewritten once through table
-    entry k - n.  The passes of the lower fibers and the cap and limit check
-    (``_checked``, shared with ``_normalize``) follow.  No product is cached.
+    formed (``_product``; see the module docstring).  No product is cached.
     """
 
     def __init__(self, gens, relations=None, cap=None, display_order=None):
@@ -211,14 +210,10 @@ class Ring:
                     rhs[e2] = rhs.get(e2, 0) - c
             self.rel[i] = (n, {e: c for e, c in rhs.items() if c})
 
-        # Fibers in rewrite order, their packed relations, how many table
-        # entries stay within the cap (None: all), and the lazy power tables.
+        # Fibers in rewrite order, their packed relations and the lazy power
+        # tables.
         self._fiber_desc = tuple(sorted(self.rel, reverse=True))
         self._prel = {i: (n, self._pack(rhs)) for i, (n, rhs) in self.rel.items()}
-        self._keep = {
-            i: None if cap is None else max(0, cap // self.degrees[i] - n + 1)
-            for i, (n, _) in self.rel.items()
-        }
         self._powers = {}
 
         if display_order is None:
@@ -246,7 +241,8 @@ class Ring:
 
     def poly(self, raw):
         """Build a Poly from a raw term list [(coeff, {name: exp}), ...]."""
-        return Poly(self, self._normalize(self._pack(self._terms_from_raw(raw))))
+        terms = self._pack(self._terms_from_raw(raw))
+        return Poly(self, self._checked(self._reduce(terms, 0)))
 
     def _terms_from_raw(self, raw):
         terms = {}
@@ -289,29 +285,6 @@ class Ring:
 
     # -- normal form -------------------------------------------------------
 
-    def _normalize(self, terms):
-        """Reduce fiber exponents below their relation degrees.
-
-        One merging pass per fiber generator, highest tower index first: the
-        pass for fiber i replaces each term m*g_i^k with k >= n_i by m times
-        the normal form of g_i^k, read from the ring's power table, and merges
-        coefficients as it goes.  That normal form involves no generator
-        above i, so the passes already made stay reduced, and lower fibers
-        that overflow are left to their own later passes.  Normal forms are
-        unique (monic division in a tower), so the result is independent of
-        the order raw terms are fed in.  A relation-free ring skips the
-        passes and only checks the degree bound.
-
-        The power table of g_i holds the normal forms of g_i^k for n_i <= k
-        <= the largest exponent of g_i met so far (on a capped ring, at most
-        up to degree cap), so it grows with the inputs, one entry per new
-        power, and is kept for the life of the ring.  The result goes
-        through the cap and limit check of ``_checked``.
-        """
-        if self._fiber_desc:
-            terms = self._reduce(terms, 0)
-        return self._checked(terms)
-
     def _checked(self, terms):
         """terms without zero coefficients, checked against the cap and the limit.
 
@@ -339,12 +312,8 @@ class Ring:
     def _product(self, left, right):
         """Normal form of the product of two packed term dicts (a ring with fibers).
 
-        Both operands are split once by their exponent of the top fiber g
-        (relation degree n).  A pair of groups (a, b) with a + b < n is
-        multiplied straight into the result; the pairs with a + b = k >= n
-        are merged into one dict per k, and each monomial m*g^k of it is
-        rewritten once, as m times power-table entry k - n.  The lower
-        fibers then get their usual passes.
+        Grouped by the exponent of the top fiber, as the module docstring
+        describes.
         """
         i = self._fiber_desc[0]
         n = self._prel[i][0]
@@ -358,24 +327,67 @@ class Ring:
         for a, lterms in groups[0].items():
             for b, rterms in groups[1].items():
                 k = a + b
-                if k < n:
-                    acc = out
-                else:
-                    acc = high.get(k)
-                    if acc is None:
-                        acc = high[k] = {}
+                acc = out if k < n else high.setdefault(k, {})
                 get = acc.get
                 for e1, c1 in lterms:
                     for e2, c2 in rterms:
                         e = e1 + e2
                         acc[e] = get(e, 0) + c1 * c2
+        # A group of high may cancel, and _rewrite still extends the table up
+        # to it.  That builds no extra entry: the top group k = A + B (A, B
+        # the largest exponents in left and right) is the product of two
+        # nonzero polynomials in free monomials, so it never cancels, and the
+        # table reaches k for it anyway.
+        self._rewrite(out, high, 0)
+        return self._checked(self._reduce(out, 1))
+
+    def _reduce(self, terms, start):
+        """Run the fiber passes for self._fiber_desc[start:] over terms.
+
+        One pass per fiber g (relation degree n), highest tower index first:
+        the terms with g-exponent below n are kept, the nonzero ones at or
+        above it are grouped by that exponent and rewritten (``_rewrite``).
+        The normal form of g^k involves no generator above g, so the passes
+        already made stay reduced, and lower fibers that overflow are left to
+        their own later passes.  Normal forms are unique (monic division in a
+        tower), so the result is independent of the order raw terms are fed
+        in.  A pass extends the power table of g up to the largest exponent
+        of g it meets with a nonzero coefficient (see Ring).  Each pass builds
+        a fresh dict; zero coefficients may remain and are dropped by the
+        caller (``_checked``).  With no passes to run, terms itself is
+        returned.
+        """
+        fibers = self._fiber_desc
+        for pos in range(start, len(fibers)):
+            i = fibers[pos]
+            n = self._prel[i][0]
+            sh = self._shifts[i]
+            out = {}
+            high = {}
+            for e, c in terms.items():
+                k = (e >> sh) & _MASK
+                if k < n:
+                    out[e] = c
+                elif c:
+                    high.setdefault(k, {})[e] = c
+            terms = self._rewrite(out, high, pos)
+        return terms
+
+    def _rewrite(self, out, high, pos):
+        """Add each monomial m*g^k of high to out as m times table entry k - n.
+
+        g is fiber self._fiber_desc[pos] with relation degree n, and high
+        maps each k >= n to a dict of monomials of g-exponent k.  Zero
+        coefficients are skipped, but the table of g is extended up to every
+        k in high (``_fiber_powers``).  Returns out.
+        """
+        i = self._fiber_desc[pos]
+        n = self._prel[i][0]
         table = self._powers.get(i, ())
         get = out.get
         for k, terms in high.items():
             if k - n >= len(table):
-                if not any(terms.values()):
-                    continue
-                table = self._fiber_powers(0, k)
+                table = self._fiber_powers(pos, k)
             row = table[k - n].items()
             strip = k * self._unit[i]
             for e, c in terms.items():
@@ -384,51 +396,21 @@ class Ring:
                     for e2, c2 in row:
                         key = base + e2
                         out[key] = get(key, 0) + c * c2
-        return self._checked(self._reduce(out, 1))
-
-    def _reduce(self, terms, start):
-        """Run the fiber passes for self._fiber_desc[start:] over terms.
-
-        Each pass builds a fresh dict; zero coefficients may remain and are
-        dropped by the caller.
-        """
-        fibers = self._fiber_desc
-        for pos in range(start, len(fibers)):
-            i = fibers[pos]
-            n = self._prel[i][0]
-            sh = self._shifts[i]
-            strip = self._unit[i]
-            table = self._powers.get(i, ())
-            out = {}
-            get = out.get
-            for e, c in terms.items():
-                k = (e >> sh) & _MASK
-                if k < n:
-                    out[e] = get(e, 0) + c
-                    continue
-                if not c:
-                    continue
-                if k - n >= len(table):
-                    table = self._fiber_powers(pos, k)
-                base = e - k * strip
-                for e2, c2 in table[k - n].items():
-                    key = base + e2
-                    out[key] = get(key, 0) + c * c2
-            terms = out
-        return terms
+        return out
 
     def _fiber_powers(self, pos, top):
         """The power table of fiber self._fiber_desc[pos], filled up to g^top.
 
         Entry k - n holds the normal form of g^k (n the relation degree);
         entry k + 1 is g times entry k, rewritten once at g^n and then run
-        through the lower-fiber passes.  The entries past self._keep (those
-        above the cap) go to a copy that only the caller sees.
+        through the lower-fiber passes.  On a capped ring only the entries of
+        degree <= cap are kept: the others go to a copy that only the caller
+        sees.
         """
         i = self._fiber_desc[pos]
         n, rhs = self._prel[i]
         step = self._unit[i]
-        keep = self._keep[i]
+        keep = None if self.cap is None else max(0, self.cap // self.degrees[i] - n + 1)
         table = self._powers.setdefault(i, [])
         while len(table) <= top - n:
             if len(table) == keep:

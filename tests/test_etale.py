@@ -32,6 +32,7 @@ from ccalc.etale import (
     trace_form,
 )
 from ccalc.ksymbols import (
+    KElement,
     ModelMismatch,
     closed_model,
     euclidean_model,
@@ -110,6 +111,24 @@ def test_equality_compares_total_multiplicities():
     assert parse_algebra("F(sqrt(a))^2", EUC) != parse_algebra("F(sqrt(a))^3", EUC)
     huge = parse_algebra("F(sqrt(a))^99999999999", EUC)
     assert huge == parse_algebra("F(sqrt(a))^99999999998 * F(sqrt(a))", EUC)
+
+
+def test_equality_compares_fields_not_presentations():
+    for left, right in (
+        ("F(sqrt(a),sqrt(b))", "F(sqrt(a),sqrt(a*b))"),
+        ("F(sqrt(2*a))", "F(sqrt(a))"),  # 2 is a square in the euclidean model
+        ("F(sqrt(b),sqrt(a)) * F(sqrt(a*b*c))", "F(sqrt(c*a*b)) * F(sqrt(a*b),sqrt(b))"),
+    ):
+        x, y = parse_algebra(left, EUC), parse_algebra(right, EUC)
+        assert x == y
+        assert (galois_sw_total(x, max_degree=x.rank).classes
+                == galois_sw_total(y, max_degree=y.rank).classes)
+    assert parse_algebra("F(sqrt(2*a))", GEN) != parse_algebra("F(sqrt(a))", GEN)
+    assert parse_algebra("F(sqrt(-a))", EUC) != parse_algebra("F(sqrt(a))", EUC)
+    assert parse_algebra("F(sqrt(a),sqrt(b))", EUC) != parse_algebra("F(sqrt(a),sqrt(c))", EUC)
+    assert parse_algebra("F(sqrt(a),sqrt(b))", EUC) != parse_algebra(
+        "F(sqrt(a)) * F(sqrt(b))", EUC
+    )
 
 
 # -- GF(2) elimination of square classes ------------------------------------------
@@ -471,6 +490,27 @@ def test_sw_reads_every_factor_once(monkeypatch):
     alg = parse_algebra("F(sqrt(a))^8 * F(sqrt(b))^3 * F^16", EUC)
     sw_total(alg)
     assert calls == [(A,), (B,), ()]
+
+
+def test_sw_squares_a_symbol_only_up_to_the_top_bit_in_use(monkeypatch):
+    calls = []
+    real = KElement.__mul__
+
+    def counted(self, other):
+        calls.append(None)
+        return real(self, other)
+
+    monkeypatch.setattr(KElement, "__mul__", counted)
+    # default cap 7 (2 for F(sqrt(a))); {a} and {b} are the only nonzero symbols
+    for text, products in (
+        ("F(sqrt(a))", 1),  # n = 1: one pass of one product, no square
+        ("F(sqrt(a))^3 * F(sqrt(b))", 8),  # {a}: passes of 1 and 2, one square; {b}: 4
+        ("F(sqrt(a))^13", 5),  # bits 1 and 4 of 13 are <= 7: passes of 1 and 2, two squares
+        ("F(sqrt(a))^8 * F", 0),  # no bit of 8 is <= 7
+    ):
+        calls.clear()
+        sw_total(parse_algebra(text, EUC))
+        assert len(calls) == products, text
 
 
 def test_sw_cap_is_bounded(monkeypatch):

@@ -84,6 +84,21 @@ def nested_ring():
     )
 
 
+def tower12():
+    """Twelve generators of mixed degrees with four stacked fibers."""
+    return Ring(
+        [("c1", 1), ("c2", 2), ("c3", 3), "a", "b", ("d", 2),
+         "t", "u", "v", ("w", 2), "y", "z"],
+        relations={
+            "t": (3, [[(1, {"c1": 1})], [(1, {"c2": 1})], [(1, {"c3": 1})]]),
+            "u": (2, [[(1, {"t": 1}), (1, {"a": 1})], [(1, {"c2": 1})]]),
+            "v": (2, [[(-1, {"u": 1})], [(1, {"t": 1, "u": 1}), (2, {"d": 1})]]),
+            "z": (3, [[(1, {"y": 1})], [(1, {"w": 1})], [(1, {"v": 1, "w": 1})]]),
+        },
+        display_order=["z", "y", "w", "v", "u", "t", "d", "b", "a", "c3", "c2", "c1"],
+    )
+
+
 # -- construction and guards -------------------------------------------------
 
 
@@ -313,8 +328,9 @@ def no_table_entry_above_the_cap(r):
         (root_ring, root_ring, ("l2", "h", "s", "t"), 3),
         (sqrt_ring, sqrt_ring, ("a", "b", "ra", "rb"), 5),
         (nested_ring, nested_ring, ("a", "s", "t"), 5),
+        (tower12, tower12, ("c1", "a", "d", "t", "u", "v", "w", "y", "z"), 4),
     ],
-    ids=["twopoint", "root", "sqrt", "nested"],
+    ids=["twopoint", "root", "sqrt", "nested", "tower12"],
 )
 def test_products_match_the_stack_reference(make, warm, names, top):
     rnd = random.Random(5)
@@ -360,6 +376,26 @@ def test_product_terms_above_the_cap_that_cancel_do_not_raise():
             assert got == l1 * q
             assert got.terms == stack_normalize(r, expand(p + l1, q))
         assert no_table_entry_above_the_cap(r)
+
+
+def test_a_cancelled_product_group_extends_no_table_past_the_top_group():
+    r = chern_ring()
+    c1, t = r.gen("c1"), r.gen("t")
+    p, q = t ** 2 + c1 * t, t ** 2 - c1 * t
+    assert not r._powers
+    # the t^3 group -c1*t^3 + c1*t^3 cancels; the top group t^4 does not
+    assert p * q == t ** 4 - c1 ** 2 * t ** 2
+    assert [Poly(r, entry) for entry in r._powers[r.index["t"]]] == [
+        r.poly([(1, {"t": 3})]),
+        r.poly([(1, {"t": 4})]),
+    ]
+
+
+def test_a_cancelled_term_of_a_lower_fiber_builds_no_table():
+    # the rb pass rewrites rb^2*ra^2 to b*ra^2, which cancels the input's -b*ra^2
+    r = sqrt_ring()
+    assert r.poly([(1, {"rb": 2, "ra": 2}), (-1, {"b": 1, "ra": 2})]).is_zero()
+    assert list(r._powers) == [r.index["rb"]]
 
 
 def test_power_table_entries_never_become_poly_terms():
@@ -454,21 +490,6 @@ def test_exponents_near_the_limit_read_back_exactly():
     assert p.terms == {(2 ** 31 - 2, 1): 1}
     assert p.homogeneous_degree() == DEGREE_LIMIT
     assert str(p) == "x^%d*y" % (2 ** 31 - 2)
-
-
-def tower12():
-    """Twelve generators of mixed degrees with four stacked fibers."""
-    return Ring(
-        [("c1", 1), ("c2", 2), ("c3", 3), "a", "b", ("d", 2),
-         "t", "u", "v", ("w", 2), "y", "z"],
-        relations={
-            "t": (3, [[(1, {"c1": 1})], [(1, {"c2": 1})], [(1, {"c3": 1})]]),
-            "u": (2, [[(1, {"t": 1}), (1, {"a": 1})], [(1, {"c2": 1})]]),
-            "v": (2, [[(-1, {"u": 1})], [(1, {"t": 1, "u": 1}), (2, {"d": 1})]]),
-            "z": (3, [[(1, {"y": 1})], [(1, {"w": 1})], [(1, {"v": 1, "w": 1})]]),
-        },
-        display_order=["z", "y", "w", "v", "u", "t", "d", "b", "a", "c3", "c2", "c1"],
-    )
 
 
 def ref_str(ring, terms):
