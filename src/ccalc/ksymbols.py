@@ -19,6 +19,17 @@ product of two basis symbols gains one eps per shared generator:
 
     (m1, A) * (m2, B) = (m1 + m2 + |A & B|, A | B).
 
+Inside an element, gens is an int bit mask.  The FieldModel gives each
+non-eps name one bit, in display order (constants by spelling, then
+the indeterminates in declaration order), so the rule above is
+(m1 + m2 + (g1 & g2).bit_count(), g1 | g2) and a residue clears one bit.
+A symbol entry is still read as a frozenset of names (`_as_monomial`,
+`_parse_monomial`), which is what `etale` and `cubic` use; `symbol` maps
+its names to bits.  `render` sorts basis symbols by (degree, m, names), where
+names is the tuple of internal names of the mask in display order compared
+as strings: "two" sorts after "f", and "x10" before "x2", so the order is
+not that of the masks.
+
 The free-module reading of these basis symbols is validated by the iterated
 residue maps (see `residue`): residues at the generator set of a basis symbol
 extract exactly that symbol's eps-power, so distinct basis symbols are
@@ -54,8 +65,9 @@ EPS_POWER_LIMIT = 1000
 # symbol, which otherwise grow exponentially with the entries: r entries of
 # three disjoint names expand to 3^r basis symbols, and `ccalc residue` took
 # 31 s on 12 of them.  At the bound, `ccalc residue` on {a,b,x0*x1,...,x24*x25}
-# (8192 basis symbols) takes 0.3-0.4 s, 0.5-0.6 s with --json, interpreter
-# start included (Python 3.11, 2-vCPU Xeon).
+# (8192 basis symbols) takes 0.19-0.29 s, 0.24-0.41 s with --json, interpreter
+# start included (Python 3.11, 2-vCPU Xeon); with frozensets of names in the
+# support instead of bit masks it took 0.28-0.46 s and 0.40-0.63 s.
 EXPANSION_LIMIT = 16384
 
 
@@ -85,14 +97,16 @@ class FieldModel:
         overlap = set(self.indeterminates) & set(self.constants)
         if overlap or len(set(self.indeterminates)) != len(self.indeterminates):
             raise KError("model names must be unique")
-        # sort order for generators inside a rendered symbol: free constants
-        # first, then indeterminates in declaration order
-        self._order = {}
-        for n in self.constants:
-            if n != "minus_one":
-                self._order[n] = (0, _CONSTANT_SPELLING.get(n, n))
-        for i, n in enumerate(self.indeterminates):
-            self._order[n] = (1, i)
+        # one bit per name, in display order: the constants by spelling, then
+        # the indeterminates in declaration order.  Sorting makes the bits
+        # independent of the insertion order of `constants`.
+        constants = sorted(
+            (_CONSTANT_SPELLING.get(n, n), n)
+            for n in self.constants
+            if n != "minus_one"
+        )
+        self._names = tuple(n for _, n in constants) + self.indeterminates
+        self._bit = {n: 1 << i for i, n in enumerate(self._names)}
 
     @property
     def eps_free(self):
@@ -102,10 +116,19 @@ class FieldModel:
         return self.constants.get(name) == "trivial"
 
     def knows(self, name):
-        return name in self._order or name == "minus_one"
+        return name in self._bit or name == "minus_one"
 
     def sort_gens(self, gens):
-        return tuple(sorted(gens, key=self._order.__getitem__))
+        return tuple(sorted(gens, key=self._bit.__getitem__))
+
+    def gen_names(self, mask):
+        """The names of the bits of `mask`, in display order."""
+        names = []
+        while mask:
+            low = mask & -mask
+            names.append(self._names[low.bit_length() - 1])
+            mask ^= low
+        return tuple(names)
 
     def spell(self, name):
         return _CONSTANT_SPELLING.get(name, name)
@@ -168,7 +191,7 @@ class KElement:
         return not self.support
 
     def is_one(self):
-        return self.support == frozenset({(0, frozenset())})
+        return self.support == _ONE
 
     def _check(self, other):
         if not isinstance(other, KElement):
@@ -195,22 +218,19 @@ class KElement:
         return hash((self.model, self.support))
 
     def degrees(self):
-        return sorted({m + len(g) for m, g in self.support})
-
-    def _sorted_support(self):
-        order = self.model.sort_gens
-        return sorted(
-            self.support, key=lambda s: (s[0] + len(s[1]), s[0], order(s[1]))
-        )
+        return sorted({m + g.bit_count() for m, g in self.support})
 
     def render(self):
+        """Basis symbols sorted by (degree, m, names); see the module docstring."""
         if not self.support:
             return "0"
+        names, spell = self.model.gen_names, self.model.spell
         chunks = []
-        for m, gens in self._sorted_support():
-            names = [self.model.spell(n) for n in self.model.sort_gens(gens)]
-            names = ["-1"] * m + names
-            chunks.append("{%s}" % ",".join(names) if names else "1")
+        for _, m, gens in sorted(
+            (m + g.bit_count(), m, names(g)) for m, g in self.support
+        ):
+            entries = ["-1"] * m + [spell(n) for n in gens]
+            chunks.append("{%s}" % ",".join(entries) if entries else "1")
         return " + ".join(chunks)
 
     def __str__(self):
@@ -224,13 +244,16 @@ class KElement:
 _set_model = KElement.model.__set__
 _set_support = KElement.support.__set__
 
+# the support of 1: the basis symbol with no eps and no generators
+_ONE = frozenset({(0, 0)})
+
 
 def zero(model):
     return KElement(model, frozenset())
 
 
 def one(model):
-    return KElement(model, frozenset({(0, frozenset())}))
+    return KElement(model, _ONE)
 
 
 def _as_monomial(entry, model):
@@ -252,7 +275,7 @@ def _product(model, xs, ys):
     acc = set()
     for m1, g1 in xs:
         for m2, g2 in ys:
-            acc ^= {(m1 + m2 + len(g1 & g2), g1 | g2)}
+            acc ^= {(m1 + m2 + (g1 & g2).bit_count(), g1 | g2)}
     if not model.eps_free:
         acc = {s for s in acc if s[0] == 0}
     return acc
@@ -262,16 +285,16 @@ def symbol(entries, model):
     """Normal form of the symbol with the given entries.
 
     An entry (a signed monomial, i.e. a square class) is the sum of one basis
-    symbol per name in it that the model does not trivialize: (1, {}) for -1,
-    (0, {n}) otherwise.  The symbol is the product of these sums, so
+    symbol per name in it that the model does not trivialize: (1, 0) for -1,
+    (0, bit of n) otherwise.  The symbol is the product of these sums, so
     {x,x} = {-1,x} follows from the product rule.  Raises KError when that
     product would form more than EXPANSION_LIMIT basis-symbol products.
     """
-    acc = {(0, frozenset())}
+    acc = _ONE
     products = 0
     for entry in entries:
         pieces = {
-            (1, frozenset()) if n == "minus_one" else (0, frozenset({n}))
+            (1, 0) if n == "minus_one" else (0, model._bit[n])
             for n in _as_monomial(entry, model)
             if not model.is_trivial(n)
         }
@@ -295,11 +318,8 @@ def residue(x, at):
         raise NotAnIndeterminate(
             "residues are taken at indeterminates, not constant classes: %r" % at
         )
-    out = set()
-    for m, gens in x.support:
-        if at in gens:
-            out.symmetric_difference_update({(m, gens - {at})})
-    return KElement(x.model, out)
+    bit = x.model._bit[at]
+    return KElement(x.model, {(m, g ^ bit) for m, g in x.support if g & bit})
 
 
 def iterated_residue(x, names):
@@ -415,4 +435,4 @@ def _parse_term(part, model):
         if entries == [""]:
             raise SyntaxError("empty symbol braces")
         body = symbol(entries, model)
-    return KElement(model, _product(model, {(eps_m, frozenset())}, body.support))
+    return KElement(model, _product(model, {(eps_m, 0)}, body.support))

@@ -1,5 +1,7 @@
 """Tests for the mod-2 symbol calculus."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,6 +12,7 @@ from ccalc.ksymbols import (
     ModelMismatch,
     NotAnIndeterminate,
     UnknownGenerator,
+    _product,
     closed_model,
     euclidean_model,
     generic_model,
@@ -24,6 +27,22 @@ from ccalc.ksymbols import (
 EUC = euclidean_model(("a", "b", "c"))
 CLO = closed_model(("a", "b", "c"))
 GEN = generic_model(("a", "b", "c"))
+
+
+def bit(name, model):
+    """The generator mask of the one basis symbol of {name}."""
+    ((m, gens),) = symbol([(name,)], model).support
+    assert m == 0
+    return gens
+
+
+def frozenset_product(xs, ys, eps_free):
+    """The product rule on (m, frozenset of names) supports, summed mod 2."""
+    acc = set()
+    for m1, a in xs:
+        for m2, b in ys:
+            acc ^= {(m1 + m2 + len(a & b), a | b)}
+    return acc if eps_free else {s for s in acc if s[0] == 0}
 
 
 # -- models ------------------------------------------------------------------
@@ -167,7 +186,7 @@ def test_numerals_outside_ascii_or_too_long_fail_cleanly():
 
 def test_eps_power_is_bounded():
     top = parse_kelement("eps^%d" % EPS_POWER_LIMIT, EUC)
-    assert top.support == {(EPS_POWER_LIMIT, frozenset())}
+    assert top.support == {(EPS_POWER_LIMIT, 0)}
     assert parse_kelement("eps^0001*{a}", EUC) == parse_kelement("eps*{a}", EUC)
     for text in (
         "eps^%d" % (EPS_POWER_LIMIT + 1),
@@ -264,7 +283,8 @@ def test_residue_product_compatibility(y):
 def KE_no_c(x):
     from ccalc.ksymbols import KElement
 
-    return KElement(x.model, {s for s in x.support if "c" not in s[1]})
+    c = bit("c", x.model)
+    return KElement(x.model, {s for s in x.support if not s[1] & c})
 
 
 @settings(max_examples=200)
@@ -273,12 +293,12 @@ def test_basis_independence_via_residues(x):
     # iterated residues at a basis symbol's generators extract exactly that
     # symbol's eps power: the free-module reading is consistent
     for m, gens in x.support:
-        extracted = iterated_residue(x, sorted(gens))
-        assert (m, frozenset()) in extracted.support
-    probe = (0, frozenset({"a", "b"}))
+        extracted = iterated_residue(x, sorted(EUC.gen_names(gens)))
+        assert (m, 0) in extracted.support
+    probe = (0, bit("a", EUC) | bit("b", EUC))
     if probe not in x.support:
         extracted = iterated_residue(x, ("a", "b"))
-        assert (0, frozenset()) not in extracted.support or (0, probe[1]) in x.support
+        assert (0, 0) not in extracted.support or (0, probe[1]) in x.support
 
 
 @settings(max_examples=300)
@@ -289,6 +309,97 @@ def test_closed_model_kills_positive_degree_constants(entries):
 
 
 @settings(max_examples=200)
-@given(elements(EUC))
-def test_render_parse_round_trip(x):
+@given(elements(EUC), elements(GEN))
+def test_render_parse_round_trip(x, y):
     assert parse_kelement(x.render(), EUC) == x
+    assert parse_kelement(y.render(), GEN) == y
+
+
+# -- the bit-mask normal form against frozensets of names ----------------------
+
+
+@pytest.mark.parametrize("model", (EUC, CLO, GEN), ids=lambda m: m.name)
+def test_mask_product_matches_the_frozenset_rule(model):
+    names = [n for n in ("two", "a", "b", "c") if not model.is_trivial(n)]
+    masks = {n: bit(n, model) for n in names}
+    rng = random.Random(19)
+
+    def support():
+        return {
+            (rng.randrange(3), frozenset(n for n in names if rng.random() < 0.5))
+            for _ in range(rng.randrange(7))
+        }
+
+    def as_masks(xs):
+        return {(m, sum(masks[n] for n in a)) for m, a in xs}
+
+    for _ in range(300):
+        xs, ys = support(), support()
+        got = _product(model, as_masks(xs), as_masks(ys))
+        assert {(m, frozenset(model.gen_names(g))) for m, g in got} == (
+            frozenset_product(xs, ys, model.eps_free)
+        )
+
+
+def test_equal_models_give_equal_elements():
+    # the same model with its constants inserted in another order
+    first = FieldModel(("a", "b"), {"minus_one": "free", "two": "free", "k": "free"})
+    second = FieldModel(("a", "b"), {"k": "free", "two": "free", "minus_one": "free"})
+    assert first == second and hash(first) == hash(second)
+    for entries in (["k", "a"], ["2", "k*b"], ["-1", "2*k", "a*b"], ["k", "2", "k"]):
+        x, y = symbol(entries, first), symbol(entries, second)
+        assert x == y and hash(x) == hash(y) and str(x) == str(y)
+        assert x * y == symbol(entries + entries, first)
+
+
+# Declaration order x2, x10, b, a differs from the string order of the names,
+# and the constant 2 is named "two" inside the library.
+DISPLAY = ("two", "x2", "x10", "b", "a")
+SCRAMBLED = generic_model(DISPLAY[1:])
+
+
+def reference_render(support):
+    """render() on a frozenset support: basis symbols sorted by degree, eps
+    power, then the tuple of internal names in display order, compared as
+    strings."""
+    if not support:
+        return "0"
+
+    def names(gens):
+        return tuple(sorted(gens, key=DISPLAY.index))
+
+    chunks = []
+    for m, gens in sorted(support, key=lambda s: (s[0] + len(s[1]), s[0], names(s[1]))):
+        entries = ["-1"] * m + ["2" if n == "two" else n for n in names(gens)]
+        chunks.append("{%s}" % ",".join(entries) if entries else "1")
+    return " + ".join(chunks)
+
+
+def test_render_order_is_by_internal_names():
+    x = symbol(["x2"], SCRAMBLED) + symbol(["x10"], SCRAMBLED)
+    assert str(x) == "{x10} + {x2}"
+    y = symbol(["-1", "a"], SCRAMBLED) + symbol(["-1", "2"], SCRAMBLED)
+    assert str(y) == "{-1,a} + {-1,2}"
+
+
+def test_render_matches_a_reference_sort_of_frozenset_supports():
+    names = ("minus_one",) + DISPLAY
+    for seed in range(200):
+        rng = random.Random(seed)
+        x, support = zero(SCRAMBLED), set()
+        for _ in range(rng.randrange(4)):
+            row = [
+                [n for n in names if rng.random() < 0.35]
+                for _ in range(rng.randrange(4))
+            ]
+            term = {(0, frozenset())}
+            for entry in row:
+                pieces = {
+                    (1, frozenset()) if n == "minus_one" else (0, frozenset({n}))
+                    for n in entry
+                }
+                term = frozenset_product(term, pieces, eps_free=True)
+            x += symbol(row, SCRAMBLED)
+            support ^= term
+        assert x.render() == reference_render(support), seed
+        assert parse_kelement(x.render(), SCRAMBLED) == x
