@@ -68,19 +68,13 @@ TWOPOINT_RING = Ring(
 )
 
 # Chern-class target for the one-point computation, basis {h, c1} in degree 1.
-CURVE_BASE = Ring(
-    [("c1", 1), ("c2", 2), ("c3", 3), "h"],
-    display_order=["h", "c1", "c2", "c3"],
-)
+CURVE_BASE = Ring(["h", ("c1", 1), ("c2", 2), ("c3", 3)])
 
 # Intermediate and target rings for the two-point computation: hz is the
 # hyperplane class of the universal singular-point space, u the class pulled
 # back from its point factor.
 _SINGULAR_FREE = Ring(["l1", "l2", "l3", "hz", "u"])
-SINGULAR_BASE = Ring(
-    [("c1", 1), ("c2", 2), ("c3", 3), "hz", "u"],
-    display_order=["hz", "c1", "u", "c2", "c3"],
-)
+SINGULAR_BASE = Ring(["hz", ("c1", 1), "u", ("c2", 2), ("c3", 3)])
 
 
 class LocusClassReport:

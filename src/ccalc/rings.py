@@ -32,8 +32,11 @@ polynomial carries its top degree.  Every stored polynomial has degree at
 most DEGREE_LIMIT = 2^31 - 1, so an exponent (never more than its
 monomial's degree) fits in 31 bits, the fields of a product stay below 2^32
 and no field carries into the next; a result above the limit raises
-RingError.  The packed form is private: ``Poly.terms`` and the public ring
-attributes use exponent tuples.
+RingError.  Every monomial inside the ring is packed, the relations in
+``Ring.rel`` and the output of ``Ring.monomials_of_degree`` included;
+``Poly.terms`` is the one view keyed by exponent tuples.  Terms print in
+tower order: by degree, then by the exponent of the first generator, the
+second and so on, the larger exponent first.
 
 Normal forms are reached by one rewrite, ``Ring._rewrite``: a monomial
 m*g^k of a fiber g with relation degree n <= k becomes m times the normal
@@ -118,15 +121,16 @@ class Ring:
         None                  -- relation omitted above the working degree
                                  (requires cap).
     cap: working degree; terms of degree > cap raise TruncationExceeded.
-    display_order: generator names most-significant-first, used only for
-        printing (defaults to declaration order).
 
     Monomials are packed ints (see the module docstring): the exponent of
     generator j sits in bits [32j, 32j + 32), the graded degree above bit
     32 * ngens, and no polynomial of the ring may exceed degree
-    DEGREE_LIMIT = 2^31 - 1 (RingError).  ``rel``, ``monomials_of_degree``
-    and ``Poly.terms`` use exponent tuples; ``Poly.terms`` is a fresh
-    tuple-keyed dict on every access.
+    DEGREE_LIMIT = 2^31 - 1 (RingError).  ``rel[i]`` is (n, rhs) for fiber
+    generator i, rhs the packed normal-form term dict of
+    -(r_1 g^(n-1) + ... + r_n), and ``monomials_of_degree`` lists packed
+    monomials.  ``Poly.terms`` is a fresh tuple-keyed dict on every access.
+    Terms print in tower order (see the module docstring), so the order of
+    ``gens`` is also the print order.
 
     Normal forms are read from a power table per fiber generator g with
     relation degree n: entry k - n holds the normal form of g^k for k >= n.
@@ -142,7 +146,7 @@ class Ring:
     formed (``_product``; see the module docstring).  No product is cached.
     """
 
-    def __init__(self, gens, relations=None, cap=None, display_order=None):
+    def __init__(self, gens, relations=None, cap=None):
         names = []
         degrees = []
         for g in gens:
@@ -167,13 +171,11 @@ class Ring:
         self._unit = tuple((1 << s) + (d << self._G) for s, d in zip(self._shifts, degrees))
         self._bound = DEGREE_LIMIT if cap is None else min(cap, DEGREE_LIMIT)
 
-        # self.rel[i] = (n, rhs) where rhs is the normal-form term dict of
-        # -(r_1 g^(n-1) + ... + r_n); None entries mark omitted relations.
+        # self.rel[i] = (n, packed rhs); omitted relations get no entry.
         self.rel = {}
         relations = relations or {}
         for name in relations:
-            if name not in self.index:
-                raise UnknownGenerator(name)
+            self._at(name)
         for name, relspec in relations.items():
             if relspec is None:
                 if cap is None:
@@ -189,49 +191,45 @@ class Ring:
                 )
             rhs = {}
             for k, raw in enumerate(coeffs, start=1):
-                rk = self._terms_from_raw(raw)
-                for e in rk:
+                for e, c in self._terms_from_raw(raw).items():
                     for j in range(i, self.ngens):
-                        if e[j]:
+                        if (e >> self._shifts[j]) & _MASK:
                             raise CyclicTower(
                                 "relation coefficient for %r references %r"
                                 % (name, self.names[j])
                             )
-                    if self._grade(e) != k * self.degrees[i]:
+                    if e >> self._G != k * self.degrees[i]:
                         raise DegreeMismatch(
                             "coefficient r_%d of %r is not homogeneous of degree %d"
                             % (k, name, k * self.degrees[i])
                         )
-                # fold -r_k * g^(n-k) into the reduction polynomial
-                for e, c in rk.items():
-                    e2 = list(e)
-                    e2[i] += n - k
-                    e2 = tuple(e2)
-                    rhs[e2] = rhs.get(e2, 0) - c
-            self.rel[i] = (n, {e: c for e, c in rhs.items() if c})
+                    # fold -r_k * g^(n-k) into the reduction polynomial
+                    e += (n - k) * self._unit[i]
+                    rhs[e] = rhs.get(e, 0) - c
+            if rhs and n * self.degrees[i] > DEGREE_LIMIT:
+                raise RingError(
+                    "monomial of degree %d exceeds the degree limit %d"
+                    % (n * self.degrees[i], DEGREE_LIMIT)
+                )
+            self.rel[i] = (n, _nonzero(rhs))
 
-        # Fibers in rewrite order, their packed relations and the lazy power
-        # tables.
+        # Fibers in rewrite order and their lazy power tables.
         self._fiber_desc = tuple(sorted(self.rel, reverse=True))
-        self._prel = {i: (n, self._pack(rhs)) for i, (n, rhs) in self.rel.items()}
         self._powers = {}
-
-        if display_order is None:
-            self._disp = tuple(range(self.ngens))
-        else:
-            if sorted(display_order) != sorted(self.names):
-                raise UnknownGenerator("display_order must list every generator once")
-            self._disp = tuple(self.index[n] for n in display_order)
 
         self.zero = Poly(self, {})
         self.one = Poly(self, {0: 1})
 
     # -- construction -----------------------------------------------------
 
-    def gen(self, name):
+    def _at(self, name):
+        """The tower index of a generator (UnknownGenerator if there is none)."""
         if name not in self.index:
             raise UnknownGenerator(name)
-        return Poly(self, {self._unit[self.index[name]]: 1})
+        return self.index[name]
+
+    def gen(self, name):
+        return Poly(self, {self._unit[self._at(name)]: 1})
 
     def const(self, c):
         c = int(c)
@@ -241,47 +239,41 @@ class Ring:
 
     def poly(self, raw):
         """Build a Poly from a raw term list [(coeff, {name: exp}), ...]."""
-        terms = self._pack(self._terms_from_raw(raw))
-        return Poly(self, self._checked(self._reduce(terms, 0)))
+        return Poly(self, self._checked(self._reduce(self._terms_from_raw(raw), 0)))
 
     def _terms_from_raw(self, raw):
+        """The packed term dict of a raw term list, merged, zeros dropped.
+
+        Terms are merged first: a monomial above DEGREE_LIMIT raises RingError
+        only if it survives.  Until then it is keyed by its degree and its
+        (index, exponent) pairs, since its exponents may overflow their fields.
+        """
+        index, unit, degrees = self.index, self._unit, self.degrees
         terms = {}
         for c, mono in raw:
-            e = [0] * self.ngens
+            e = d = 0
             for name, exp in mono.items():
-                if name not in self.index:
+                i = index.get(name)
+                if i is None:
                     raise UnknownGenerator(name)
                 if not (isinstance(exp, int) and exp >= 0):
                     raise RingError("bad exponent %r for %r" % (exp, name))
-                e[self.index[name]] += exp
-            e = tuple(e)
+                e += exp * unit[i]
+                d += exp * degrees[i]
+            if d > DEGREE_LIMIT:
+                e = (d, frozenset((index[name], x) for name, x in mono.items() if x))
             terms[e] = terms.get(e, 0) + int(c)
-        return {e: c for e, c in terms.items() if c}
-
-    # -- packed monomials ---------------------------------------------------
-
-    def _grade(self, e):
-        return sum(map(mul, e, self.degrees))
-
-    def _pack_mono(self, e):
-        """The packed int of an exponent tuple of degree <= DEGREE_LIMIT."""
-        return sum(map(mul, e, self._unit))
+        terms = _nonzero(terms)
+        for e in terms:
+            if type(e) is tuple:
+                raise RingError(
+                    "monomial of degree %d exceeds the degree limit %d" % (e[0], DEGREE_LIMIT)
+                )
+        return terms
 
     def _unpack(self, e):
         """The exponent tuple of a packed monomial."""
         return tuple((e >> s) & _MASK for s in self._shifts)
-
-    def _pack(self, terms):
-        """Packed copy of a tuple-keyed term dict (RingError above the limit)."""
-        out = {}
-        for e, c in terms.items():
-            d = self._grade(e)
-            if d > DEGREE_LIMIT:
-                raise RingError(
-                    "monomial of degree %d exceeds the degree limit %d" % (d, DEGREE_LIMIT)
-                )
-            out[self._pack_mono(e)] = c
-        return out
 
     # -- normal form -------------------------------------------------------
 
@@ -316,7 +308,7 @@ class Ring:
         describes.
         """
         i = self._fiber_desc[0]
-        n = self._prel[i][0]
+        n = self.rel[i][0]
         sh = self._shifts[i]
         groups = ({}, {})
         for split, terms in zip(groups, (left, right)):
@@ -360,7 +352,7 @@ class Ring:
         fibers = self._fiber_desc
         for pos in range(start, len(fibers)):
             i = fibers[pos]
-            n = self._prel[i][0]
+            n = self.rel[i][0]
             sh = self._shifts[i]
             out = {}
             high = {}
@@ -382,7 +374,7 @@ class Ring:
         k in high (``_fiber_powers``).  Returns out.
         """
         i = self._fiber_desc[pos]
-        n = self._prel[i][0]
+        n = self.rel[i][0]
         table = self._powers.get(i, ())
         get = out.get
         for k, terms in high.items():
@@ -408,7 +400,7 @@ class Ring:
         sees.
         """
         i = self._fiber_desc[pos]
-        n, rhs = self._prel[i]
+        n, rhs = self.rel[i]
         step = self._unit[i]
         keep = None if self.cap is None else max(0, self.cap // self.degrees[i] - n + 1)
         table = self._powers.setdefault(i, [])
@@ -423,24 +415,17 @@ class Ring:
         return table
 
     def monomials_of_degree(self, d):
-        """All normal-form exponent vectors of graded degree d."""
-        result = []
-
-        def rec(i, left, acc):
-            if i == self.ngens:
-                if left == 0:
-                    result.append(tuple(acc))
-                return
-            step = self.degrees[i]
-            top = left // step
-            if i in self.rel:
-                top = min(top, self.rel[i][0] - 1)
-            for k in range(top + 1):
-                rec(i + 1, left - k * step, acc + [k])
-
-        if d >= 0:
-            rec(0, d, [])
-        return result
+        """All packed normal-form monomials of graded degree d, in ascending
+        order of their exponent tuples."""
+        partial = [(0, d)] if d >= 0 else []
+        for i, (step, unit) in enumerate(zip(self.degrees, self._unit)):
+            n = self.rel[i][0] if i in self.rel else d + 1
+            partial = [
+                (e + k * unit, left - k * step)
+                for e, left in partial
+                for k in range(min(left // step, n - 1) + 1)
+            ]
+        return [e for e, left in partial if not left]
 
     def __repr__(self):
         return "Ring(%s)" % ", ".join(self.names)
@@ -553,14 +538,12 @@ class Poly:
         return degs.pop()
 
     def contains(self, name):
-        sh = self.ring._shifts[self.ring.index[name]]
+        sh = self.ring._shifts[self.ring._at(name)]
         return any((e >> sh) & _MASK for e in self._terms)
 
     def coefficient(self, name, power):
         """The coefficient of name^power, with that generator stripped out."""
-        if name not in self.ring.index:
-            raise UnknownGenerator(name)
-        i = self.ring.index[name]
+        i = self.ring._at(name)
         sh = self.ring._shifts[i]
         strip = power * self.ring._unit[i]
         return Poly(
@@ -574,26 +557,23 @@ class Poly:
 
     # -- printing ----------------------------------------------------------
 
-    def _sorted_terms(self):
-        disp = self.ring._disp
-
-        def key(item):
-            e = item[0]
-            return (self.ring._grade(e), tuple(-e[i] for i in disp))
-
-        return sorted(self.terms.items(), key=key)
-
     def __str__(self):
         if not self._terms:
             return "0"
+        ring = self.ring
+        # Tower order: ascending degree, then descending exponent tuples; no
+        # two keys tie, so the coefficients are never compared.
+        items = sorted(
+            (((-(e >> ring._G), ring._unpack(e)), c) for e, c in self._terms.items()),
+            reverse=True,
+        )
         chunks = []
-        for e, c in self._sorted_terms():
-            factors = []
-            for i in self.ring._disp:
-                if e[i] == 1:
-                    factors.append(self.ring.names[i])
-                elif e[i] > 1:
-                    factors.append("%s^%d" % (self.ring.names[i], e[i]))
+        for (_, e), c in items:
+            factors = [
+                name if x == 1 else "%s^%d" % (name, x)
+                for name, x in zip(ring.names, e)
+                if x
+            ]
             if not factors:
                 body = str(abs(c))
             elif abs(c) == 1:
@@ -650,7 +630,7 @@ def exact_divide(num, den):
     qdeg = ndeg - ddeg
     if qdeg < 0:
         raise NotDivisible("numerator degree below denominator degree")
-    basis = [ring._pack_mono(e) for e in ring.monomials_of_degree(qdeg)]
+    basis = ring.monomials_of_degree(qdeg)
     if not basis:
         raise NotDivisible("no monomials of degree %d" % qdeg)
 
@@ -754,7 +734,7 @@ def symmetric_reduce(p, target):
     or l2 raises NotSymmetric.
     """
     ring = p.ring
-    if any(ring.degrees[ring.index[n]] != 1 for n in ("l1", "l2", "l3")):
+    if any(ring.degrees[ring._at(n)] != 1 for n in ("l1", "l2", "l3")):
         raise DegreeMismatch("symmetric reduction expects a degree-1 triple")
     if tuple(target.gen(n).homogeneous_degree() for n in ("c1", "c2", "c3")) != (1, 2, 3):
         raise DegreeMismatch("target images must have degrees 1, 2, 3")

@@ -95,7 +95,6 @@ def tower12():
             "v": (2, [[(-1, {"u": 1})], [(1, {"t": 1, "u": 1}), (2, {"d": 1})]]),
             "z": (3, [[(1, {"y": 1})], [(1, {"w": 1})], [(1, {"v": 1, "w": 1})]]),
         },
-        display_order=["z", "y", "w", "v", "u", "t", "d", "b", "a", "c3", "c2", "c1"],
     )
 
 
@@ -124,6 +123,21 @@ def test_relation_referencing_later_generator_rejected():
 def test_relation_referencing_itself_rejected():
     with pytest.raises(CyclicTower):
         Ring(["t"], relations={"t": (2, [[(1, {"t": 1})], []])})
+
+
+def test_cyclic_tower_names_the_referenced_generator():
+    with pytest.raises(CyclicTower, match="^relation coefficient for 'a' references 'c'$"):
+        Ring(["a", "b", "c"], relations={"a": (1, [[(1, {"c": 1})]])})
+    with pytest.raises(CyclicTower, match="^relation coefficient for 't' references 't'$"):
+        Ring(["s", "t"], relations={"t": (2, [[(1, {"s": 1}), (1, {"t": 1})], []])})
+
+
+def test_unknown_generator_queries_raise_unknown_generator():
+    r = chern_ring()
+    p = r.gen("t") + r.gen("c1")
+    for query in (lambda: r.gen("zz"), lambda: p.contains("zz"), lambda: p.coefficient("zz", 1)):
+        with pytest.raises(UnknownGenerator, match="zz"):
+            query()
 
 
 def test_inhomogeneous_relation_coefficient_rejected():
@@ -193,10 +207,7 @@ def test_content():
 
 
 def test_str_rendering():
-    r = Ring(
-        [("c1", 1), "h"],
-        display_order=["h", "c1"],
-    )
+    r = Ring(["h", ("c1", 1)])
     h, c1 = r.gen("h"), r.gen("c1")
     assert str(27 * h - 36 * c1) == "27*h - 36*c1"
     assert str(r.zero) == "0"
@@ -208,14 +219,19 @@ def test_str_rendering():
 
 
 def stack_normalize(ring, terms):
-    """Reference normal form: rewrite one term at a time, merging only at the end."""
-    fibers = sorted(ring.rel, reverse=True)
+    """Reference normal form: rewrite one term at a time, merging only at the end.
+
+    terms is keyed by exponent tuples; the packed relations are unpacked."""
+    rel = {
+        i: (n, {ring._unpack(e): c for e, c in rhs.items()}) for i, (n, rhs) in ring.rel.items()
+    }
+    fibers = sorted(rel, reverse=True)
     out = {}
     stack = list(terms.items())
     while stack:
         e, c = stack.pop()
         for i in fibers:
-            n, rhs = ring.rel[i]
+            n, rhs = rel[i]
             if e[i] >= n:
                 base = list(e)
                 base[i] -= n
@@ -298,7 +314,8 @@ def test_two_fiber_fresh_and_warm_rings_agree(make, warm, names, top):
     for _ in range(80):
         raw = random_raw(rnd, names, top)
         fresh = make()
-        want = stack_normalize(fresh, fresh._terms_from_raw(raw))
+        packed = fresh._terms_from_raw(raw)
+        want = stack_normalize(fresh, {fresh._unpack(e): c for e, c in packed.items()})
         assert fresh.poly(raw).terms == want
         assert warm.poly(raw).terms == want
 
@@ -472,6 +489,22 @@ def test_raw_input_above_the_degree_limit_is_rejected():
         r.poly([(1, {"x": 2 ** 31})])
 
 
+def test_raw_terms_merge_before_the_degree_limit():
+    """Only a monomial above DEGREE_LIMIT that survives merging raises."""
+    r = Ring(["x", "y"])
+    p = r.poly([(1, {"x": 2 ** 40}), (-1, {"x": 2 ** 40}), (2, {"y": 1})])
+    assert p == 2 * r.gen("y")
+    assert str(p) == "2*y"
+    assert r.poly([(1, {"x": 2 ** 40, "y": 0}), (-1, {"x": 2 ** 40})]).is_zero()
+    with pytest.raises(RingError, match="^monomial of degree 2147483648 exceeds"):
+        r.poly([(1, {"x": 2 ** 31})])
+    with pytest.raises(RingError, match="^monomial of degree 2147483648 exceeds"):
+        r.poly([(1, {"x": 2 ** 31}), (1, {"x": 2 ** 31, "y": 0})])
+    # a relation whose right-hand side lies above the limit
+    with pytest.raises(RingError, match="^monomial of degree 2147483648 exceeds"):
+        Ring([("c", 2 ** 30), ("x", 2 ** 30)], relations={"x": (2, [[(1, {"c": 1})], []])})
+
+
 def test_product_above_the_degree_limit_raises_instead_of_carrying():
     r = Ring(["x", "y"])
     x, y = r.gen("x"), r.gen("y")
@@ -493,19 +526,19 @@ def test_exponents_near_the_limit_read_back_exactly():
 
 
 def ref_str(ring, terms):
-    """Printing rule on exponent tuples: by degree, then display-order exponents."""
+    """Printing rule on exponent tuples: by degree, then tower-order exponents."""
     if not terms:
         return "0"
     grade = lambda e: sum(x * d for x, d in zip(e, ring.degrees))
     items = sorted(
         terms.items(),
-        key=lambda it: (grade(it[0]), tuple(-it[0][i] for i in ring._disp)),
+        key=lambda it: (grade(it[0]), tuple(-x for x in it[0])),
     )
     chunks = []
     for e, c in items:
         factors = [
             ring.names[i] if e[i] == 1 else "%s^%d" % (ring.names[i], e[i])
-            for i in ring._disp
+            for i in range(ring.ngens)
             if e[i]
         ]
         body = "*".join(factors)
@@ -627,7 +660,7 @@ def fraction_divide(num, den):
     qdeg = ndeg - ddeg
     if qdeg < 0:
         raise NotDivisible("numerator degree below denominator degree")
-    basis = [ring._pack_mono(e) for e in ring.monomials_of_degree(qdeg)]
+    basis = ring.monomials_of_degree(qdeg)
     if not basis:
         raise NotDivisible("no monomials of degree %d" % qdeg)
 
@@ -707,7 +740,7 @@ def random_form(rng, ring, degree, nterms):
     monos = ring.monomials_of_degree(degree)
     return ring.poly(
         [
-            (rng.randint(-3, 3), dict(zip(ring.names, rng.choice(monos))))
+            (rng.randint(-3, 3), dict(zip(ring.names, ring._unpack(rng.choice(monos)))))
             for _ in range(nterms)
         ]
     )
@@ -761,8 +794,8 @@ def test_exact_divide_agrees_with_the_fraction_oracle():
 
 
 def test_substitute_renames_and_maps():
-    src = Ring([("c1", 1), "h", "s"], display_order=["h", "c1", "s"])
-    dst = Ring([("c1", 1), "hz", "u"], display_order=["hz", "c1", "u"])
+    src = Ring(["h", ("c1", 1), "s"])
+    dst = Ring(["hz", ("c1", 1), "u"])
     p = 3 * src.gen("h") - 2 * src.gen("c1") - src.gen("s")
     q = substitute(p, {"h": "hz", "s": "u"}, target=dst)
     assert str(q) == "3*hz - 2*c1 - u"
@@ -789,7 +822,7 @@ def l_ring():
 
 
 def c_ring():
-    return Ring([("c1", 1), ("c2", 2), ("c3", 3), "h"], display_order=["h", "c1", "c2", "c3"])
+    return Ring(["h", ("c1", 1), ("c2", 2), ("c3", 3)])
 
 
 def expand_roots(reduced, src):
@@ -820,6 +853,12 @@ def test_symmetric_reduce_carries_other_generators():
     src, dst = l_ring(), c_ring()
     p = src.gen("h") * (src.gen("l1") + src.gen("l2") + src.gen("l3"))
     assert symmetric_reduce(p, dst) == -dst.gen("h") * dst.gen("c1")
+
+
+def test_symmetric_reduce_needs_all_three_roots():
+    src = Ring(["l1", "l2", "h"])
+    with pytest.raises(UnknownGenerator, match="l3"):
+        symmetric_reduce(src.gen("l1") + src.gen("l2"), c_ring())
 
 
 def test_symmetric_reduce_rejects_asymmetric():
