@@ -192,26 +192,31 @@ class Ring:
             rhs = {}
             for k, raw in enumerate(coeffs, start=1):
                 for e, c in self._terms_from_raw(raw).items():
+                    d, exps = e if type(e) is tuple else (e >> self._G, self._unpack(e))
                     for j in range(i, self.ngens):
-                        if (e >> self._shifts[j]) & _MASK:
+                        if exps[j]:
                             raise CyclicTower(
                                 "relation coefficient for %r references %r"
                                 % (name, self.names[j])
                             )
-                    if e >> self._G != k * self.degrees[i]:
+                    if d != k * self.degrees[i]:
                         raise DegreeMismatch(
                             "coefficient r_%d of %r is not homogeneous of degree %d"
                             % (k, name, k * self.degrees[i])
                         )
-                    # fold -r_k * g^(n-k) into the reduction polynomial
-                    e += (n - k) * self._unit[i]
+                    # fold -r_k * g^(n-k) into the reduction polynomial; a
+                    # tuple key lies above the limit, so the loop below raises
+                    if type(e) is int:
+                        e += (n - k) * self._unit[i]
                     rhs[e] = rhs.get(e, 0) - c
+            self.rel[i] = (n, _nonzero(rhs))
+        # Every relation is checked before any is found to lie above the limit.
+        for i, (n, rhs) in self.rel.items():
             if rhs and n * self.degrees[i] > DEGREE_LIMIT:
                 raise RingError(
                     "monomial of degree %d exceeds the degree limit %d"
                     % (n * self.degrees[i], DEGREE_LIMIT)
                 )
-            self.rel[i] = (n, _nonzero(rhs))
 
         # Fibers in rewrite order and their lazy power tables.
         self._fiber_desc = tuple(sorted(self.rel, reverse=True))
@@ -239,14 +244,22 @@ class Ring:
 
     def poly(self, raw):
         """Build a Poly from a raw term list [(coeff, {name: exp}), ...]."""
-        return Poly(self, self._checked(self._reduce(self._terms_from_raw(raw), 0)))
+        terms = self._terms_from_raw(raw)
+        for e in terms:
+            if type(e) is tuple:
+                raise RingError(
+                    "monomial of degree %d exceeds the degree limit %d" % (e[0], DEGREE_LIMIT)
+                )
+        return Poly(self, self._checked(self._reduce(terms, 0)))
 
     def _terms_from_raw(self, raw):
         """The packed term dict of a raw term list, merged, zeros dropped.
 
-        Terms are merged first: a monomial above DEGREE_LIMIT raises RingError
-        only if it survives.  Until then it is keyed by its degree and its
-        (index, exponent) pairs, since its exponents may overflow their fields.
+        A monomial above DEGREE_LIMIT, whose exponents may overflow their
+        fields, is keyed by (degree, exponent tuple) instead.  Terms are
+        merged first, so such a monomial makes ``poly`` raise RingError only
+        if it survives; a relation coefficient is checked for a cyclic tower
+        and its degree before the limit.
         """
         index, unit, degrees = self.index, self._unit, self.degrees
         terms = {}
@@ -261,15 +274,9 @@ class Ring:
                 e += exp * unit[i]
                 d += exp * degrees[i]
             if d > DEGREE_LIMIT:
-                e = (d, frozenset((index[name], x) for name, x in mono.items() if x))
+                e = (d, tuple(mono.get(name, 0) for name in self.names))
             terms[e] = terms.get(e, 0) + int(c)
-        terms = _nonzero(terms)
-        for e in terms:
-            if type(e) is tuple:
-                raise RingError(
-                    "monomial of degree %d exceeds the degree limit %d" % (e[0], DEGREE_LIMIT)
-                )
-        return terms
+        return _nonzero(terms)
 
     def _unpack(self, e):
         """The exponent tuple of a packed monomial."""

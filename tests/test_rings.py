@@ -505,6 +505,23 @@ def test_raw_terms_merge_before_the_degree_limit():
         Ring([("c", 2 ** 30), ("x", 2 ** 30)], relations={"x": (2, [[(1, {"c": 1})], []])})
 
 
+def test_relation_checks_come_before_the_degree_limit():
+    """A relation above DEGREE_LIMIT still fails its tower and degree checks first."""
+    with pytest.raises(DegreeMismatch, match="^coefficient r_1 of 'x'"):
+        Ring([("c", 2 ** 31), "x"], relations={"x": (1, [[(1, {"c": 1})]])})
+    with pytest.raises(CyclicTower, match="^relation coefficient for 'x' references 'c'"):
+        Ring(["x", ("c", 2 ** 31)], relations={"x": (1, [[(1, {"c": 1})]])})
+    # a later relation's check comes before an earlier relation's limit
+    with pytest.raises(CyclicTower, match="references 'y'"):
+        Ring(
+            [("c", 2 ** 30), ("x", 2 ** 30), "a", "y"],
+            relations={"x": (2, [[(1, {"c": 1})], []]), "a": (1, [[(1, {"y": 1})]])},
+        )
+    # a coefficient above the limit that passes both checks
+    with pytest.raises(RingError, match="^monomial of degree 4294967296 exceeds"):
+        Ring([("c", 2 ** 31), ("x", 2 ** 31)], relations={"x": (2, [[(1, {"c": 1})], []])})
+
+
 def test_product_above_the_degree_limit_raises_instead_of_carrying():
     r = Ring(["x", "y"])
     x, y = r.gen("x"), r.gen("y")

@@ -4,14 +4,12 @@ A code line is a non-blank line that is neither a whole-line comment nor part
 of a module, class or function docstring.  Lines inside other string
 literals count.  Stdlib only.
 
-    python3 tools/code_lines.py [DIR]
+    python3 tools/code_lines.py
 
-prints one count per module of DIR (default: src/ccalc next to this script),
-then the total.
+prints one count per module of src/ccalc next to this script, then the total.
 """
 
 import ast
-import sys
 from pathlib import Path
 
 
@@ -19,9 +17,7 @@ def docstring_lines(tree):
     """The line numbers taken by the docstrings of tree and its defs."""
     lines = set()
     for node in ast.walk(tree):
-        if not isinstance(
-            node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
-        ):
+        if not isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)):
             continue
         first = node.body[0] if node.body else None
         if (
@@ -42,8 +38,8 @@ def code_lines(text):
     )
 
 
-def main(argv):
-    root = Path(argv[0]) if argv else Path(__file__).resolve().parents[1] / "src" / "ccalc"
+def main():
+    root = Path(__file__).resolve().parents[1] / "src" / "ccalc"
     total = 0
     for path in sorted(root.glob("*.py")):
         count = code_lines(path.read_text())
@@ -53,4 +49,4 @@ def main(argv):
 
 
 if __name__ == "__main__":
-    main(sys.argv[1:])
+    main()
