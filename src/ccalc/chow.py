@@ -22,6 +22,7 @@ Two loci are computed:
 
 from math import gcd
 
+from . import CcalcError
 from .rings import (
     NotAFiberGenerator,
     NotDivisible,
@@ -32,7 +33,7 @@ from .rings import (
 )
 
 
-class DegreeTooSmall(ValueError):
+class DegreeTooSmall(CcalcError, ValueError):
     pass
 
 

@@ -20,14 +20,12 @@ Exit codes: 0 success, 1 computation error or oracle mismatch, 2 usage error.
 import argparse
 import json
 import os
-import re
 import sys
 import time
 
-from . import checks
-from .chow import DegreeTooSmall, class_bin, class_z, r_value
+from . import CcalcError, checks
+from .chow import class_bin, class_z, r_value
 from .cubic import (
-    CubicError,
     PointConfig,
     bitangent_algebra,
     build_action,
@@ -42,12 +40,17 @@ from .etale import (
     galois_sw_total,
     parse_algebra,
 )
-from .groups import GroupsError, brauer_stack, n_torsion
-from .ksymbols import KError, MODEL_PRESETS, euclidean_model, parse_kelement, residue
-from .rings import RingError
+from .groups import brauer_stack, n_torsion
+from .ksymbols import (
+    KEYWORDS,
+    MODEL_PRESETS,
+    euclidean_model,
+    is_name,
+    parse_kelement,
+    residue,
+    tokenize,
+)
 
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
-_RESERVED_NAMES = {"F", "sqrt", "eps"}
 # Bound on the digits of every -d: the worksheets render d(d-1)^2, which
 # then stays within 3000 digits, below Python's int-to-str limit of 4300.
 DEGREE_DIGITS = 1000
@@ -104,8 +107,9 @@ def _class_result(report, order, expected):
 
 
 def _field_model(model_name, text, kind, drop, extra=()):
-    """Build the named preset model over the identifiers appearing in text,
-    then check each of its indeterminates as a `kind` name."""
+    """Build the named preset model over the name tokens of text (keywords
+    included) but drop, plus extra, then check each of its indeterminates as a
+    `kind` name."""
     if model_name is None:
         model_name = os.environ.get("CCALC_MODEL", "euclidean")
     if model_name not in MODEL_PRESETS:
@@ -113,7 +117,7 @@ def _field_model(model_name, text, kind, drop, extra=()):
             "unknown field model %r (choose from %s)"
             % (model_name, ", ".join(sorted(MODEL_PRESETS)))
         )
-    names = set(_IDENT.findall(text)) - set(drop) | set(extra)
+    names = set(filter(is_name, tokenize(text))) - set(drop) | set(extra)
     model = MODEL_PRESETS[model_name](tuple(sorted(names)))
     for n in model.indeterminates:
         _check_name(n, kind)
@@ -121,8 +125,8 @@ def _field_model(model_name, text, kind, drop, extra=()):
 
 
 def _check_name(name, kind):
-    """UsageError unless name is an identifier that the parsers do not reserve."""
-    if not _IDENT.fullmatch(name) or name in _RESERVED_NAMES:
+    """UsageError unless name is one name token and no reader's keyword."""
+    if not is_name(name) or name in KEYWORDS:
         raise UsageError("bad %s name %r" % (kind, name))
 
 
@@ -421,7 +425,7 @@ def build_parser(command=None):
     return parser
 
 
-_CAUGHT = (DegreeTooSmall, RingError, KError, EtaleError, CubicError, GroupsError, SyntaxError)
+_CAUGHT = (CcalcError, SyntaxError)
 
 
 def _emit_error(args, message, kind):

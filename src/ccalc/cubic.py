@@ -25,12 +25,13 @@ polynomial tower where the square roots are fiber generators.
 from collections import Counter, namedtuple
 from itertools import combinations
 
+from . import CcalcError
 from .etale import EtaleAlgebraExpr, galois_sw_total, gf2_eliminate
 from .ksymbols import euclidean_model, residue
 from .rings import Ring
 
 
-class CubicError(Exception):
+class CubicError(CcalcError):
     pass
 
 

@@ -31,10 +31,12 @@ and the multiplicities.
 
 from math import isqrt
 
+from . import CcalcError
 from .rings import Ring
 from .ksymbols import (
     ModelMismatch,
     UnknownGenerator,
+    _Reader,
     _parse_monomial,
     one,
     symbol,
@@ -42,8 +44,8 @@ from .ksymbols import (
 )
 
 
-# Longest multiplicity the parser accepts; Stiefel-Whitney classes read only
-# its residue mod a power of two, and the rank is printed in full.
+# Most digits of a multiplicity, leading zeros aside; Stiefel-Whitney classes
+# read only its residue mod a power of two, and the rank is printed in full.
 MULTIPLICITY_DIGITS = 1000
 
 # Highest degree sw_total materializes.  Each distinct diagonal symbol costs
@@ -75,7 +77,7 @@ ROOTS_LIMIT = 8
 SW_NAMES_LIMIT = 5
 
 
-class EtaleError(Exception):
+class EtaleError(CcalcError):
     pass
 
 
@@ -149,6 +151,7 @@ class EtaleAlgebraExpr:
         self.model = model
         self.factors = []
         self._fields = {}  # total multiplicity of each field
+        trivial = {n for n in model.constants if model.is_trivial(n)}
         for ext, mult in factors:
             ext = tuple(frozenset(m) for m in ext)
             if not (isinstance(mult, int) and mult >= 1):
@@ -162,9 +165,7 @@ class EtaleAlgebraExpr:
                 for name in mono:
                     if not model.knows(name):
                         raise UnknownName(name)
-            basis, deps = gf2_eliminate(
-                [frozenset(n for n in m if not model.is_trivial(n)) for m in ext]
-            )
+            basis, deps = gf2_eliminate([m - trivial for m in ext])
             for i, dep in enumerate(deps):
                 if dep is not None:
                     raise DependentClasses(
@@ -199,78 +200,36 @@ class EtaleAlgebraExpr:
 
 
 def parse_algebra(text, model):
-    """Parse `F(sqrt(a),sqrt(b))^2 * F` style algebra expressions."""
-    s = text
-    pos = 0
-
-    def err(msg):
-        raise SyntaxError("%s at position %d in %r" % (msg, pos, text))
-
-    def ws():
-        nonlocal pos
-        while pos < len(s) and s[pos].isspace():
-            pos += 1
-
+    """Parse `F(sqrt(a),sqrt(b))^2 * F` style algebra expressions (the grammar
+    is in the ksymbols docstring); each square class is read by
+    `_parse_monomial`, and a multiplicity has at most MULTIPLICITY_DIGITS
+    digits."""
+    reader = _Reader(text)
     factors = []
     while True:
-        ws()
-        if pos >= len(s) or s[pos] != "F":
-            err("expected 'F'")
-        pos += 1
+        reader.expect("F", "expected 'F'")
         ext = []
-        ws()
-        if pos < len(s) and s[pos] == "(":
-            pos += 1
+        if reader.accept("("):
             while True:
-                ws()
-                if not s.startswith("sqrt", pos):
-                    err("expected 'sqrt'")
-                pos += 4
-                ws()
-                if pos >= len(s) or s[pos] != "(":
-                    err("expected '(' after sqrt")
-                pos += 1
-                start = pos
-                while pos < len(s) and s[pos] != ")":
-                    pos += 1
-                if pos >= len(s):
-                    err("unclosed sqrt(")
+                reader.expect("sqrt", "expected 'sqrt'")
+                reader.expect("(", "expected '(' after sqrt")
                 try:
-                    ext.append(_parse_monomial(s[start:pos], model))
+                    ext.append(_parse_monomial(reader, model))
                 except UnknownGenerator as e:
                     raise UnknownName(str(e)) from None
-                pos += 1
-                ws()
-                if pos < len(s) and s[pos] == ",":
-                    pos += 1
-                    continue
-                if pos < len(s) and s[pos] == ")":
-                    pos += 1
+                reader.expect(")", "unclosed sqrt(")
+                if not reader.accept(","):
                     break
-                err("expected ',' or ')'")
-        ws()
+            reader.expect(")", "expected ',' or ')'")
         mult = 1
-        if pos < len(s) and s[pos] == "^":
-            pos += 1
-            ws()
-            start = pos
-            while pos < len(s) and s[pos].isdecimal():
-                pos += 1
-            if start == pos:
-                err("expected an integer after '^'")
-            if pos - start > MULTIPLICITY_DIGITS:
-                err("multiplicity has more than %d digits" % MULTIPLICITY_DIGITS)
-            mult = int(s[start:pos])
+        if reader.accept("^"):
+            mult = reader.integer("multiplicity", MULTIPLICITY_DIGITS)
             if mult < 1:
-                err("multiplicity must be >= 1")
+                reader.fail("multiplicity must be >= 1", reader.i - 1)
         factors.append((tuple(ext), mult))
-        ws()
-        if pos >= len(s):
-            break
-        if s[pos] != "*":
-            err("expected '*' between factors")
-        pos += 1
-    return EtaleAlgebraExpr(model, factors)
+        if reader.accept(""):
+            return EtaleAlgebraExpr(model, factors)
+        reader.expect("*", "expected '*' between factors")
 
 
 # -- trace forms ---------------------------------------------------------------
@@ -380,7 +339,7 @@ class SWClassVector:
 
     def alpha(self, i):
         if not 0 <= i <= self.cap:
-            raise IndexError("alpha_%d not materialized (cap %d)" % (i, self.cap))
+            raise EtaleError("alpha_%d not materialized (cap %d)" % (i, self.cap))
         return self.classes[i]
 
     def alpha_tot(self):

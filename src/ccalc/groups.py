@@ -24,10 +24,11 @@ never expanded.  A descriptor's cyclic summands are plain orders.
 from collections import namedtuple
 from math import gcd
 
+from . import CcalcError
 from .chow import DegreeTooSmall, beta1_order, class_z, r_value
 
 
-class GroupsError(Exception):
+class GroupsError(CcalcError):
     pass
 
 

@@ -34,10 +34,24 @@ The free-module reading of these basis symbols is validated by the iterated
 residue maps (see `residue`): residues at the generator set of a basis symbol
 extract exactly that symbol's eps-power, so distinct basis symbols are
 independent over the constants.
+
+The three input languages share one tokenizer, `tokenize`, and its token
+table: names (ASCII identifiers, the keywords eps, F and sqrt among them),
+integers (runs of str.isdecimal digits), the punctuation { } ( ) , * ^ + -,
+and runs of any other characters, which a square class reads as names.  One
+reader per language, c standing for a square class:
+
+    square class  ["-"] f ("*" f)*, each f a name or a power of two
+    symbol        "0" | t ("+" t)*, each t "1" | eps["^"m]["*" {c,...}] | {c,...}
+    algebra       a ("*" a)*, each a F["(" sqrt(c) ("," sqrt(c))* ")"]["^" m]
 """
 
+import re
 
-class KError(Exception):
+from . import CcalcError
+
+
+class KError(CcalcError):
     pass
 
 
@@ -260,7 +274,10 @@ def _as_monomial(entry, model):
     """Coerce an entry (string, iterable of names, or frozenset) to a reduced
     exponent-vector-mod-2, i.e. a frozenset of names."""
     if isinstance(entry, str):
-        return _parse_monomial(entry, model)
+        reader = _Reader(entry)
+        mono = _parse_monomial(reader, model)
+        reader.expect("", "expected '*' between factors")
+        return mono
     mono = frozenset()
     for name in entry:
         if not model.knows(name):
@@ -330,109 +347,140 @@ def iterated_residue(x, names):
 
 # -- parsing -----------------------------------------------------------------
 
+_PUNCT = "{}(),*^+-"
+# The token table, one (kind, pattern) row per kind.  The rows start with
+# disjoint sets of characters, whitespace separates tokens, and every other
+# character starts one, so tokenizing never fails; the tokens of a text end
+# with the empty "end" token.  \d matches exactly the characters for which
+# str.isdecimal holds: a token is an integer exactly when it is decimal.
+_TOKEN_TABLE = (
+    ("punct", "[%s]" % re.escape(_PUNCT)),
+    ("name", r"[A-Za-z_][A-Za-z_0-9]*"),
+    ("int", r"\d+"),
+    ("other", r"[^\s\dA-Za-z_%s]+" % re.escape(_PUNCT)),
+    ("end", r"\Z"),
+)
+_TOKEN = re.compile("|".join(pattern for _, pattern in _TOKEN_TABLE))
+KEYWORDS = ("eps", "F", "sqrt")
 
-def _parse_monomial(text, model):
-    """One signed monomial: ["-"] factor ("*" factor)*, factor a name or a
-    power of two; reduced mod squares to a frozenset of names."""
-    s = text.strip()
-    if not s:
-        raise SyntaxError("empty symbol entry")
-    mono = frozenset()
-    if s.startswith("-"):
-        mono ^= {"minus_one"}
-        s = s[1:].strip()
-        if not s:
-            raise SyntaxError("dangling '-' in symbol entry %r" % text)
-    for factor in s.split("*"):
-        factor = factor.strip()
-        if not factor:
-            raise SyntaxError("empty factor in symbol entry %r" % text)
-        if factor.isdecimal():
-            if len(factor) > 4000:  # int() refuses digit strings past 4300
-                raise SyntaxError("numeric entry in %r is too long" % text)
-            n = int(factor)
-            if n == 0:
-                raise SyntaxError("0 is not a unit")
-            while n % 4 == 0:
-                n //= 4
-            if n == 2:
+# Most digits of a numeral the readers convert, leading zeros aside: int()
+# refuses digit strings past 4300.
+NUMERAL_DIGITS = 4000
+
+
+def tokenize(text):
+    """The tokens of text as strings, the last one the empty end token."""
+    return _TOKEN.findall(text)
+
+
+def is_name(text):
+    """Whether text is one name token: an ASCII identifier, which is what the
+    "name" row of _TOKEN_TABLE matches."""
+    return text.isascii() and text.isidentifier()
+
+
+class _Reader:
+    """A cursor over the tokens of one text; accept("") tests for the end."""
+
+    def __init__(self, text):
+        self.text, self.i = text, 0
+        self.tokens = tokenize(text)
+
+    def accept(self, token):
+        """Step over the next token if it is token."""
+        if self.tokens[self.i] == token:
+            self.i += 1
+            return True
+        return False
+
+    def expect(self, token, what):
+        if self.tokens[self.i] != token:
+            self.fail(what)
+        self.i += 1
+
+    def integer(self, name="numeral", digits=NUMERAL_DIGITS):
+        """Step over the next token, an integer of at most `digits` digits
+        besides leading zeros, and return its value.  An integer can be
+        missing only after a '^', so the error for a missing one names it."""
+        token = self.tokens[self.i]
+        if not token.isdecimal():
+            self.fail("expected an integer after '^'")
+        value = token.lstrip("0") or "0"
+        if len(value) > digits:
+            self.fail("%s has more than %d digits" % (name, digits))
+        self.i += 1
+        return int(value)
+
+    def fail(self, what, at=None, show_pos=True):
+        """Raise the parse error: SyntaxError "<what> at position <pos> in
+        <text>", pos being where token number `at` starts (by default the
+        next token), and the error's offset pos + 1, as Python counts columns.
+        show_pos=False leaves the position out of the message."""
+        pos = [m.start() for m in _TOKEN.finditer(self.text)][self.i if at is None else at]
+        msg = "%s%s in %r" % (what, " at position %d" % pos if show_pos else "", self.text)
+        raise SyntaxError(msg, (None, None, pos + 1, self.text))
+
+
+def _parse_monomial(reader, model):
+    """One square class: ["-"] factor ("*" factor)*, a factor a power of two or
+    a name or other token that the model knows (but minus_one); reduced mod
+    squares to a frozenset of names."""
+    mono = {"minus_one"} if reader.accept("-") else set()
+    while True:
+        token = reader.tokens[reader.i]
+        if token.isdecimal():
+            n = reader.integer()
+            if n & (n - 1) or not n:
+                reader.fail("numeric entries must be powers of two, got %r" % token, reader.i - 1)
+            if n.bit_length() % 2 == 0:  # an odd power of two
                 mono ^= {"two"}
-            elif n != 1:
-                raise SyntaxError(
-                    "numeric entries must be powers of two, got %r" % factor
-                )
+        elif token and token not in _PUNCT:  # a name or other run, not the end
+            if token not in model._bit:  # which has no minus_one
+                raise UnknownGenerator(token)
+            reader.i += 1
+            mono ^= {token}
         else:
-            if not model.knows(factor) or factor == "minus_one":
-                raise UnknownGenerator(factor)
-            mono ^= {factor}
-    return mono
+            reader.fail("expected a name or a numeral")
+        if not reader.accept("*"):
+            return frozenset(mono)
 
 
 def parse_kelement(text, model):
-    """Inverse of render(): accepts the repeated -1 spelling, the eps^m
-    prefix ("eps", "eps^m", "eps*{...}", "eps^m*{...}"; the '*' before braces
-    is required), plus composite entries like {-1,a*b}."""
-    s = text.strip()
-    if s == "0":
+    """Inverse of render(): "0", or terms joined by '+' (see `_parse_term`).
+    The braces must balance, which is checked before any term is read."""
+    reader = _Reader(text)
+    if reader.tokens == ["0", ""]:
         return zero(model)
-    result = zero(model)
-    # split on '+' outside braces
     depth = 0
-    start = 0
-    parts = []
-    for i, ch in enumerate(s):
-        if ch == "{":
-            depth += 1
-        elif ch == "}":
-            depth -= 1
-            if depth < 0:
-                raise SyntaxError("unbalanced '}' at position %d" % i)
-        elif ch == "+" and depth == 0:
-            parts.append(s[start:i])
-            start = i + 1
-    if depth != 0:
-        raise SyntaxError("unbalanced '{' in %r" % text)
-    parts.append(s[start:])
-    for part in parts:
-        result = result + _parse_term(part.strip(), model)
-    return result
+    for i, token in enumerate(reader.tokens):
+        depth += (token == "{") - (token == "}")
+        if depth < 0:
+            reader.fail("unbalanced '}'", i)
+    if depth:
+        reader.fail("unbalanced '{'", -1, show_pos=False)  # at the end
+    support = _parse_term(reader, model)
+    while reader.accept("+"):
+        support ^= _parse_term(reader, model)
+    reader.expect("", "expected '+' between terms")
+    return KElement(model, support)
 
 
-def _parse_term(part, model):
-    """One term: "1", or "eps"/"eps^m" (m <= EPS_POWER_LIMIT), the basis
-    symbol (m, {}), times an optional brace-delimited symbol after a '*'."""
-    if not part:
-        raise SyntaxError("empty term")
-    if part == "1":
-        return one(model)
-    eps_m, rest = 0, part
-    if part.startswith("eps"):
-        eps_m, star, rest = 1, "", part[3:].strip()
-        if rest.startswith("^"):
-            num, star, rest = rest[1:].partition("*")
-            num = num.strip()
-            if not num.isdecimal():
-                raise SyntaxError("bad eps power in %r" % part)
-            num = num.lstrip("0") or "0"
-            if len(num) > len(str(EPS_POWER_LIMIT)) or int(num) > EPS_POWER_LIMIT:
-                raise SyntaxError(
-                    "eps power in %r exceeds %d" % (part, EPS_POWER_LIMIT)
-                )
-            eps_m = int(num)
-        elif rest.startswith("*"):
-            star, rest = "*", rest[1:]
-        elif rest:
-            raise SyntaxError("expected '*' after eps in %r" % part)
-        rest = rest.strip()
-        if star and not rest:
-            raise SyntaxError("nothing follows '*' in %r" % part)
-    if not rest:
-        body = one(model)
-    elif not (rest.startswith("{") and rest.endswith("}")):
-        raise SyntaxError("expected a brace-delimited symbol, got %r" % rest)
-    else:
-        entries = rest[1:-1].split(",")
-        if entries == [""]:
-            raise SyntaxError("empty symbol braces")
-        body = symbol(entries, model)
-    return KElement(model, _product(model, {(eps_m, 0)}, body.support))
+def _parse_term(reader, model):
+    """One term, as a support: "1"; "eps" or "eps^m" (m <= EPS_POWER_LIMIT),
+    the basis symbol (m, 0), alone or times "*" and a braced symbol; or a
+    braced symbol {u1,...,ur} of square classes."""
+    if reader.accept("1"):
+        return _ONE
+    m = 0
+    if reader.accept("eps"):
+        m = reader.integer("eps power") if reader.accept("^") else 1
+        if m > EPS_POWER_LIMIT:
+            reader.fail("eps power exceeds %d" % EPS_POWER_LIMIT, reader.i - 1)
+        if not reader.accept("*"):
+            return _product(model, {(m, 0)}, _ONE)
+    reader.expect("{", "expected a brace-delimited symbol")
+    entries = [_parse_monomial(reader, model)]
+    while reader.accept(","):
+        entries.append(_parse_monomial(reader, model))
+    reader.expect("}", "expected ',' or '}'")
+    return _product(model, {(m, 0)}, symbol(entries, model).support)

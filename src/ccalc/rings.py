@@ -53,12 +53,14 @@ relation-free ring only multiplies out and checks degrees.
 from math import gcd
 from operator import mul
 
+from . import CcalcError
+
 _FIELD = 32
 _MASK = (1 << _FIELD) - 1
 DEGREE_LIMIT = 2 ** 31 - 1
 
 
-class RingError(Exception):
+class RingError(CcalcError):
     pass
 
 
@@ -517,11 +519,16 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, k):
+        """self^k by square-and-multiply: O(log k) products."""
         if not (isinstance(k, int) and k >= 0):
             raise RingError("exponent must be a nonnegative integer")
-        result = self.ring.one
-        for _ in range(k):
-            result = result * self
+        result, square = self.ring.one, self
+        while k:
+            if k & 1:
+                result = result * square
+            k >>= 1
+            if k:
+                square = square * square
         return result
 
     def __eq__(self, other):

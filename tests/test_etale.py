@@ -422,6 +422,13 @@ def test_sw_biquadratic_example():
     assert sw.alpha(2) == expected2
 
 
+def test_alpha_past_the_cap_is_an_etale_error():
+    sw = sw_total(parse_algebra("F(sqrt(a))", EUC))
+    assert sw.cap == 2 and sw.alpha(2).is_zero()
+    with pytest.raises(EtaleError, match="alpha_3 not materialized"):
+        sw.alpha(3)
+
+
 def test_galois_sw_biquadratic():
     alg = parse_algebra("F(sqrt(a),sqrt(b))", EUC)
     gsw = galois_sw_total(alg, max_degree=4)

@@ -1,10 +1,12 @@
 """Tests for the mod-2 symbol calculus."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ccalc.etale import DependentClasses, EtaleAlgebraExpr, parse_algebra
 from ccalc.ksymbols import (
     EPS_POWER_LIMIT,
     FieldModel,
@@ -16,11 +18,13 @@ from ccalc.ksymbols import (
     closed_model,
     euclidean_model,
     generic_model,
+    is_name,
     iterated_residue,
     one,
     parse_kelement,
     residue,
     symbol,
+    tokenize,
     zero,
 )
 
@@ -176,6 +180,29 @@ def test_parse_errors():
         parse_kelement("{zz}", EUC)
 
 
+def test_parse_errors_carry_their_position():
+    text = "{a} + {b c}"
+    with pytest.raises(SyntaxError) as caught:
+        parse_kelement(text, EUC)
+    assert str(caught.value) == "expected ',' or '}' at position 9 in '{a} + {b c}'"
+    assert (caught.value.offset, caught.value.text) == (10, text)
+    with pytest.raises(SyntaxError, match=r"^unbalanced '\{' in '\{a,b'$") as caught:
+        parse_kelement("{a,b", EUC)
+    assert caught.value.offset == 5  # the end, one past the last column
+    pinned = "expected ',' or ')' at position 9 in 'F(sqrt(a)'"
+    with pytest.raises(SyntaxError, match="^%s$" % re.escape(pinned)):
+        parse_algebra("F(sqrt(a)", EUC)
+
+
+@settings(max_examples=300)
+@given(st.text(alphabet="aF_x1\u0663\u00b2\u00e9.{}(),*^+- \t\u00a0", max_size=20))
+def test_tokens_cover_the_text_and_its_names_are_its_identifiers(text):
+    tokens = tokenize(text)
+    assert tokens[-1] == "" and "".join(tokens) == "".join(text.split())
+    names = re.findall(r"[A-Za-z_][A-Za-z_0-9]*", text)  # the "name" row
+    assert [t for t in tokens if is_name(t)] == names
+
+
 def test_numerals_outside_ascii_or_too_long_fail_cleanly():
     with pytest.raises(UnknownGenerator):
         parse_kelement("{\u00b2}", EUC)  # a superscript two is not a numeral
@@ -313,6 +340,43 @@ def test_closed_model_kills_positive_degree_constants(entries):
 def test_render_parse_round_trip(x, y):
     assert parse_kelement(x.render(), EUC) == x
     assert parse_kelement(y.render(), GEN) == y
+
+
+# factor lists for the algebra round trip: non-empty, since "F^0" is rejected
+FACTOR_LISTS = st.lists(
+    st.tuples(
+        st.lists(
+            st.frozensets(st.sampled_from(["minus_one", "two", "a", "b", "c"]), max_size=3),
+            max_size=4,
+        ),
+        st.integers(min_value=1, max_value=2 ** 70),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+def algebra(model, factors):
+    """The algebra of factors over model, a factor whose square classes are
+    dependent there being replaced by F."""
+    fields = []
+    for ext, mult in factors:
+        try:
+            EtaleAlgebraExpr(model, [(ext, 1)])
+        except DependentClasses:
+            ext = ()
+        fields.append((ext, mult))
+    return EtaleAlgebraExpr(model, fields)
+
+
+@settings(max_examples=200)
+@given(FACTOR_LISTS)
+def test_algebra_render_parse_round_trip(factors):
+    for model in (EUC, CLO, GEN):
+        alg = algebra(model, factors)
+        parsed = parse_algebra(str(alg), model)
+        assert parsed == alg
+        assert str(parsed) == str(alg)
 
 
 # -- the bit-mask normal form against frozensets of names ----------------------

@@ -471,6 +471,42 @@ def test_high_fiber_power_matches_long_division_directly():
     assert chern_ring().poly([(1, {"t": 100})]).terms == want
 
 
+@pytest.mark.parametrize(
+    "make, names",
+    [
+        (lambda: TWOPOINT_RING, None),
+        (root_ring, None),
+        (sqrt_ring, None),
+        (nested_ring, None),
+        # u, v and z of tower12 grow to 10^4-10^5 terms by the 40th power
+        (tower12, ("c1", "c3", "a", "d", "t", "w", "y")),
+    ],
+    ids=["twopoint", "root", "sqrt", "nested", "tower12"],
+)
+def test_powers_match_repeated_multiplication(make, names):
+    r = make()
+    gens = [r.gen(n) for n in names or r.names]
+    for p in gens + [r.zero, r.one, gens[0] + 1, gens[0] - 2 * gens[-1]]:
+        loop = r.one  # p^k by repeated multiplication, the reference
+        for k in range(41):
+            if loop is None:  # an earlier power passed the cap
+                with pytest.raises(TruncationExceeded):
+                    p ** k
+                continue
+            assert (p ** k).terms == loop.terms, (p, k)
+            try:
+                loop = loop * p
+            except TruncationExceeded:
+                loop = None
+
+
+def test_huge_power_of_a_monomial_is_fast():
+    x = Ring(["x"]).gen("x")
+    start = time.perf_counter()
+    assert str(x ** 2 ** 30) == "x^1073741824"
+    assert time.perf_counter() - start < 1.0
+
+
 def test_power_tables_keep_no_entry_above_the_cap():
     r = root_ring()
     with pytest.raises(TruncationExceeded):

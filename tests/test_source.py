@@ -1,9 +1,12 @@
 """Source-level guards over the library modules."""
 
 import ast
+import importlib
 import sys
 import warnings
 from pathlib import Path
+
+from ccalc import CcalcError
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "ccalc").glob("*.py"))
 
@@ -199,3 +202,38 @@ def test_every_public_name_has_a_library_caller():
     assert defined and properties and methods
     assert {f.rsplit(".", 1)[0] for f in fields} == NAMEDTUPLES, fields
     assert unused <= OUTSIDE_CALLERS, sorted(unused - OUTSIDE_CALLERS)
+
+
+def test_every_raise_names_a_library_error():
+    """Every `raise` in src/ccalc names a CcalcError subclass, SyntaxError
+    (a parse error), cli.UsageError, or the AttributeError that the immutable
+    KElement and Poly raise on assignment."""
+    found = []
+    for path in SOURCES:
+        module = importlib.import_module(
+            "ccalc" if path.stem == "__init__" else "ccalc." + path.stem
+        )
+        tree = ast.parse(path.read_text(), str(path))
+        immutable = {
+            id(node)
+            for cls in tree.body
+            if isinstance(cls, ast.ClassDef) and cls.name in ("KElement", "Poly")
+            for method in cls.body
+            if isinstance(method, ast.FunctionDef) and method.name == "__setattr__"
+            for node in ast.walk(method)
+        }
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Raise):
+                continue
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            name = getattr(exc, "id", None)
+            cls = getattr(module, name, None) if name else None
+            if not (
+                name == "SyntaxError"
+                or (path.stem == "cli" and name == "UsageError")
+                or (name == "AttributeError" and id(node) in immutable)
+                or (isinstance(cls, type) and issubclass(cls, CcalcError))
+            ):
+                found.append("%s:%d raise %s" % (path.name, node.lineno, name))
+    assert SOURCES
+    assert not found, found
