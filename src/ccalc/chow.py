@@ -37,6 +37,12 @@ class DegreeTooSmall(CcalcError, ValueError):
     pass
 
 
+def require_degree(d, minimum):
+    """The one curve-degree guard: DegreeTooSmall unless d is an int >= minimum."""
+    if not (isinstance(d, int) and d >= minimum):
+        raise DegreeTooSmall("need curve degree >= %d, got %r" % (minimum, d))
+
+
 def _split_cubic():
     """Relation list for x^3 = e1 x^2 - e2 x + e3 over the roots l1,l2,l3."""
     return (
@@ -129,8 +135,7 @@ def fiber_pushforward(p, fiber):
 def class_ztilde(d):
     """Product of the three hyperplane classes h + (d-1)t + l_i cutting out
     a curve singular at the universal point of the t-fiber."""
-    if d < 3:
-        raise DegreeTooSmall("need curve degree >= 3, got %d" % d)
+    require_degree(d, 3)
     r = POINT_RING
     h, t = r.gen("h"), r.gen("t")
     cls = r.one
@@ -147,8 +152,7 @@ def beta1_order(d):
     gcd(3(d-1)^2, d(d-1)^2) = (d-1)^2 gcd(3, d), and gcd(3, d) is 3 when
     3 | d and 1 otherwise.
     """
-    if d < 3:
-        raise DegreeTooSmall("need curve degree >= 3, got %d" % d)
+    require_degree(d, 3)
     return (3 if d % 3 == 0 else 1) * (d - 1) ** 2
 
 
@@ -169,8 +173,7 @@ def class_z(d):
 
 def r_value(d):
     """gcd(d(d-1)^2, 3(d-2)): the content of the two-singular-point class."""
-    if d < 4:
-        raise DegreeTooSmall("need curve degree >= 4, got %d" % d)
+    require_degree(d, 4)
     return gcd(d * (d - 1) ** 2, 3 * (d - 2))
 
 
@@ -201,8 +204,7 @@ def class_bin(d, push_fiber="t"):
     gcd(3d(d-2), 3(d-2), d(d-1)^2) = gcd(d(d-1)^2, 3(d-2)) = r_value(d),
     since 3(d-2) divides 3d(d-2).
     """
-    if d < 4:
-        raise DegreeTooSmall("need curve degree >= 4, got %d" % d)
+    require_degree(d, 4)
     if push_fiber not in ("s", "t"):
         raise NotAFiberGenerator(push_fiber)
     kept = "s" if push_fiber == "t" else "t"

@@ -358,8 +358,11 @@ def sw_total(alg, max_degree=None):
     bit in use.  A pass stops at the degree reached so far: a product of j
     factors 1 + x (x of degree 1, each 1 + c^(2^b) counting as 2^b of them)
     has no term above degree j.  The cap is min(rank, max_degree), with
-    max_degree 7 by default; a cap above SW_CAP_LIMIT raises EtaleError.
+    max_degree 7 by default; a max_degree that is not a nonnegative integer
+    or a cap above SW_CAP_LIMIT raises EtaleError.
     """
+    if not (max_degree is None or isinstance(max_degree, int) and max_degree >= 0):
+        raise EtaleError("max_degree must be a nonnegative integer, got %r" % (max_degree,))
     model = alg.model
     cap = min(alg.rank, 7 if max_degree is None else max_degree)
     if cap > SW_CAP_LIMIT:

@@ -25,7 +25,7 @@ from collections import namedtuple
 from math import gcd
 
 from . import CcalcError
-from .chow import DegreeTooSmall, beta1_order, class_z, r_value
+from .chow import beta1_order, class_z, r_value, require_degree
 
 
 class GroupsError(CcalcError):
@@ -99,11 +99,6 @@ class GroupDescriptor:
         return data
 
 
-def _require_degree(d, minimum):
-    if not (isinstance(d, int) and d >= minimum):
-        raise DegreeTooSmall("need an integer degree d >= %d, got %r" % (minimum, d))
-
-
 # Strong-probable-prime tests to the first thirteen prime bases decide
 # primality exactly for every n below this bound (Sorenson and Webster, 2017;
 # the first twelve bases, 2..37, stop at 3.18e23).
@@ -163,7 +158,7 @@ def n_torsion(d):
     For even d both d(d-1)^2 and 3(d-2) are even, so 2 | r.  For odd d,
     3(d-2) is odd, so r is odd.  Hence gcd(2, r) = gcd(2, d) for every d >= 4.
     """
-    _require_degree(d, 4)
+    require_degree(d, 4)
     return 2 if d % 2 == 0 else 1
 
 
@@ -171,7 +166,7 @@ def brauer_xd(d, char=0):
     """Brauer group of the stack of smooth plane degree-d curves over an
     algebraically closed field: Z/gcd(d,6), plus a p-primary placeholder in
     positive characteristic."""
-    _require_degree(d, 3)
+    require_degree(d, 3)
     _require_char(char, excluded=(2, 3), d=d)
     placeholder = "B'_{%d,%d}" % (char, d) if char else None
     return GroupDescriptor(cyclic=[gcd(d, 6)], placeholder_label=placeholder)
@@ -207,7 +202,7 @@ def brauer_stack(stack, d=None, char=0, closed=False):
     if stack == "xdfr":
         if d is None:
             raise GroupsError("xdfr needs the degree d")
-        _require_degree(d, 3)
+        require_degree(d, 3)
         _require_char(char, excluded=(2,), d=d)
         if closed:
             placeholder = "B_{%d,%d}" % (d, char) if char else None

@@ -367,6 +367,10 @@ KEYWORDS = ("eps", "F", "sqrt")
 # refuses digit strings past 4300.
 NUMERAL_DIGITS = 4000
 
+# Longest text a parse error quotes whole.  A longer one is quoted as the
+# QUOTE_LIMIT characters around the error's position, with "..." at each cut.
+QUOTE_LIMIT = 80
+
 
 def tokenize(text):
     """The tokens of text as strings, the last one the empty end token."""
@@ -415,10 +419,20 @@ class _Reader:
         """Raise the parse error: SyntaxError "<what> at position <pos> in
         <text>", pos being where token number `at` starts (by default the
         next token), and the error's offset pos + 1, as Python counts columns.
-        show_pos=False leaves the position out of the message."""
+        show_pos=False leaves the position out of the message.  The text is
+        quoted by `_quote`, so the message stays short for any input."""
         pos = [m.start() for m in _TOKEN.finditer(self.text)][self.i if at is None else at]
-        msg = "%s%s in %r" % (what, " at position %d" % pos if show_pos else "", self.text)
+        where = " at position %d" % pos if show_pos else ""
+        msg = "%s%s in %s" % (what, where, _quote(self.text, pos))
         raise SyntaxError(msg, (None, None, pos + 1, self.text))
+
+
+def _quote(text, pos=0):
+    """repr(text) if it has at most QUOTE_LIMIT characters; else the repr of
+    the QUOTE_LIMIT characters around pos, "..." marking each side cut off."""
+    start = min(max(0, pos - QUOTE_LIMIT // 2), max(0, len(text) - QUOTE_LIMIT))
+    end = start + QUOTE_LIMIT
+    return "%s%r%s" % ("..." if start else "", text[start:end], "..." if end < len(text) else "")
 
 
 def _parse_monomial(reader, model):
@@ -431,7 +445,9 @@ def _parse_monomial(reader, model):
         if token.isdecimal():
             n = reader.integer()
             if n & (n - 1) or not n:
-                reader.fail("numeric entries must be powers of two, got %r" % token, reader.i - 1)
+                reader.fail(
+                    "numeric entries must be powers of two, got %s" % _quote(token), reader.i - 1
+                )
             if n.bit_length() % 2 == 0:  # an odd power of two
                 mono ^= {"two"}
         elif token and token not in _PUNCT:  # a name or other run, not the end

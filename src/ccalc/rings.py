@@ -48,6 +48,12 @@ degree go straight into the result, and those at or above it are merged and
 then rewritten.  The lower fibers then get the passes of any other input:
 each pass keeps the terms of its fiber below n and rewrites the others.  A
 relation-free ring only multiplies out and checks degrees.
+
+A map between towers is a renaming of generators of equal degree
+(``substitute``): the renamed terms are read into the target like raw
+input, so the target's relations and cap reduce them.  The one map that is
+not a renaming, l3 = -(c1 + l1 + l2) in ``symmetric_reduce``, is a degree-1
+relation of its splitting tower.
 """
 
 from math import gcd
@@ -693,59 +699,57 @@ def exact_divide(num, den):
 
 
 def substitute(p, mapping, target=None):
-    """Homomorphic image of p under a generator map.
+    """The image of p under a renaming of generators.
 
-    mapping sends generator names of p's ring to generator names of the
-    target ring or to homogeneous Poly values in it; unmapped generators go to
-    the target generator of the same name.  Images must match the source
-    generator's degree (DegreeMismatch otherwise).
+    Each generator of p's ring that occurs in p goes to the target generator
+    mapping.get(name, name) (target defaults to p's ring), which must have
+    the same degree (DegreeMismatch otherwise).  An image that is not a name
+    raises RingError, and one the target lacks UnknownGenerator.  The renamed
+    terms are read into the target in one pass (``Ring.poly``): generators
+    that land on one name add their exponents, and the target's relations
+    and cap reduce the result.
     """
     ring = p.ring
-    if target is None:
-        target = ring
-    terms = p.terms
+    target = ring if target is None else target
     images = {}
-    for e in terms:
-        for i, exp in enumerate(e):
-            if exp and i not in images:
-                name = ring.names[i]
-                img = mapping.get(name, name)
-                if isinstance(img, str):
-                    img = target.gen(img)
-                if img.ring is not target:
-                    raise RingMismatch("image of %r lives in the wrong ring" % name)
-                if img.is_zero():
-                    pass  # degree-free; kills every term containing the generator
-                elif img.homogeneous_degree() != ring.degrees[i]:
-                    raise DegreeMismatch(
-                        "image of %r has degree %d, expected %d"
-                        % (name, img.homogeneous_degree(), ring.degrees[i])
-                    )
-                images[i] = img
-    result = target.zero
-    for e, c in terms.items():
-        term = target.const(c)
+    raw = []
+    for e, c in p.terms.items():
+        mono = {}
         for i, exp in enumerate(e):
             if exp:
-                term = term * images[i] ** exp
-        result = result + term
-    return result
+                if i not in images:
+                    name = ring.names[i]
+                    img = mapping.get(name, name)
+                    if not isinstance(img, str):
+                        raise RingError("image of %r must be a generator name" % name)
+                    degree = target.degrees[target._at(img)]
+                    if degree != ring.degrees[i]:
+                        raise DegreeMismatch(
+                            "image of %r has degree %d, expected %d"
+                            % (name, degree, ring.degrees[i])
+                        )
+                    images[i] = img
+                mono[images[i]] = mono.get(images[i], 0) + exp
+        raw.append((c, mono))
+    return target.poly(raw)
 
 
 def symmetric_reduce(p, target):
     """Rewrite the symmetric dependence of p on the generators l1, l2, l3.
 
     The l's are the roots of x^3 + c1*x^2 + c2*x + c3 (c1 = -e1, c2 = e2,
-    c3 = -e3); other generators are carried to target by name.  p is mapped
-    into the splitting tower T = Z[target generators][l1][l2] with
-    l1^3 = -(c1*l1^2 + c2*l1 + c3) and l2^2 = -((c1 + l1)*l2 + c2 + c1*l1 +
-    l1^2), sending l3 to -c1 - l1 - l2, and from there into target by name.
-    T is free over Z[c] with basis l1^a*l2^b (a < 3, b < 2), as Z[l1,l2,l3]
-    is over Z[e], so c_k -> (-1)^k e_k makes T isomorphic to Z[l1,l2,l3]
-    (Fulton, Intersection Theory, 3.2; by Edidin-Graham the GL3-equivariant
-    ring is the S3-invariant part of the torus-equivariant one).  Hence the
-    image of p lies in Z[c] exactly when p is symmetric, and a surviving l1
-    or l2 raises NotSymmetric.
+    c3 = -e3); other generators are carried to target by name.  p is read by
+    name into the splitting tower T = Z[target generators][l1][l2][l3] with
+    l1^3 = -(c1*l1^2 + c2*l1 + c3), l2^2 = -((c1 + l1)*l2 + c2 + c1*l1 +
+    l1^2) and l3 = -(c1 + l1 + l2), and from there into target by name.
+    The degree-1 relation makes l3 a polynomial in the others, so T is
+    Z[c][l1][l2] with those two relations: free over Z[c] with basis
+    l1^a*l2^b (a < 3, b < 2), as Z[l1,l2,l3] is over Z[e].  So c_k ->
+    (-1)^k e_k makes T isomorphic to Z[l1,l2,l3] (Fulton, Intersection
+    Theory, 3.2; by Edidin-Graham the GL3-equivariant ring is the
+    S3-invariant part of the torus-equivariant one).  Hence the image of p
+    lies in Z[c] exactly when p is symmetric, and a surviving l1 or l2 raises
+    NotSymmetric.
     """
     ring = p.ring
     if any(ring.degrees[ring._at(n)] != 1 for n in ("l1", "l2", "l3")):
@@ -753,15 +757,15 @@ def symmetric_reduce(p, target):
     if tuple(target.gen(n).homogeneous_degree() for n in ("c1", "c2", "c3")) != (1, 2, 3):
         raise DegreeMismatch("target images must have degrees 1, 2, 3")
     tower = Ring(
-        list(zip(target.names, target.degrees)) + ["l1", "l2"],
+        list(zip(target.names, target.degrees)) + ["l1", "l2", "l3"],
         relations={
             "l1": (3, [[(1, {"c1": 1})], [(1, {"c2": 1})], [(1, {"c3": 1})]]),
             "l2": (2, [[(1, {"c1": 1}), (1, {"l1": 1})],
                        [(1, {"c2": 1}), (1, {"c1": 1, "l1": 1}), (1, {"l1": 2})]]),
+            "l3": (1, [[(1, {"c1": 1}), (1, {"l1": 1}), (1, {"l2": 1})]]),
         },
     )
-    l3 = -tower.gen("c1") - tower.gen("l1") - tower.gen("l2")
-    split = substitute(p, {"l3": l3}, target=tower)
+    split = substitute(p, {}, target=tower)
     if split.contains("l1") or split.contains("l2"):
         raise NotSymmetric("the dependence on l1, l2, l3 is not symmetric")
     return substitute(split, {}, target=target)

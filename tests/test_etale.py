@@ -530,6 +530,15 @@ def test_sw_cap_is_bounded(monkeypatch):
             galois_sw_total(alg, max_degree=cap)
 
 
+def test_sw_max_degree_is_a_nonnegative_integer():
+    alg = parse_algebra("F(sqrt(a))", EUC)
+    assert sw_total(alg, max_degree=0).cap == 0
+    for bad in (-1, 2.5, "2", 2.0):
+        for total in (sw_total, galois_sw_total):
+            with pytest.raises(EtaleError, match="^max_degree must be a nonnegative integer, got "):
+                total(alg, max_degree=bad)
+
+
 def test_roots_per_factor_are_bounded(monkeypatch):
     names = tuple("x%d" % i for i in range(ROOTS_LIMIT + 1))
     model = generic_model(names)

@@ -1,12 +1,13 @@
 """Group-descriptor evaluators: torsion orders, Brauer-group shapes, and the
 cross-checks tying them to the intersection layer."""
 
+import re
 import time
 from math import gcd
 
 import pytest
 
-from ccalc.chow import DegreeTooSmall, class_z, r_value
+from ccalc.chow import DegreeTooSmall, class_bin, class_z, class_ztilde, r_value
 from ccalc.groups import (
     GroupDescriptor,
     GroupsError,
@@ -73,6 +74,34 @@ def test_n_torsion_values():
     assert n_torsion(8) == 2 and r_value(8) == 2
     with pytest.raises(DegreeTooSmall):
         n_torsion(3)
+
+
+def _xdfr(d):
+    return brauer_stack("xdfr", d=d)
+
+
+# Every curve-degree entry point of chow and groups, with its minimum degree.
+DEGREE_ENTRY_POINTS = (
+    (class_ztilde, 3), (class_z, 3), (beta1_order, 3), (r_value, 4), (class_bin, 4),
+    (n_torsion, 4), (brauer_xd, 3), (_xdfr, 3),
+)
+
+
+@pytest.mark.parametrize("bad", [4.0, 5.5, "5", None, True])
+def test_a_degree_that_is_not_an_int_raises_degree_too_small(bad):
+    for entry, minimum in DEGREE_ENTRY_POINTS:
+        if entry is _xdfr and bad is None:  # "xdfr needs the degree d", a GroupsError
+            continue
+        pinned = "need curve degree >= %d, got %r" % (minimum, bad)
+        with pytest.raises(DegreeTooSmall, match="^%s$" % re.escape(pinned)):
+            entry(bad)
+
+
+def test_a_degree_below_the_minimum_keeps_its_message():
+    for entry, minimum in DEGREE_ENTRY_POINTS:
+        pinned = "need curve degree >= %d, got %d" % (minimum, minimum - 1)
+        with pytest.raises(DegreeTooSmall, match="^%s$" % re.escape(pinned)):
+            entry(minimum - 1)
 
 
 @pytest.mark.parametrize("d", range(4, 13))

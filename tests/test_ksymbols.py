@@ -13,6 +13,7 @@ from ccalc.ksymbols import (
     KError,
     ModelMismatch,
     NotAnIndeterminate,
+    QUOTE_LIMIT,
     UnknownGenerator,
     _product,
     closed_model,
@@ -192,6 +193,39 @@ def test_parse_errors_carry_their_position():
     pinned = "expected ',' or ')' at position 9 in 'F(sqrt(a)'"
     with pytest.raises(SyntaxError, match="^%s$" % re.escape(pinned)):
         parse_algebra("F(sqrt(a)", EUC)
+
+
+def test_parse_errors_quote_a_window_of_a_long_input():
+    body = " + ".join(["{a,b}"] * 4000)
+    text = body + " + {a b} + " + body  # the error sits in the middle
+    pos = len(body) + 6
+    with pytest.raises(SyntaxError) as caught:
+        parse_kelement(text, EUC)
+    window = text[pos - QUOTE_LIMIT // 2 : pos + QUOTE_LIMIT // 2]
+    assert str(caught.value) == "expected ',' or '}' at position %d in ...%r..." % (pos, window)
+    assert (caught.value.offset, caught.value.text) == (pos + 1, text)
+    # near either end the window stops at the text and only the other side is cut
+    with pytest.raises(SyntaxError) as caught:
+        parse_kelement("{a b} + " + body, EUC)
+    assert str(caught.value).endswith(" in %r..." % ("{a b} + " + body)[:QUOTE_LIMIT])
+    with pytest.raises(SyntaxError) as caught:
+        parse_kelement(body + " + {a,b", EUC)
+    assert str(caught.value) == "unbalanced '{' in ...%r" % (body + " + {a,b")[-QUOTE_LIMIT:]
+    # an input of exactly QUOTE_LIMIT characters is still quoted whole
+    text = "{a} " + "x" * (QUOTE_LIMIT - 4)
+    with pytest.raises(SyntaxError, match=r" in %s$" % re.escape(repr(text))):
+        parse_kelement(text, EUC)
+
+
+def test_parse_errors_stay_short_for_any_input():
+    for text in (
+        "{%s}" % ("3" * 3999),  # a long numeral that is not a power of two
+        "{a} + {" + "\U000e0001" * 5000,  # characters repr spells with ten
+        "F(sqrt(a)" + "*F" * 10000,
+    ):
+        with pytest.raises(SyntaxError) as caught:
+            (parse_algebra if text.startswith("F") else parse_kelement)(text, EUC)
+        assert len(str(caught.value)) < 12 * QUOTE_LIMIT + 100, text[:20]
 
 
 @settings(max_examples=300)

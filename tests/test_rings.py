@@ -846,6 +846,20 @@ def test_exact_divide_agrees_with_the_fraction_oracle():
 # -- substitution ------------------------------------------------------------
 
 
+def substitute_by_products(p, images, target):
+    """p's image under generator images (Polys in target), one term at a time:
+    each term multiplied out from the powers of its generators' images and
+    added to the sum.  The reference for renamings and the root expansion."""
+    result = target.zero
+    for e, c in p.terms.items():
+        term = target.const(c)
+        for name, exp in zip(p.ring.names, e):
+            if exp:
+                term = term * images[name] ** exp
+        result = result + term
+    return result
+
+
 def test_substitute_renames_and_maps():
     src = Ring(["h", ("c1", 1), "s"])
     dst = Ring(["hz", ("c1", 1), "u"])
@@ -857,14 +871,74 @@ def test_substitute_renames_and_maps():
 def test_substitute_degree_checked():
     src = Ring(["h"])
     dst = Ring([("c2", 2)])
-    with pytest.raises(DegreeMismatch):
-        substitute(src.gen("h"), {"h": dst.gen("c2")}, target=dst)
+    with pytest.raises(DegreeMismatch, match="^image of 'h' has degree 2, expected 1$"):
+        substitute(src.gen("h"), {"h": "c2"}, target=dst)
 
 
-def test_substitute_zero_image():
+def test_substitute_takes_only_generator_names():
     r = chern_ring()
     p = r.gen("t") ** 2 + r.gen("c2")
-    assert substitute(p, {"t": r.zero}) == r.gen("c2")
+    with pytest.raises(RingError, match="must be a generator name"):
+        substitute(p, {"t": r.zero})
+    with pytest.raises(RingError, match="must be a generator name"):
+        substitute(p, {"t": r.gen("c1")})
+    with pytest.raises(UnknownGenerator, match="q"):
+        substitute(p, {"t": "q"})
+    # only the generators that occur in p are looked up
+    assert substitute(r.gen("c2"), {"t": r.zero, "c1": "q"}) == r.gen("c2")
+
+
+def test_substitute_merges_before_the_cap():
+    # x^7 and y^7 both land on x^7, above the target's cap, and cancel there
+    src = Ring(["x", "y"])
+    dst = Ring(["x"], cap=6)
+    p = src.gen("x") ** 7 - src.gen("y") ** 7 + src.gen("y")
+    assert substitute(p, {"y": "x"}, target=dst) == dst.gen("x")
+    with pytest.raises(TruncationExceeded):  # a term that survives
+        substitute(src.gen("x") ** 7, {}, target=dst)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: TWOPOINT_RING, root_ring, sqrt_ring, nested_ring, tower12],
+    ids=["twopoint", "root", "sqrt", "nested", "tower12"],
+)
+def test_substitute_matches_the_product_loop(make):
+    ring = make()
+    rnd = random.Random("substitute-%s" % (ring.names,))
+    same_degree = {}
+    for name, degree in zip(ring.names, ring.degrees):
+        same_degree.setdefault(degree, []).append(name)
+    for case in range(60):
+        target = None if case % 2 else make()
+        dst = ring if target is None else target
+        p = ring.poly(random_raw(rnd, ring.names, 3))
+        a, b = rnd.sample(rnd.choice([g for g in same_degree.values() if len(g) > 1]), 2)
+        if case % 3 == 0:  # a swap
+            mapping = {a: b, b: a}
+        elif case % 3 == 1:  # a onto b, both present, as l1 -> l2 with l2 present
+            p = p + ring.poly([(rnd.choice((-2, 1)), {a: 1, b: 1})])
+            mapping = {a: b}
+        else:  # any same-degree images, so usually not injective
+            mapping = {
+                name: rnd.choice(same_degree[degree])
+                for name, degree in zip(ring.names, ring.degrees)
+                if rnd.random() < 0.5
+            }
+        images = {name: dst.gen(mapping.get(name, name)) for name in ring.names}
+        expected = substitute_by_products(p, images, dst)
+        assert substitute(p, mapping, target=target) == expected, (p, mapping)
+
+
+def test_large_rename_is_one_pass():
+    src = Ring(["a", "b", "c"])
+    dst = Ring(["x", "y", "z"])
+    p = (src.gen("a") + src.gen("b") + src.gen("c") + 1) ** 30
+    assert len(p.terms) == 5456
+    start = time.perf_counter()
+    q = substitute(p, {"a": "x", "b": "y", "c": "z"}, target=dst)
+    assert time.perf_counter() - start < 1.0
+    assert q == (dst.gen("x") + dst.gen("y") + dst.gen("z") + 1) ** 30
 
 
 # -- symmetric reduction -----------------------------------------------------
@@ -879,11 +953,13 @@ def c_ring():
 
 
 def expand_roots(reduced, src):
-    """Map c1, c2, c3 back into src through c1 = -e1, c2 = e2, c3 = -e3."""
+    """Map c1, c2, c3 back into src through c1 = -e1, c2 = e2, c3 = -e3,
+    multiplied out by the test's own product loop, not by substitute."""
     e1 = src.poly([(1, {"l1": 1}), (1, {"l2": 1}), (1, {"l3": 1})])
     e2 = src.poly([(1, {"l1": 1, "l2": 1}), (1, {"l1": 1, "l3": 1}), (1, {"l2": 1, "l3": 1})])
     e3 = src.poly([(1, {"l1": 1, "l2": 1, "l3": 1})])
-    return substitute(reduced, {"c1": -e1, "c2": e2, "c3": -e3}, target=src)
+    images = {"h": src.gen("h"), "c1": -e1, "c2": e2, "c3": -e3}
+    return substitute_by_products(reduced, images, src)
 
 
 def test_symmetric_reduce_elementary():
