@@ -9,10 +9,14 @@ closed forms (the payload's `"oracle"` object); `check-all` runs the whole
 oracle table plus the randomized property suites from `checks` and passes only
 if every line does.
 
-The subcommands are the rows of one table, `COMMANDS`.  When the first
-argument names one of them, `main` builds only that subcommand's parser, whose
-usage, help and errors never mention the others; otherwise (no arguments,
-`--help`, an unknown command) it builds the full parser.
+The subcommands are the rows of one table, `COMMANDS`.  A plain request (a
+command, then that command's exact flags, each once and each but a switch with
+a value that does not start with '-') is read straight from its row by
+`_read`, with no parser built.  Everything else goes to argparse, which owns
+every usage line, help text and error message: when the first argument names a
+command, `main` builds only that subcommand's parser, whose usage, help and
+errors never mention the others; otherwise (no arguments, `--help`, an unknown
+command) it builds the full parser.
 
 Exit codes: 0 success, 1 computation error or oracle mismatch, 2 usage error.
 """
@@ -307,7 +311,12 @@ def cmd_check_all(args):
 
 
 def _option(*flags, **kwargs):
-    """One option of a subcommand, as its `add_argument` arguments."""
+    """One option of a subcommand, as its `add_argument` arguments.  Its dest
+    and default are spelled out here as argparse derives them, so `_read` and
+    argparse use the same ones."""
+    kwargs.setdefault("dest", flags[0].lstrip("-").replace("-", "_"))
+    switch = kwargs.get("action") == "store_true"
+    kwargs.setdefault("default", False if switch else None)
     return flags, kwargs
 
 
@@ -318,7 +327,6 @@ def _degree(minimum):
 _MODEL = _option(
     "--model",
     choices=sorted(MODEL_PRESETS),
-    default=None,
     help="field model (default: CCALC_MODEL or euclidean)",
 )
 _JSON = _option("--json", action="store_true", help="machine-readable output")
@@ -345,7 +353,8 @@ COMMANDS = {
             _option("--algebra", required=True, help='e.g. "F(sqrt(a),sqrt(b)) * F^2"'),
             _MODEL,
             _option(
-                "--max-degree", type=int, default=None, dest="max_degree",
+                "--max-degree",
+                type=int,
                 help="materialize classes up to this degree (default min(rank, 7))",
             ),
         ),
@@ -356,13 +365,11 @@ COMMANDS = {
         (
             _option(
                 "--gens",
-                default=None,
                 help="two or three comma-separated square-class names (default a,b)",
             ),
             _option(
                 "--verify-position",
                 action="store_true",
-                dest="verify_position",
                 help="evaluate all degeneracy determinants exactly",
             ),
             _option(
@@ -381,9 +388,7 @@ COMMANDS = {
                 required=True,
                 choices=["xd", "xdfr", "x4fr", "m3", "m3-minus-h3", "a3"],
             ),
-            _option(
-                "-d", type=int, default=None, help="curve degree (xd and xdfr only)"
-            ),
+            _option("-d", type=int, help="curve degree (xd and xdfr only)"),
             _option(
                 "--char", type=int, default=0, help="base-field characteristic (0 or p)"
             ),
@@ -425,6 +430,42 @@ def build_parser(command=None):
     return parser
 
 
+def _read(argv):
+    """The namespace argparse gives a plain request, read from its `COMMANDS`
+    row: a command, then each of its exact flags at most once, a switch alone
+    and any other flag with a next token that does not start with '-', typed
+    as argparse types it and within its choices, and every required flag
+    given.  None for anything else, which `main` leaves to argparse."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    handler, _, options = COMMANDS[argv[0]]
+    options += (_JSON,)
+    by_flag = {flag: kwargs for flags, kwargs in options for flag in flags}
+    values = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        kwargs = by_flag.get(token)
+        if kwargs is None or kwargs["dest"] in values:
+            return None
+        if kwargs.get("action") == "store_true":
+            value = True
+        else:
+            value = next(tokens, "-")  # a missing value is not plain either
+            if value.startswith("-"):
+                return None
+            try:
+                value = kwargs.get("type", str)(value)
+            except ValueError:
+                return None
+            if "choices" in kwargs and value not in kwargs["choices"]:
+                return None
+        values[kwargs["dest"]] = value
+    if any(kw.get("required") and kw["dest"] not in values for _, kw in options):
+        return None
+    defaults = {kwargs["dest"]: kwargs["default"] for _, kwargs in options}
+    return argparse.Namespace(command=argv[0], handler=handler, **(defaults | values))
+
+
 _CAUGHT = (CcalcError, SyntaxError)
 
 
@@ -438,15 +479,18 @@ def _emit_error(args, message, kind):
 def main(argv=None):
     if argv is None:
         argv = sys.argv[1:]
-    # A subparser's usage and help never list its siblings, and the top-level
-    # usage names no command, so a request that starts with a command parses
-    # and fails the same with that subparser alone.  Anything else (no
-    # command, --help, an unknown name) needs the full list.
-    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        return e.code if isinstance(e.code, int) else 2
+    args = _read(argv)
+    if args is None:
+        # A subparser's usage and help never list its siblings, and the
+        # top-level usage names no command, so a request that starts with a
+        # command parses and fails the same with that subparser alone.
+        # Anything else (no command, --help, an unknown name) needs the full
+        # list.
+        parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as e:
+            return e.code if isinstance(e.code, int) else 2
 
     t0 = time.perf_counter()
     try:

@@ -452,7 +452,8 @@ def _parse_monomial(reader, model):
                 mono ^= {"two"}
         elif token and token not in _PUNCT:  # a name or other run, not the end
             if token not in model._bit:  # which has no minus_one
-                raise UnknownGenerator(token)
+                cut = "..." if len(token) > QUOTE_LIMIT else ""
+                raise UnknownGenerator(token[:QUOTE_LIMIT] + cut)
             reader.i += 1
             mono ^= {token}
         else:

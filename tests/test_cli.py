@@ -12,7 +12,7 @@ from ccalc.checks import CheckLine
 from ccalc.chow import class_z
 from ccalc.cli import COMMANDS, DEGREE_DIGITS, build_parser, main
 from ccalc.etale import ROOTS_LIMIT, SW_CAP_LIMIT, SW_NAMES_LIMIT
-from ccalc.ksymbols import EXPANSION_LIMIT, KElement
+from ccalc.ksymbols import EXPANSION_LIMIT, QUOTE_LIMIT, KElement
 
 
 @pytest.fixture(autouse=True)
@@ -578,6 +578,20 @@ def test_residue_reserved_names(capsys, expr, spelling):
     assert "is reserved" in err and "write %s instead" % spelling in err
 
 
+@pytest.mark.parametrize("length", [1, QUOTE_LIMIT, QUOTE_LIMIT + 1, 300])
+@pytest.mark.parametrize(
+    "argv",
+    [["residue", "--expr", "{a} + {%s}", "--at", "a"], ["sw", "--algebra", "F(sqrt(%s))"]],
+    ids=["residue", "sw"],
+)
+def test_unknown_token_message_is_bounded(capsys, argv, length):
+    # a run of non-ASCII letters is one "other" token, which no model knows
+    token = "\u00e9" * length
+    code, out, err = run(capsys, *(a.replace("%s", token) for a in argv))
+    shown = token if length <= QUOTE_LIMIT else token[:QUOTE_LIMIT] + "..."
+    assert (code, out, err) == (1, "", "error: %s\n" % shown)
+
+
 # -- parser-level behaviour ------------------------------------------------------------
 
 
@@ -747,3 +761,28 @@ def test_named_parser_matches_full_parser(capsys, monkeypatch, name):
         got = parse(capsys, named, [name, *argv])
         assert got == parse(capsys, full, [name, *argv])
         assert got[0] == 2
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+def test_plain_requests_build_no_parser(capsys, monkeypatch, name):
+    # Every valid corpus form is read from COMMANDS without argparse.  A reader
+    # that always declined would pass every other test and lose the gain.
+    def no_parser(command=None):
+        raise AssertionError("argparse reached for %r" % (command,))
+
+    monkeypatch.setattr("ccalc.cli.build_parser", no_parser)
+    monkeypatch.setattr("ccalc.checks.run_all", lambda: [CheckLine(*x) for x in PASSING])
+    code, out, err = run(capsys, name, *PARSE_CORPUS[name][0])
+    assert (code, err) == (0, "") and out
+
+
+def test_every_option_is_one_the_plain_reader_reads():
+    # cli._read follows argparse only for these keywords; an option with any
+    # other (nargs, append, a type raising other than ValueError) needs it
+    # extended first
+    for name, (_, _, options) in COMMANDS.items():
+        for flags, kwargs in options:
+            assert set(kwargs) <= {"dest", "default", "type", "choices", "required",
+                                   "action", "help"}, (name, flags)
+            assert kwargs.get("action", "store_true") == "store_true", (name, flags)
+            assert kwargs.get("type", int) is int, (name, flags)

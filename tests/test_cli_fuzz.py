@@ -3,7 +3,9 @@
 Each drawn command line, well formed or mangled, must end with exit code 0,
 1 or 2 within a time bound, without an uncaught exception.  With --json, a
 computation error (exit 1) is exactly one JSON object with "error" and
-"type" on stderr; argparse's own usage errors stay plain text.
+"type" on stderr; argparse's own usage errors stay plain text.  Whenever the
+plain-request reader `cli._read` accepts a command line, its namespace equals
+the one argparse parses from it.
 """
 
 import contextlib
@@ -14,7 +16,7 @@ import time
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from ccalc.cli import main
+from ccalc.cli import _read, build_parser, main
 
 # Seconds one call may take.  The slowest drawn shapes (eight factors with
 # six square roots each, as many as the classes a, b, c, d, -1, 2 allow)
@@ -161,6 +163,9 @@ def argvs(draw):
 )
 @given(argvs(), st.sampled_from([None, "closed", "bogus"]))
 def test_cli_argv_fuzz(argv, ambient_model):
+    args = _read(argv)
+    if args is not None:
+        assert vars(args) == vars(build_parser(argv[0]).parse_args(argv)), argv
     saved = os.environ.pop("CCALC_MODEL", None)
     if ambient_model is not None:
         os.environ["CCALC_MODEL"] = ambient_model
