@@ -48,6 +48,7 @@ from .groups import brauer_stack, n_torsion
 from .ksymbols import (
     KEYWORDS,
     MODEL_PRESETS,
+    _quote,
     euclidean_model,
     is_name,
     parse_kelement,
@@ -129,9 +130,10 @@ def _field_model(model_name, text, kind, drop, extra=()):
 
 
 def _check_name(name, kind):
-    """UsageError unless name is one name token and no reader's keyword."""
+    """UsageError unless name is one name token and no reader's keyword; the
+    message quotes the name through `_quote`, so it stays short."""
     if not is_name(name) or name in KEYWORDS:
-        raise UsageError("bad %s name %r" % (kind, name))
+        raise UsageError("bad %s name %s" % (kind, _quote(name)))
 
 
 # -- subcommands ------------------------------------------------------------------

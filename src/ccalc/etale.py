@@ -26,7 +26,8 @@ the binary digits of n,
 since C(n,k) is odd exactly when the binary digits of k are among those of n
 (Lucas).  In K^M/2, {c,c} = {-1,c} (Milnor 1970), so c^k = {-1}^(k-1)*c.  The
 cost is a few truncated steps per distinct symbol, whatever the factor count
-and the multiplicities.
+and the multiplicities.  That product runs in `ksymbols.power_product`, on
+the raw supports of the symbols.
 """
 
 from math import isqrt
@@ -38,7 +39,8 @@ from .ksymbols import (
     UnknownGenerator,
     _Reader,
     _parse_monomial,
-    one,
+    degree_one,
+    power_product,
     symbol,
     zero,
 )
@@ -51,9 +53,10 @@ MULTIPLICITY_DIGITS = 1000
 # Highest degree sw_total materializes.  Each distinct diagonal symbol costs
 # up to cap symbol products per binary digit of the cap, so the cap is
 # bounded.  At cap 128 (`ccalc sw`, interpreter start included, Python 3.11
-# on a 2-vCPU Xeon), 20 factors F(sqrt(a),sqrt(b))^(2^40 - 1) take 0.1 s, and
-# eight four-root factors of that multiplicity whose diagonals meet all 63
-# nonzero symbols over a, b, c, d in the generic model take 1.4 s.
+# on a 2-vCPU Xeon, five runs), 20 factors F(sqrt(a),sqrt(b))^(2^40 - 1) take
+# 0.15-0.18 s, and eight four-root factors of that multiplicity whose
+# diagonals meet all 63 nonzero symbols over a, b, c, d in the generic model
+# take 0.67-0.72 s.
 SW_CAP_LIMIT = 128
 
 # Most square roots one factor may have: the first factor with s roots pays
@@ -67,13 +70,14 @@ ROOTS_LIMIT = 8
 # Most indeterminates `ccalc sw` takes.  The diagonal classes lie in the group
 # generated by the names, -1 and 2, so each name doubles the distinct symbols
 # sw_total may meet, and their products grow longer.  At cap 128 (`ccalc sw
-# --model generic`, interpreter start included, Python 3.11 on a 2-vCPU Xeon),
-# one factor F(sqrt(m1),...)^(2^40 - 1) whose roots are random products
-# spanning the names, -1 and 2, alone or with seven more such factors, takes
-# 0.5-1.0 s over 4 names, 1.3-3.1 s over 5 and 4.3-9.9 s over 6 (five seeds
-# each).  Over 5 names a factor has at most 7 independent roots, below
-# ROOTS_LIMIT.  Library callers are not held to it: the benchmark's
-# `algebras` workload spans six names at caps <= 8.
+# --model generic`, interpreter start included, Python 3.11 on a 2-vCPU Xeon;
+# over 6 names with this check lifted), one factor F(sqrt(m1),...)^(2^40 - 1)
+# whose roots are a random basis of the group of the names, -1 and 2, alone
+# or with seven more such factors, takes 0.14-0.64 s over 4 names, 0.20-1.7 s
+# over 5 and 0.37-5.1 s over 6 (five seeds each).  Over 5 names a factor has
+# at most 7 independent roots, below ROOTS_LIMIT.  Library callers are not
+# held to it: the benchmark's `algebras` workload spans six names at caps
+# <= 8.
 SW_NAMES_LIMIT = 5
 
 
@@ -351,15 +355,14 @@ def sw_total(alg, max_degree=None):
     degree-1 classes of the trace-form diagonal, by the power formula.
 
     Reads each factor's trace form once, in factor order, and counts every
-    nonzero diagonal symbol c with its multiplicity n over the algebra.  Then
-    it multiplies in (1 + c)^n truncated at the cap, as the product of the
-    1 + c^(2^b) over the bits 2^b <= cap of n (module docstring): one pass of
-    at most cap symbol products per bit, with c squared only up to the top
-    bit in use.  A pass stops at the degree reached so far: a product of j
-    factors 1 + x (x of degree 1, each 1 + c^(2^b) counting as 2^b of them)
-    has no term above degree j.  The cap is min(rank, max_degree), with
-    max_degree 7 by default; a max_degree that is not a nonnegative integer
-    or a cap above SW_CAP_LIMIT raises EtaleError.
+    nonzero diagonal symbol, as its degree-1 support (`ksymbols.degree_one`),
+    with its multiplicity over the algebra.  `ksymbols.power_product` then
+    runs the power formula of the module docstring on raw supports:
+    (1 + c)^n truncated at the cap, one pass of at most cap support products
+    per bit 2^b <= cap of n, c squared only up to the top bit in use, and
+    each class built as a KElement once.  The cap is min(rank, max_degree),
+    with max_degree 7 by default; a max_degree that is not a nonnegative
+    integer or a cap above SW_CAP_LIMIT raises EtaleError.
     """
     if not (max_degree is None or isinstance(max_degree, int) and max_degree >= 0):
         raise EtaleError("max_degree must be a nonnegative integer, got %r" % (max_degree,))
@@ -372,24 +375,10 @@ def sw_total(alg, max_degree=None):
     counts = {}
     for ext, mult in alg.factors:
         for d in trace_form(ext, model):
-            sym = symbol([d], model)
-            if not sym.is_zero():
-                counts[sym] = counts.get(sym, 0) + mult
-    e = [one(model)] + [zero(model)] * cap
-    top = 0  # e[i] is zero for i > top
-    for c, n in counts.items():
-        bits = n & ((1 << cap.bit_length()) - 1)  # the bits 2^b <= cap of n
-        power, step = c, 1  # power = c^step
-        while True:
-            if bits & step:
-                for i in range(min(cap, top + step), step - 1, -1):
-                    e[i] = e[i] + power * e[i - step]
-                top += step
-            step *= 2
-            if step > bits:
-                break
-            power = power * power
-    return SWClassVector(model, alg.rank, e)
+            c = degree_one(d, model)
+            if c:
+                counts[c] = counts.get(c, 0) + mult
+    return SWClassVector(model, alg.rank, power_product(counts, cap, model))
 
 
 def galois_sw_total(alg, max_degree=None):

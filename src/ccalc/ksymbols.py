@@ -24,11 +24,17 @@ non-eps name one bit, in display order (constants by spelling, then
 the indeterminates in declaration order), so the rule above is
 (m1 + m2 + (g1 & g2).bit_count(), g1 | g2) and a residue clears one bit.
 A symbol entry is still read as a frozenset of names (`_as_monomial`,
-`_parse_monomial`), which is what `etale` and `cubic` use; `symbol` maps
-its names to bits.  `render` sorts basis symbols by (degree, m, names), where
+`_parse_monomial`), which is what `etale` and `cubic` use; `degree_one` is
+the one place that maps its names to basis symbols, for `symbol` and for
+`etale.sw_total`.  `render` sorts basis symbols by (degree, m, names), where
 names is the tuple of internal names of the mask in display order compared
 as strings: "two" sorts after "f", and "x10" before "x2", so the order is
 not that of the masks.
+
+The Stiefel-Whitney power formula of `etale`, the product of the (1 + c)^n
+truncated at a degree cap, runs here, in `power_product`: its passes work on
+raw supports with `_product` and XOR, and no KElement is built until the
+classes are finished.
 
 The free-module reading of these basis symbols is validated by the iterated
 residue maps (see `residue`): residues at the generator set of a basis symbol
@@ -298,23 +304,31 @@ def _product(model, xs, ys):
     return acc
 
 
+def degree_one(cls, model):
+    """Support of the degree-1 symbol {cls} of a square class (a frozenset of
+    names): one basis symbol per name that the model does not trivialize,
+    (1, 0) for minus_one and (0, bit of the name) otherwise."""
+    pieces = set()
+    for n in cls:
+        if not model.knows(n):
+            raise UnknownGenerator(n)
+        if not model.is_trivial(n):
+            pieces.add((1, 0) if n == "minus_one" else (0, model._bit[n]))
+    return frozenset(pieces)
+
+
 def symbol(entries, model):
     """Normal form of the symbol with the given entries.
 
-    An entry (a signed monomial, i.e. a square class) is the sum of one basis
-    symbol per name in it that the model does not trivialize: (1, 0) for -1,
-    (0, bit of n) otherwise.  The symbol is the product of these sums, so
+    An entry (a signed monomial, i.e. a square class) is the sum of the basis
+    symbols of `degree_one`.  The symbol is the product of these sums, so
     {x,x} = {-1,x} follows from the product rule.  Raises KError when that
     product would form more than EXPANSION_LIMIT basis-symbol products.
     """
     acc = _ONE
     products = 0
     for entry in entries:
-        pieces = {
-            (1, 0) if n == "minus_one" else (0, model._bit[n])
-            for n in _as_monomial(entry, model)
-            if not model.is_trivial(n)
-        }
+        pieces = degree_one(_as_monomial(entry, model), model)
         products += len(acc) * len(pieces)
         if products > EXPANSION_LIMIT:
             raise KError(
@@ -323,6 +337,37 @@ def symbol(entries, model):
             )
         acc = _product(model, acc, pieces)
     return KElement(model, acc)
+
+
+def power_product(counts, cap, model):
+    """The classes of degrees 0..cap of the product of the (1 + c)^n over the
+    items (c, n) of counts, each c a support from `degree_one` and n >= 1:
+    a list of cap + 1 KElements.
+
+    Mod 2, (1 + c)^n is the product of the 1 + c^(2^b) over the bits 2^b of n
+    (Lucas), and only the bits 2^b <= cap matter.  Each such bit is one pass
+    of at most cap products, highest degree first, and c is squared only up
+    to the top bit in use.  A pass stops at the degree reached so far: a
+    product of j factors 1 + x (x of degree 1, each 1 + c^(2^b) counting as
+    2^b of them) has no term above degree j.  The passes run on supports,
+    with `_product` and XOR; each class becomes a KElement once, at the end.
+    """
+    e = [set(_ONE)] + [set() for _ in range(cap)]
+    top = 0  # e[i] is empty for i > top
+    low = (1 << cap.bit_length()) - 1  # the bits 2^b <= cap
+    for c, n in counts.items():
+        bits = n & low
+        power, step = c, 1  # power = c^step
+        while True:
+            if bits & step:
+                for i in range(min(cap, top + step), step - 1, -1):
+                    e[i] ^= _product(model, power, e[i - step])
+                top += step
+            step *= 2
+            if step > bits:
+                break
+            power = _product(model, power, power)
+    return [KElement(model, s) for s in e]
 
 
 def residue(x, at):

@@ -592,6 +592,19 @@ def test_unknown_token_message_is_bounded(capsys, argv, length):
     assert (code, out, err) == (1, "", "error: %s\n" % shown)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["lines", "--gens", "a,%s"], ["residue", "--expr", "{a}", "--at", "%s"]],
+    ids=["lines", "residue"],
+)
+def test_bad_name_message_is_bounded(capsys, argv):
+    name = "\u00e9" * 300
+    code, out, err = run(capsys, *(a.replace("%s", name) for a in argv))
+    assert code == 2 and out == ""
+    assert err.endswith(" name %r...\n" % name[:QUOTE_LIMIT])
+    assert len(err.encode()) < QUOTE_LIMIT + 120
+
+
 # -- parser-level behaviour ------------------------------------------------------------
 
 

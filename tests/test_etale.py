@@ -13,7 +13,7 @@ from math import isqrt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ccalc import etale
+from ccalc import etale, ksymbols
 from ccalc.etale import (
     MULTIPLICITY_DIGITS,
     ROOTS_LIMIT,
@@ -32,8 +32,9 @@ from ccalc.etale import (
     trace_form,
 )
 from ccalc.ksymbols import (
-    KElement,
+    FieldModel,
     ModelMismatch,
+    UnknownGenerator,
     closed_model,
     euclidean_model,
     generic_model,
@@ -500,14 +501,15 @@ def test_sw_reads_every_factor_once(monkeypatch):
 
 
 def test_sw_squares_a_symbol_only_up_to_the_top_bit_in_use(monkeypatch):
+    # counts the support products of the power formula (ksymbols.power_product)
     calls = []
-    real = KElement.__mul__
+    real = ksymbols._product
 
-    def counted(self, other):
+    def counted(model, xs, ys):
         calls.append(None)
-        return real(self, other)
+        return real(model, xs, ys)
 
-    monkeypatch.setattr(KElement, "__mul__", counted)
+    monkeypatch.setattr(ksymbols, "_product", counted)
     # default cap 7 (2 for F(sqrt(a))); {a} and {b} are the only nonzero symbols
     for text, products in (
         ("F(sqrt(a))", 1),  # n = 1: one pass of one product, no square
@@ -515,9 +517,86 @@ def test_sw_squares_a_symbol_only_up_to_the_top_bit_in_use(monkeypatch):
         ("F(sqrt(a))^13", 5),  # bits 1 and 4 of 13 are <= 7: passes of 1 and 2, two squares
         ("F(sqrt(a))^8 * F", 0),  # no bit of 8 is <= 7
     ):
+        alg = parse_algebra(text, EUC)
         calls.clear()
-        sw_total(parse_algebra(text, EUC))
+        sw_total(alg)
         assert len(calls) == products, text
+
+
+def _kelement_sw(alg, cap):
+    """Reference for `sw_total`: the same power loop, on KElements.  Each
+    nonzero diagonal symbol {d} is counted with its multiplicity, then
+    (1 + c)^n enters as the product of the 1 + c^(2^b) over the bits
+    2^b <= cap of n, highest degree first."""
+    model = alg.model
+    counts = {}
+    for ext, mult in alg.factors:
+        for d in trace_form(ext, model):
+            sym = symbol([d], model)
+            if not sym.is_zero():
+                counts[sym] = counts.get(sym, 0) + mult
+    e = [one(model)] + [zero(model)] * cap
+    top = 0  # e[i] is zero for i > top
+    for c, n in counts.items():
+        bits = n & ((1 << cap.bit_length()) - 1)
+        power, step = c, 1  # power = c^step
+        while True:
+            if bits & step:
+                for i in range(min(cap, top + step), step - 1, -1):
+                    e[i] = e[i] + power * e[i - step]
+                top += step
+            step *= 2
+            if step > bits:
+                break
+            power = power * power
+    return e
+
+
+def _random_sw_algebra(rnd, model, factors, roots):
+    """Up to `factors` factors of up to `roots` roots over a, b, c, -1 and 2,
+    multiplicities from 1 up to 2^40 - 1."""
+    names = ("a", "b", "c", "minus_one", "two")
+    while True:
+        spec = []
+        for _ in range(rnd.randint(1, factors)):
+            ext = []
+            for _ in range(rnd.randint(0, roots)):
+                mono = frozenset(n for n in names if rnd.random() < 0.4)
+                if mono:
+                    ext.append(mono)
+            mult = rnd.choice(
+                (rnd.randint(1, 8), rnd.randint(1, 2 ** 40 - 1), 2 ** 40 - 1)
+            )
+            spec.append((tuple(ext), mult))
+        try:
+            return EtaleAlgebraExpr(model, spec)
+        except DependentClasses:
+            continue
+
+
+def test_sw_power_formula_on_supports_matches_the_kelement_loop():
+    rnd = random.Random(20261019)
+    two = {m.name: symbol(["2"], m) for m in (CLO, EUC, GEN)}
+    cases = [(m, 4, 3, range(9)) for m in (CLO, EUC, GEN) for _ in range(25)]
+    cases += [(m, 2, 2, (128,)) for m in (CLO, EUC, GEN) for _ in range(4)]
+    for model, factors, roots, caps in cases:
+        alg = _random_sw_algebra(rnd, model, factors, roots)
+        for max_degree in caps:
+            expected = _kelement_sw(alg, min(alg.rank, max_degree))
+            assert sw_total(alg, max_degree).classes == expected, (alg, max_degree)
+            galois = [
+                c + two[model.name] * expected[i - 1] if i and i % 2 == 0 else c
+                for i, c in enumerate(expected)
+            ]
+            assert galois_sw_total(alg, max_degree).classes == galois, (alg, max_degree)
+
+
+def test_sw_over_a_model_without_two_names_the_missing_class():
+    # an odd number of roots puts {2} on the trace-form diagonal
+    model = FieldModel(("a", "b"), {"minus_one": "free"})
+    assert sw_total(parse_algebra("F(sqrt(a),sqrt(b))", model), 2).cap == 2
+    with pytest.raises(UnknownGenerator, match="^two$"):
+        sw_total(parse_algebra("F(sqrt(a))", model))
 
 
 def test_sw_cap_is_bounded(monkeypatch):

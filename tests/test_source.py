@@ -54,9 +54,11 @@ def test_library_imports_only_the_stdlib():
     assert not found, found
 
 
-def _oracle_leaks(path, oracles, modules=("rings", "etale")):
-    """Names imported from `modules` that the bodies of the `oracles`, or of
-    the module-level functions they reach by name, refer to."""
+def _oracle_leaks(path, oracles, modules=("rings", "etale"), names=()):
+    """Names imported from `modules`, and the library functions `names` from
+    any module, that the bodies of the `oracles`, or of the module-level
+    functions they reach by name, refer to (a function of `names` also as an
+    attribute)."""
     tree = ast.parse(path.read_text(), str(path))
     banned = set()
     for node in tree.body:
@@ -65,7 +67,7 @@ def _oracle_leaks(path, oracles, modules=("rings", "etale")):
             for alias in node.names:
                 # `from . import etale` and `from ccalc import etale` bind
                 # the module itself
-                if source in modules or alias.name in modules:
+                if source in modules or alias.name in modules or alias.name in names:
                     banned.add(alias.asname or alias.name)
     functions = {
         node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)
@@ -83,14 +85,22 @@ def _oracle_leaks(path, oracles, modules=("rings", "etale")):
                     leaks.add((name, node.id))
                 elif node.id in functions:
                     todo.append(node.id)
+            elif isinstance(node, ast.Attribute) and node.attr in names:
+                leaks.add((name, node.attr))
     return leaks
 
 
 def test_checks_oracles_share_no_code_with_the_library():
     """The second implementations in `checks` are compared against `rings`
-    and `etale`, so they must not call into either."""
+    and `etale`, so they must not call into either.  The Stiefel-Whitney
+    oracle also stays off the power formula that `etale.sw_total` runs in
+    `ksymbols` (`power_product`, `degree_one`) and works on plain KElement
+    arithmetic."""
     path = next(p for p in SOURCES if p.name == "checks.py")
     assert not _oracle_leaks(path, ("_independent_reduce", "_independent_galois_sw"))
+    assert not _oracle_leaks(
+        path, ("_independent_galois_sw",), names=("power_product", "degree_one")
+    )
 
 
 def test_trace_form_oracle_shares_no_code_with_etale():
