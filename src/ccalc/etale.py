@@ -25,9 +25,13 @@ the binary digits of n,
 
 since C(n,k) is odd exactly when the binary digits of k are among those of n
 (Lucas).  In K^M/2, {c,c} = {-1,c} (Milnor 1970), so c^k = {-1}^(k-1)*c.  The
-cost is a few truncated steps per distinct symbol, whatever the factor count
-and the multiplicities.  That product runs in `ksymbols.power_product`, on
-the raw supports of the symbols.
+same relation makes the symbols an OR-convolution algebra over the subsets
+of the names, and the zeta transform over GF(2) turns that product into a
+pointwise one: at each subset S of the names in use the whole product is
+(1 + t)^N_S, N_S the sum of the multiplicities of the symbols whose
+transform is 1 at S.  `ksymbols.power_product` computes it so, in closed form: a few bit
+operations on ints of 2^n bits (n names in use) per distinct symbol and per
+degree, whatever the factor count and the multiplicities.
 """
 
 from math import isqrt
@@ -50,13 +54,13 @@ from .ksymbols import (
 # read only its residue mod a power of two, and the rank is printed in full.
 MULTIPLICITY_DIGITS = 1000
 
-# Highest degree sw_total materializes.  Each distinct diagonal symbol costs
-# up to cap symbol products per binary digit of the cap, so the cap is
-# bounded.  At cap 128 (`ccalc sw`, interpreter start included, Python 3.11
-# on a 2-vCPU Xeon, five runs), 20 factors F(sqrt(a),sqrt(b))^(2^40 - 1) take
-# 0.15-0.18 s, and eight four-root factors of that multiplicity whose
-# diagonals meet all 63 nonzero symbols over a, b, c, d in the generic model
-# take 0.67-0.72 s.
+# Highest degree sw_total materializes.  The power formula costs a few bit
+# operations per degree, but `ccalc sw` prints every class, spelling eps^m as
+# m copies of -1, so its output grows with the cap.  At cap 128 (`ccalc sw`,
+# interpreter start included, Python 3.11 on a 2-vCPU Xeon, five runs), 20
+# factors F(sqrt(a),sqrt(b))^(2^40 - 1) take 0.14-0.20 s, and eight four-root
+# factors of that multiplicity whose diagonals meet all 63 nonzero symbols
+# over a, b, c, d in the generic model take 0.12-0.17 s.
 SW_CAP_LIMIT = 128
 
 # Most square roots one factor may have: the first factor with s roots pays
@@ -68,16 +72,17 @@ SW_CAP_LIMIT = 128
 ROOTS_LIMIT = 8
 
 # Most indeterminates `ccalc sw` takes.  The diagonal classes lie in the group
-# generated by the names, -1 and 2, so each name doubles the distinct symbols
-# sw_total may meet, and their products grow longer.  At cap 128 (`ccalc sw
-# --model generic`, interpreter start included, Python 3.11 on a 2-vCPU Xeon;
-# over 6 names with this check lifted), one factor F(sqrt(m1),...)^(2^40 - 1)
-# whose roots are a random basis of the group of the names, -1 and 2, alone
-# or with seven more such factors, takes 0.14-0.64 s over 4 names, 0.20-1.7 s
-# over 5 and 0.37-5.1 s over 6 (five seeds each).  Over 5 names a factor has
-# at most 7 independent roots, below ROOTS_LIMIT.  Library callers are not
-# held to it: the benchmark's `algebras` workload spans six names at caps
-# <= 8.
+# generated by the names, -1 and 2, so each name doubles the basis symbols a
+# class may hold, and `ccalc sw` prints every one: rendering, not the power
+# formula, sets its cost.  At cap 128 (`ccalc sw --model generic`, interpreter
+# start included, Python 3.11 on a 2-vCPU Xeon; over 6 and 7 names with this
+# check lifted), one factor F(sqrt(m1),...)^(2^40 - 1) whose roots are a
+# random basis of the group of the names, -1 and 2, alone or with seven more
+# such factors, takes 0.11-0.18 s over 4 names, 0.17-0.21 s over 5 and
+# 0.27-0.29 s over 6 (five seeds each); eight such factors of 8 roots over 7
+# names take 0.28-0.34 s.  Over 5 names a factor has at most 7 independent
+# roots, below ROOTS_LIMIT.  Library callers are held instead to
+# ksymbols.POWER_NAMES_LIMIT names in use.
 SW_NAMES_LIMIT = 5
 
 
@@ -357,12 +362,12 @@ def sw_total(alg, max_degree=None):
     Reads each factor's trace form once, in factor order, and counts every
     nonzero diagonal symbol, as its degree-1 support (`ksymbols.degree_one`),
     with its multiplicity over the algebra.  `ksymbols.power_product` then
-    runs the power formula of the module docstring on raw supports:
-    (1 + c)^n truncated at the cap, one pass of at most cap support products
-    per bit 2^b <= cap of n, c squared only up to the top bit in use, and
-    each class built as a KElement once.  The cap is min(rank, max_degree),
-    with max_degree 7 by default; a max_degree that is not a nonnegative
-    integer or a cap above SW_CAP_LIMIT raises EtaleError.
+    gives the product of the (1 + c)^n up to the cap in closed form (see the
+    module docstring), without multiplying two supports; past
+    ksymbols.POWER_NAMES_LIMIT names in use it raises KError.  The cap is
+    min(rank, max_degree), with max_degree 7 by default; a max_degree that
+    is not a nonnegative integer or a cap above SW_CAP_LIMIT raises
+    EtaleError.
     """
     if not (max_degree is None or isinstance(max_degree, int) and max_degree >= 0):
         raise EtaleError("max_degree must be a nonnegative integer, got %r" % (max_degree,))

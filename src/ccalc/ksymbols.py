@@ -32,9 +32,11 @@ as strings: "two" sorts after "f", and "x10" before "x2", so the order is
 not that of the masks.
 
 The Stiefel-Whitney power formula of `etale`, the product of the (1 + c)^n
-truncated at a degree cap, runs here, in `power_product`: its passes work on
-raw supports with `_product` and XOR, and no KElement is built until the
-classes are finished.
+truncated at a degree cap, runs here, in `power_product`, in closed form.
+Up to the degree, the product rule is an OR-convolution of sets of masks,
+and the zeta transform over the subsets of the names in use turns it into a
+bitwise AND; so no two supports are multiplied, and each class is one int
+bit set until it is read off (see `power_product`).
 
 The free-module reading of these basis symbols is validated by the iterated
 residue maps (see `residue`): residues at the generator set of a basis symbol
@@ -89,6 +91,16 @@ EPS_POWER_LIMIT = 1000
 # start included (Python 3.11, 2-vCPU Xeon); with frozensets of names in the
 # support instead of bit masks it took 0.28-0.46 s and 0.40-0.63 s.
 EXPANSION_LIMIT = 16384
+
+# Most names `power_product` may have in use.  Over n names its closed form
+# works on ints of 2^n bits, one per class, and a class may hold up to 2^n
+# basis symbols, so time and memory double with each name.  In process
+# (Python 3.11 on a 2-vCPU Xeon), forty random symbols over 16 names take
+# 0.03-0.05 s and 23 MB at cap 8, and 1.6-1.7 s and 310 MB at cap 128, where
+# the 129 classes hold 1.8 million basis symbols.  Past the limit it raises
+# KError before it allocates anything.  `ccalc check-all` meets at most 6
+# names, and `ccalc sw` at most 6 (etale.SW_NAMES_LIMIT indeterminates and 2).
+POWER_NAMES_LIMIT = 16
 
 
 class FieldModel:
@@ -342,32 +354,87 @@ def symbol(entries, model):
 def power_product(counts, cap, model):
     """The classes of degrees 0..cap of the product of the (1 + c)^n over the
     items (c, n) of counts, each c a support from `degree_one` and n >= 1:
-    a list of cap + 1 KElements.
+    a list of cap + 1 KElements.  Raises KError when the symbols that enter
+    use more than POWER_NAMES_LIMIT names.
 
-    Mod 2, (1 + c)^n is the product of the 1 + c^(2^b) over the bits 2^b of n
-    (Lucas), and only the bits 2^b <= cap matter.  Each such bit is one pass
-    of at most cap products, highest degree first, and c is squared only up
-    to the top bit in use.  A pass stops at the degree reached so far: a
-    product of j factors 1 + x (x of degree 1, each 1 + c^(2^b) counting as
-    2^b of them) has no term above degree j.  The passes run on supports,
-    with `_product` and XOR; each class becomes a KElement once, at the end.
+    The closed form.  In a class of degree i the basis symbol (m, g) has
+    m = i - |g|, so the product rule reads
+
+        (i - |g1|, g1) * (j - |g2|, g2) = (i + j - |g1 | g2|, g1 | g2):
+
+    up to the degree, a product is the OR-convolution of the sets of masks.
+    The zeta transform over GF(2), zf(S) = sum over T <= S of f(T), is its
+    own inverse and turns OR-convolution into the pointwise product
+    (Bjorklund-Husfeldt-Kaski-Koivisto 2007).  A degree-1 support c becomes
+    zc(S) = [(1, 0) in c] + |S & masks(c)| mod 2, so at each point S the
+    product of the (1 + c t)^n is (1 + t)^N_S, N_S the sum of the n * zc(S).
+    By Lucas' theorem its degree-i coefficient is 1 exactly when
+    i & ~N_S == 0, which needs N_S only mod 2^L, 2^L > cap.  Where -1 is a
+    square the basis symbols with m > 0 are dropped at the end: the quotient
+    by the ideal (eps) is a ring map.
+
+    The points are the subsets S of the n names in use (the names of the
+    symbols whose n is nonzero mod 2^L), and a function on them is one int,
+    bit S holding the value at S.  N_S is kept as L bit planes, filled by
+    ripple-carry AND/XOR; each class is an AND of planes, transformed back
+    by n shift-XOR steps and read off its set bits.
     """
-    e = [set(_ONE)] + [set() for _ in range(cap)]
-    top = 0  # e[i] is empty for i > top
-    low = (1 << cap.bit_length()) - 1  # the bits 2^b <= cap
-    for c, n in counts.items():
-        bits = n & low
-        power, step = c, 1  # power = c^step
-        while True:
-            if bits & step:
-                for i in range(min(cap, top + step), step - 1, -1):
-                    e[i] ^= _product(model, power, e[i - step])
-                top += step
-            step *= 2
-            if step > bits:
-                break
-            power = _product(model, power, power)
-    return [KElement(model, s) for s in e]
+    width = cap.bit_length()  # L: only N_S mod 2^L matters
+    counts = [(c, n) for c, n in counts.items() if n & ((1 << width) - 1)]
+    used = 0
+    for c, _ in counts:
+        for _, g in c:
+            used |= g
+    if used.bit_count() > POWER_NAMES_LIMIT:
+        raise KError(
+            "power product over %d names; the limit is %d"
+            % (used.bit_count(), POWER_NAMES_LIMIT)
+        )
+    gens = [0]  # point S -> the model mask of its names
+    has = {}  # model bit -> the points S that contain its name
+    while used:
+        bit = used & -used
+        size = len(gens)  # the new name is bit `size` of a point
+        for name in has:
+            has[name] |= has[name] << size
+        has[bit] = ((1 << size) - 1) << size
+        gens += [g | bit for g in gens]
+        used ^= bit
+    full = (1 << len(gens)) - 1
+    planes = [0] * width  # planes[k]: the points S with bit k of N_S set
+    for c, n in counts:
+        zc = 0
+        for _, g in c:
+            zc ^= has[g] if g else full
+        for k in range(width):
+            if n >> k & 1:
+                carry = zc
+                for p in range(k, width):
+                    planes[p], carry = planes[p] ^ carry, planes[p] & carry
+                    if not carry:
+                        break
+    # the k-th name added is bit k of a point
+    steps = [(full ^ points, 1 << k) for k, points in enumerate(has.values())]
+    eps_free = model.eps_free
+    lucas = [full]  # lucas[i]: the points S with i & ~N_S == 0
+    classes = [_ONE]
+    for i in range(1, cap + 1):
+        low = i & -i
+        f = lucas[i ^ low] & planes[low.bit_length() - 1]
+        lucas.append(f)
+        for keep, shift in steps:
+            f ^= (f & keep) << shift
+        support = set()
+        bits = bin(f)[:1:-1]  # bits[S] is bit S of f
+        s = bits.find("1")
+        while s >= 0:
+            g = gens[s]
+            m = i - g.bit_count()
+            if eps_free or not m:
+                support.add((m, g))
+            s = bits.find("1", s + 1)
+        classes.append(support)
+    return [KElement(model, s) for s in classes]
 
 
 def residue(x, at):

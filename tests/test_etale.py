@@ -500,8 +500,9 @@ def test_sw_reads_every_factor_once(monkeypatch):
     assert calls == [(A,), (B,), ()]
 
 
-def test_sw_squares_a_symbol_only_up_to_the_top_bit_in_use(monkeypatch):
-    # counts the support products of the power formula (ksymbols.power_product)
+def test_sw_total_forms_no_support_product(monkeypatch):
+    # the power formula is a closed form (ksymbols.power_product): whatever
+    # the multiplicities, sw_total multiplies no two supports
     calls = []
     real = ksymbols._product
 
@@ -510,31 +511,21 @@ def test_sw_squares_a_symbol_only_up_to_the_top_bit_in_use(monkeypatch):
         return real(model, xs, ys)
 
     monkeypatch.setattr(ksymbols, "_product", counted)
-    # default cap 7 (2 for F(sqrt(a))); {a} and {b} are the only nonzero symbols
-    for text, products in (
-        ("F(sqrt(a))", 1),  # n = 1: one pass of one product, no square
-        ("F(sqrt(a))^3 * F(sqrt(b))", 8),  # {a}: passes of 1 and 2, one square; {b}: 4
-        ("F(sqrt(a))^13", 5),  # bits 1 and 4 of 13 are <= 7: passes of 1 and 2, two squares
-        ("F(sqrt(a))^8 * F", 0),  # no bit of 8 is <= 7
+    for text in (
+        "F(sqrt(a))",
+        "F(sqrt(a))^3 * F(sqrt(b))",
+        "F(sqrt(a))^13",
+        "F(sqrt(a))^8 * F",
     ):
-        alg = parse_algebra(text, EUC)
-        calls.clear()
-        sw_total(alg)
-        assert len(calls) == products, text
+        sw_total(parse_algebra(text, EUC))
+        assert not calls, text
 
 
-def _kelement_sw(alg, cap):
-    """Reference for `sw_total`: the same power loop, on KElements.  Each
-    nonzero diagonal symbol {d} is counted with its multiplicity, then
+def _kelement_power_loop(counts, cap, model):
+    """Reference for `ksymbols.power_product`: the pass loop on KElements.
+    counts maps a nonzero degree-1 KElement c to its multiplicity n, and
     (1 + c)^n enters as the product of the 1 + c^(2^b) over the bits
     2^b <= cap of n, highest degree first."""
-    model = alg.model
-    counts = {}
-    for ext, mult in alg.factors:
-        for d in trace_form(ext, model):
-            sym = symbol([d], model)
-            if not sym.is_zero():
-                counts[sym] = counts.get(sym, 0) + mult
     e = [one(model)] + [zero(model)] * cap
     top = 0  # e[i] is zero for i > top
     for c, n in counts.items():
@@ -550,6 +541,46 @@ def _kelement_sw(alg, cap):
                 break
             power = power * power
     return e
+
+
+def _kelement_sw(alg, cap):
+    """Reference for `sw_total`: each nonzero diagonal symbol {d} counted
+    with its multiplicity, then `_kelement_power_loop`."""
+    model = alg.model
+    counts = {}
+    for ext, mult in alg.factors:
+        for d in trace_form(ext, model):
+            sym = symbol([d], model)
+            if not sym.is_zero():
+                counts[sym] = counts.get(sym, 0) + mult
+    return _kelement_power_loop(counts, cap, model)
+
+
+def test_power_product_matches_the_kelement_loop_on_random_counts():
+    """The closed form against the pass loop, on random counts of degree-1
+    supports over the three presets and a model where -1 is a square and 2
+    is free: caps 0-20 and 128, multiplicities up to 2^40 - 1, and empty
+    counts."""
+    models = (CLO, EUC, GEN, FieldModel(("a", "b", "c"), {"minus_one": "trivial", "two": "free"}))
+    names = ("minus_one", "two", "a", "b", "c")
+    caps = list(range(21)) + [128]
+    rnd = random.Random(20261020)
+    for case in range(600):
+        model = models[case % len(models)]
+        cap = caps[case % len(caps)]
+        counts = {}
+        for _ in range(rnd.randrange(6)):
+            c = ksymbols.degree_one(frozenset(n for n in names if rnd.random() < 0.4), model)
+            if c:
+                n = rnd.choice((rnd.randint(1, 8), rnd.randint(1, 2 ** 40 - 1), 2 ** 40 - 1))
+                counts[c] = counts.get(c, 0) + n
+        expected = _kelement_power_loop(
+            {ksymbols.KElement(model, c): n for c, n in counts.items()}, cap, model
+        )
+        assert ksymbols.power_product(counts, cap, model) == expected, (model, cap, counts)
+    for model in models:
+        for cap in caps:
+            assert ksymbols.power_product({}, cap, model) == [one(model)] + [zero(model)] * cap
 
 
 def _random_sw_algebra(rnd, model, factors, roots):
@@ -641,6 +672,59 @@ def test_sw_huge_multiplicity_is_fast():
     assert gsw.rank == 2 * 99999999999
     # 99999999999 = 7 mod 8, so below degree 8 this is F(sqrt(a))^7
     assert gsw.classes == galois_sw_total(parse_algebra("F(sqrt(a))^7", EUC)).classes
+
+
+def _random_basis(rnd, names, size):
+    """`size` independent square classes, drawn at random from the group of
+    `names` (which may include minus_one and two)."""
+    rows, classes = [], []  # rows: reduced bit vectors of the classes so far
+    while len(classes) < size:
+        v = rnd.randrange(1, 1 << len(names))
+        r = v
+        for row in rows:
+            r = min(r, r ^ row)
+        if r:
+            rows.append(r)
+            classes.append(frozenset(n for i, n in enumerate(names) if v >> i & 1))
+    return classes
+
+
+@pytest.mark.parametrize("names, factors", ((6, 1), (7, 8)))
+def test_sw_over_many_names_is_fast(names, factors):
+    # factors of multiplicity 2^40 - 1, each with 8 roots spanning the group
+    # of the names, -1 and 2 (a basis of it over 6 names); cap 128.  The
+    # pass loop took 1.6-4.6 s over 6 names and 20-26 s over 7.
+    model = generic_model(tuple("x%d" % i for i in range(1, names + 1)))
+    group = ("minus_one", "two") + model.indeterminates
+    trace_form(tuple(frozenset({n}) for n in group[:ROOTS_LIMIT]), model)  # the Gram pass
+    rnd = random.Random(names)
+    for _ in range(3):
+        alg = EtaleAlgebraExpr(
+            model, [(_random_basis(rnd, group, 8), 2 ** 40 - 1) for _ in range(factors)]
+        )
+        t0 = time.perf_counter()
+        galois_sw_total(alg, max_degree=SW_CAP_LIMIT)
+        assert time.perf_counter() - t0 < 1.0, alg
+
+
+def test_sw_bounds_the_names_in_use():
+    limit = ksymbols.POWER_NAMES_LIMIT
+    model = generic_model(tuple("x%d" % i for i in range(1, limit + 1)))
+    alg = parse_algebra(" * ".join("F(sqrt(%s))" % n for n in model.indeterminates), model)
+    message = "^power product over %d names; the limit is %d$" % (limit + 1, limit)
+    with pytest.raises(ksymbols.KError, match=message):
+        sw_total(alg)
+    # at the limit, random symbols over every name: 2^16 points per class
+    names = ("minus_one", "two") + model.indeterminates[1:]
+    rnd = random.Random(limit)
+    counts = {}
+    for _ in range(40):
+        c = ksymbols.degree_one(frozenset(n for n in names if rnd.random() < 0.5), model)
+        counts[c] = counts.get(c, 0) + 2 ** 40 - 1
+    t0 = time.perf_counter()
+    classes = ksymbols.power_product(counts, 8, model)
+    assert time.perf_counter() - t0 < 1.0
+    assert [c.degrees() for c in classes] == [[i] for i in range(9)]
 
 
 def test_appending_f_changes_nothing():
