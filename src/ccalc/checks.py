@@ -295,7 +295,7 @@ def check_line_orbits():
     )
 
     try:
-        cert = nontriviality_certificate(with_bitangent)
+        cert = nontriviality_certificate(a2_orbit)
         ok = cert.chain[-1].is_one()
         detail = " -> ".join(str(x) for x in cert.chain)
     except CertificateFails as e:

@@ -172,7 +172,16 @@ def class_z(d):
 
 
 def r_value(d):
-    """gcd(d(d-1)^2, 3(d-2)): the content of the two-singular-point class."""
+    """gcd(d(d-1)^2, 3(d-2)): the content of the two-singular-point class.
+
+    For every d >= 4, r(d) = gcd(2, d) * gcd(3, d(d-1)), so r depends on d
+    mod 6 only, and the samples d = 4..12 of
+    checks.check_torsion_bookkeeping meet every residue.  Write A = d(d-1)^2
+    and B = d - 2.  Since d = 2 (mod B), A = 2 (mod B), so gcd(A, B) divides
+    2, and r = gcd(A, 3B) divides 3*gcd(A, B), hence 6.  A is always even,
+    so 2 | r exactly when B is even, that is when d is even.  3 divides 3B,
+    so 3 | r exactly when 3 | A, that is when d = 0 or 1 (mod 3).
+    """
     require_degree(d, 4)
     return gcd(d * (d - 1) ** 2, 3 * (d - 2))
 

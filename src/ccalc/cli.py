@@ -250,7 +250,7 @@ def cmd_lines(args):
             "all_nonzero": pos.all_nonzero,
         }
     if args.certificate:
-        cert = nontriviality_certificate(with_bitangent)
+        cert = nontriviality_certificate(alpha2)
         lines.append(
             "certificate at (%s): %s"
             % (", ".join(cert.at), " -> ".join(str(x) for x in cert.chain))

@@ -8,14 +8,18 @@ group is the character group of the subgroup M generated by the m_i: an
 element is a bitmask g whose bit j is set when it negates the square root of
 the j-th basis class of M, elements compose by XOR, and g swaps the i-th
 point pair exactly when g meets the coordinate mask of m_i over that basis in
-an odd number of bits.  The mask is the element: the action, the point
-permutations and the stabilizers are computed on masks, and names such as
-sigma*tau exist only to render the group and the stabilizers.  The 27 labels — six exceptional divisors E_i,
+an odd number of bits.  M is built once, as a dict from each class to its
+coordinate mask, and the fixed field of each stabilizer is read off it.  The
+mask is the element: the action, the point permutations and the stabilizers
+are computed on masks, and names such as sigma*tau exist only to render the
+group and the stabilizers.  The 27 labels — six exceptional divisors E_i,
 fifteen lines L_ij through point pairs, six conics C_i through five points —
 inherit the permutation, and each orbit is defined over the fixed field of
-its stabilizer.  Summing over orbits yields an etale algebra whose
-Galois-Stiefel-Whitney class alpha_2 is certified nontrivial by a double
-residue.
+its stabilizer.  Summing over orbits yields an etale algebra; its
+Galois-Stiefel-Whitney class alpha_2 is computed by the caller, and
+`nontriviality_certificate` shows a class nonzero by an iterated residue
+whose word it reads off the class (for that alpha_2, a double residue ending
+at 1).
 
 The one honest geometric input — that the six default points really are in
 general position — is verified by exact determinant evaluation in a
@@ -26,7 +30,7 @@ from collections import Counter, namedtuple
 from itertools import combinations
 
 from . import CcalcError
-from .etale import EtaleAlgebraExpr, galois_sw_total, gf2_eliminate
+from .etale import EtaleAlgebraExpr, gf2_eliminate
 from .ksymbols import euclidean_model, residue
 from .rings import Ring
 
@@ -155,9 +159,10 @@ class LineSet:
     maps each mask to its name (1, sigma, tau, sigma*tau, ...) and is read
     only to render the group."""
 
-    def __init__(self, config, basis, names, point_perms):
+    def __init__(self, config, basis, span, names, point_perms):
         self.config = config
         self.basis = basis  # basis of M as square classes
+        self.span = span  # each class of M to its coordinate mask over basis
         self.names = names
         self.point_perms = point_perms
         self.action = {g: _induced(pp) for g, pp in point_perms.items()}
@@ -177,15 +182,17 @@ def _induced(pp):
 
 def build_action(cfg):
     """Derive the group, the point permutations, the 27-label permutations,
-    and verify the homomorphism property on every pair of elements."""
-    _, deps = gf2_eliminate(cfg.pair_classes)
-    free = [i for i, dep in enumerate(deps) if dep is None]
-    basis = [cfg.pair_classes[i] for i in free]
-    # coordinates of each pair class over the basis of independent classes
-    coords = [
-        sum(1 << free.index(j) for j in ({i} if dep is None else dep))
-        for i, dep in enumerate(deps)
-    ]
+    and verify the homomorphism property on every pair of elements.
+
+    The span of M grows as one dict, from each class to its coordinate mask
+    over the basis, while the pair classes are read: a class already in the
+    dict is dependent, and its value is its coordinates."""
+    span, basis, coords = {frozenset(): 0}, [], []
+    for m in cfg.pair_classes:
+        if m not in span:
+            span.update({c ^ m: g | 1 << len(basis) for c, g in span.items()})
+            basis.append(m)
+        coords.append(span[m])
     k = len(basis)
     gen_names = ["sigma", "tau"] if k <= 2 else ["sigma%d" % j for j in range(1, k + 1)]
 
@@ -199,7 +206,7 @@ def build_action(cfg):
             p, q = 2 * i - 1, 2 * i
             pp[p], pp[q] = (q, p) if (c & g).bit_count() % 2 else (p, q)
 
-    ls = LineSet(cfg, basis, names, point_perms)
+    ls = LineSet(cfg, basis, span, names, point_perms)
     # homomorphism check on all pairs, through the label action itself
     action = ls.action
     for g in action:
@@ -227,13 +234,6 @@ class OrbitReport:
 
 def orbit_decomposition(ls):
     """Orbits, stabilizers, fixed fields, and the assembled etale algebra."""
-    model = ls.config.model
-
-    # M as one dict: each class to its coordinate mask over the basis
-    span = {frozenset(): 0}
-    for j, m in enumerate(ls.basis):
-        span.update({c ^ m: g | 1 << j for c, g in span.items()})
-
     seen = set()
     orbits = []
     for lab in LABELS:
@@ -249,7 +249,7 @@ def orbit_decomposition(ls):
             )
         fixed = [
             m
-            for m, c in span.items()
+            for m, c in ls.span.items()
             if m and all((c & g).bit_count() % 2 == 0 for g in stab)
         ]
         ext, _ = gf2_eliminate(fixed)
@@ -268,7 +268,7 @@ def orbit_decomposition(ls):
     order = sorted(
         counts, key=lambda e: (len(e), sorted((len(m), sorted(m)) for m in e))
     )
-    algebra = EtaleAlgebraExpr(model, [(e, counts[e]) for e in order])
+    algebra = EtaleAlgebraExpr(ls.config.model, [(e, counts[e]) for e in order])
     return OrbitReport(orbits, algebra)
 
 
@@ -330,29 +330,33 @@ def verify_general_position(cfg):
 # -- the nontriviality certificate -------------------------------------------------
 
 
-# alpha_2 and its residues at the names in `at`; valid iff the chain ends at 1
+# the residue word and the chain x, its residue at at[0], ..., which ends at a
+# nonzero constant
 Certificate = namedtuple("Certificate", "at chain")
 
 
-def nontriviality_certificate(alg):
-    """Certify alpha_2 of the algebra nonzero (hence multiplication by it
-    injective on constants) by a double residue, at the model's second
-    indeterminate and then its first, ending at 1."""
-    inds = alg.model.indeterminates
-    if len(inds) < 2:
-        raise CertificateFails(
-            "the double residue needs two indeterminates; the model has %d"
-            % len(inds)
-        )
-    at = (inds[1], inds[0])
-    alpha2 = galois_sw_total(alg, max_degree=2).alpha(2)
-    chain = [alpha2]
-    cur = alpha2
+def nontriviality_certificate(x):
+    """Certify the class x nonzero by an iterated residue that ends at a
+    nonzero constant.
+
+    The word `at` is the names of g, last name first, where g is the smallest
+    (as an int) of the masks with the most names in x's support.  Every other
+    mask in the support lacks one of those names, so its basis symbols die
+    along the chain, and each (m, g) becomes eps^m: the chain ends at a sum
+    of distinct powers of eps, which is not zero.  For alpha_2 of the 27
+    lines with the bitangent factor, g is the first two indeterminates, so
+    the word is the second and then the first, and the chain ends at 1.
+    Raises CertificateFails for the zero class, and when g holds a constant
+    class (the 2 of the generic model), where no residue is taken."""
+    if x.is_zero():
+        raise CertificateFails("the zero class has no residue certificate")
+    g = min((-g.bit_count(), g) for _, g in x.support)[1]
+    at = x.model.gen_names(g)[::-1]
+    chain = [x]
     for name in at:
-        cur = residue(cur, name)
-        chain.append(cur)
-    if not cur.is_one():
-        raise CertificateFails(
-            "residue chain at %s ends at %s, not 1" % (list(at), cur)
-        )
-    return Certificate(tuple(at), chain)
+        if name not in x.model.indeterminates:
+            raise CertificateFails(
+                "no residue is taken at the constant class %s" % x.model.spell(name)
+            )
+        chain.append(residue(chain[-1], name))
+    return Certificate(at, chain)

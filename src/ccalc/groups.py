@@ -157,6 +157,8 @@ def n_torsion(d):
 
     For even d both d(d-1)^2 and 3(d-2) are even, so 2 | r.  For odd d,
     3(d-2) is odd, so r is odd.  Hence gcd(2, r) = gcd(2, d) for every d >= 4.
+    This is the 2-part of r(d) = gcd(2, d) * gcd(3, d(d-1)); the argument
+    for that closed form, which holds for every d >= 4, is in chow.r_value.
     """
     require_degree(d, 4)
     return 2 if d % 2 == 0 else 1

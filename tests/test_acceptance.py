@@ -94,7 +94,7 @@ def test_05_line_orbit_decomposition():
     a2_orbit = galois_sw_total(with_bitangent, max_degree=2).alpha(2)
     hand = parse_algebra(checks.LINES_ALGEBRA_WITH_BITANGENT, cfg.model)
     a2_hand = galois_sw_total(hand, max_degree=2).alpha(2)
-    cert = nontriviality_certificate(with_bitangent)
+    cert = nontriviality_certificate(a2_orbit)
     elapsed = time.perf_counter() - t0
 
     assert report.algebra == parse_algebra(checks.LINES_ALGEBRA, cfg.model)

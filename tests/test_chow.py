@@ -1,6 +1,7 @@
 """Tests for the singular-locus class worksheets."""
 
 import random
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -227,6 +228,12 @@ def test_r_value_table():
 @pytest.mark.parametrize("d", range(4, 13))
 def test_r_parity_law(d):
     assert (r_value(d) % 2 == 0) == (d % 2 == 0)
+
+
+def test_r_value_closed_form_holds_far_past_the_samples():
+    # the argument in the r_value docstring: r(d) depends on d mod 6 only
+    for d in range(4, 200_001):
+        assert r_value(d) == gcd(2, d) * gcd(3, d * (d - 1)), d
 
 
 # -- projection formula (property) --------------------------------------------

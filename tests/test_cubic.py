@@ -1,7 +1,7 @@
 """Orbit bookkeeping, general position, and the residue certificate for the
 27 lines attached to three conjugate point-pairs."""
 
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -22,10 +22,13 @@ from ccalc.cubic import (
 )
 from ccalc.etale import field_str, galois_sw_total, parse_algebra
 from ccalc.ksymbols import (
+    MODEL_PRESETS,
     euclidean_model,
+    generic_model,
     iterated_residue,
     parse_kelement,
     symbol,
+    zero,
 )
 
 
@@ -44,6 +47,10 @@ def test_label_inventory():
 
 def _bitangent(cfg):
     return bitangent_algebra(orbit_decomposition(build_action(cfg)).algebra)
+
+
+def _alpha2(cfg):
+    return galois_sw_total(_bitangent(cfg), max_degree=2).alpha(2)
 
 
 def test_default_group_elements():
@@ -256,7 +263,7 @@ def test_position_needs_coordinates():
 
 def test_certificate_default():
     cfg = default_config()
-    cert = nontriviality_certificate(_bitangent(cfg))
+    cert = nontriviality_certificate(_alpha2(cfg))
     assert cert.at == ("b", "a")
     assert len(cert.chain) == 3
     assert cert.chain[1] == parse_kelement("{a} + eps", cfg.model)
@@ -267,13 +274,39 @@ def test_certificate_fails_for_split_algebra():
     cfg = default_config()
     split = parse_algebra("F^28", cfg.model)
     with pytest.raises(CertificateFails):
-        nontriviality_certificate(split)
+        nontriviality_certificate(galois_sw_total(split, max_degree=2).alpha(2))
 
 
-def test_certificate_needs_two_indeterminates():
-    alg = parse_algebra("F(sqrt(a))", euclidean_model(("a",)))
-    with pytest.raises(CertificateFails, match="two indeterminates"):
-        nontriviality_certificate(alg)
+def test_certificate_over_one_indeterminate():
+    model = euclidean_model(("a",))
+    x = parse_kelement("{-1,a}", model)
+    cert = nontriviality_certificate(x)
+    assert cert.at == ("a",)
+    assert cert.chain == [x, parse_kelement("eps", model)]
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_certificate_word_is_the_second_name_then_the_first(k):
+    # the word is read off alpha_2 itself, yet it matches the order in which
+    # the names were declared, for every order of every choice of k names
+    for gens in permutations("abcp", k):
+        cfg = PointConfig(euclidean_model(gens), [frozenset({n}) for n in gens])
+        cert = nontriviality_certificate(_alpha2(cfg))
+        assert cert.at == (gens[1], gens[0]), gens
+        assert cert.chain[-1].is_one(), gens
+
+
+def test_certificate_fails_where_the_word_holds_the_class_of_two():
+    model = generic_model(("a", "b"))
+    x = parse_kelement("{2,a} + {a} + {-1,b}", model)
+    with pytest.raises(CertificateFails, match="constant class 2"):
+        nontriviality_certificate(x)
+
+
+@pytest.mark.parametrize("preset", sorted(MODEL_PRESETS))
+def test_certificate_fails_for_the_zero_class(preset):
+    with pytest.raises(CertificateFails, match="zero class"):
+        nontriviality_certificate(zero(MODEL_PRESETS[preset](("a", "b"))))
 
 
 # -- the three-parameter configuration ---------------------------------------------
@@ -331,7 +364,7 @@ def test_three_class_residue_words_distinguish_the_invariants():
 
 
 def test_three_class_certificate():
-    cert = nontriviality_certificate(_bitangent(three_class_config()))
+    cert = nontriviality_certificate(_alpha2(three_class_config()))
     assert cert.at == ("b", "a")
     assert cert.chain[-1].is_one()
 

@@ -807,7 +807,7 @@ def test_vanishing_bound_randomized(seed, preset):
         assert gsw.alpha(i).is_zero()
 
 
-def test_sw_passes_that_stop_at_the_reached_degree_match_the_full_range_loop():
+def test_sw_closed_form_matches_the_full_range_recurrence():
     for model in (CLO, EUC, GEN):
         rng = random.Random(11)
         two = symbol(["2"], model)
