@@ -22,8 +22,18 @@ whose word it reads off the class (for that alpha_2, a double residue ending
 at 1).
 
 The one honest geometric input — that the six default points really are in
-general position — is verified by exact determinant evaluation in a
-polynomial tower where the square roots are fiber generators.
+general position — is verified by 21 exact determinants (Dolgachev,
+Classical Algebraic Geometry, 2012, ch. 9) in the polynomial ring
+Z[r_1..r_k] of the square roots, one free degree-1 generator r_i per
+indeterminate n_i.  The coordinates are defined over the tower
+T = Z[n_1..n_k][r_1..r_k]/(r_i^2 - n_i), with n_i of degree 2, and T is that
+polynomial ring: r_i -> r_i is a graded map Z[r] -> T, onto because
+n_i = r_i^2 in T, and n_i -> r_i^2, r_i -> r_i is a graded map T -> Z[r],
+well defined because it kills every r_i^2 - n_i; the two composites fix
+every generator, so they are inverse isomorphisms.  A ring isomorphism
+carries a determinant of the coordinates to the determinant of their
+images, so each determinant is zero in T exactly when it is zero in Z[r],
+and there it is a plain polynomial product with no relation to rewrite.
 """
 
 from collections import Counter, namedtuple
@@ -63,9 +73,14 @@ class PointConfig:
     pair_classes (required): two or three square classes (m1, m2[, m3]);
     m3 defaults to m1*m2.  When every class is a monomial in the model's
     indeterminates the explicit coordinates (+-sqrt(m1):1:0),
-    (+-sqrt(m2):0:1), (0:+-sqrt(m3):1) are materialized over a polynomial
-    tower with one square-root fiber generator per indeterminate; pass
-    `coordinates` to override them.
+    (+-sqrt(m2):0:1), (0:+-sqrt(m3):1) are materialized in the polynomial
+    ring of the square roots: one free generator from _SQRT_GENS per
+    indeterminate, and sqrt(m) the product of the generators of m's names.
+    The ring has no relation and no generator for the indeterminates
+    themselves: the tower Z[n][r]/(r_i^2 - n_i) over them is isomorphic to
+    it by n_i -> r_i^2 (see the module docstring), so every determinant has
+    the same zero/nonzero verdict in both.  Pass `coordinates` to override
+    them.
     """
 
     def __init__(self, model, pair_classes, coordinates=None):
@@ -98,13 +113,8 @@ class PointConfig:
         elif all(n in model.indeterminates for n in names) and len(names) <= len(
             pool
         ):
-            sqrt_of = {n: pool[i] for i, n in enumerate(names)}
-            ring = Ring(
-                [(n, 2) for n in names] + [(sqrt_of[n], 1) for n in names],
-                relations={
-                    sqrt_of[n]: (2, [[], [(-1, {n: 1})]]) for n in names
-                },
-            )
+            sqrt_of = dict(zip(names, pool))
+            ring = Ring([sqrt_of[n] for n in names])
             roots = []
             for m in self.pair_classes:
                 r = ring.one

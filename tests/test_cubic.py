@@ -12,6 +12,7 @@ from ccalc.cubic import (
     DeterminantZero,
     LABELS,
     PointConfig,
+    _det,
     bitangent_algebra,
     build_action,
     default_config,
@@ -30,6 +31,7 @@ from ccalc.ksymbols import (
     symbol,
     zero,
 )
+from ccalc.rings import Ring, substitute
 
 
 # -- the label set itself ------------------------------------------------------
@@ -212,9 +214,14 @@ def test_third_class_defaults_to_the_product():
 
 def test_default_coordinates_shape():
     cfg = default_config()
-    x = cfg.coordinates[0][0].ring.gen("x")
+    ring = cfg.coordinates[0][0].ring
+    # the polynomial ring of the square roots: no indeterminate, no relation
+    assert ring.names == ("x", "y") and ring.degrees == (1, 1)
+    assert not ring.rel
+    x, y = ring.gen("x"), ring.gen("y")
     assert cfg.coordinates[0][0] == x and cfg.coordinates[1][0] == -x
-    assert (x * x).__str__() == "a"
+    assert str(x * x) == "x^2"
+    assert cfg.coordinates[4][1] == x * y
 
 
 def test_general_position_default():
@@ -248,6 +255,63 @@ def test_degenerate_configuration_is_caught():
     )
     assert len(err.value.report.checks) == 21
     assert not err.value.report.all_nonzero
+
+
+def _tower(cfg):
+    """The fibered tower Z[n][r]/(r_i^2 - n_i) over the config's names, with
+    the six points built in it from the pair classes alone."""
+    names = sorted(set().union(*cfg.pair_classes))
+    sqrt_of = dict(zip(names, "xyz"))
+    tower = Ring(
+        [(n, 2) for n in names] + [(sqrt_of[n], 1) for n in names],
+        relations={sqrt_of[n]: (2, [[], [(-1, {n: 1})]]) for n in names},
+    )
+    points = []
+    for m, (u, v) in zip(cfg.pair_classes, [(0, 1), (0, 2), (1, 2)]):
+        root = tower.poly([(1, {sqrt_of[n]: 1 for n in m})])
+        for sign in (1, -1):
+            p = [tower.zero] * 3
+            p[u], p[v] = sign * root, tower.one
+            points.append(tuple(p))
+    return tower, points
+
+
+def _position_matrices(points):
+    """The 20 collinearity matrices and the conic matrix of six points."""
+    for i, j, k in combinations(range(6), 3):
+        yield [list(points[i]), list(points[j]), list(points[k])]
+    yield [[u * u, u * v, v * v, u * w, v * w, w * w] for u, v, w in points]
+
+
+_ORACLE_CASES = [(g, False) for k in (2, 3) for g in permutations("abcp", k)]
+_ORACLE_CASES.append((("a", "b"), True))
+
+
+@pytest.mark.parametrize(
+    "gens, degenerate",
+    _ORACLE_CASES,
+    ids=["".join(g) + ("-degenerate" if d else "") for g, d in _ORACLE_CASES],
+)
+def test_square_root_ring_determinants_equal_the_tower(gens, degenerate):
+    # each determinant over the square roots, read into the fibered tower by
+    # r_i -> r_i (so r_i^2 becomes n_i), is exactly the tower's determinant
+    cfg = PointConfig(euclidean_model(gens), [frozenset({n}) for n in gens])
+    tower, points = _tower(cfg)
+    coords = list(cfg.coordinates)
+    if degenerate:
+        # the move of test_degenerate_configuration_is_caught, in both rings
+        ring = coords[0][0].ring
+        coords[4] = (ring.gen("x") + ring.gen("y"), ring.one, ring.one)
+        points[4] = (tower.gen("x") + tower.gen("y"), tower.one, tower.one)
+    dets = [
+        (substitute(_det(free), {}, target=tower), _det(fibered))
+        for free, fibered in zip(_position_matrices(coords), _position_matrices(points))
+    ]
+    assert len(dets) == 21
+    for image, expected in dets:
+        assert image == expected
+    assert any(d.is_zero() for d, _ in dets) == degenerate
+    assert [tuple(substitute(c, {}, target=tower) for c in p) for p in coords] == points
 
 
 def test_position_needs_coordinates():
