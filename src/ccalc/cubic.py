@@ -22,18 +22,33 @@ whose word it reads off the class (for that alpha_2, a double residue ending
 at 1).
 
 The one honest geometric input — that the six default points really are in
-general position — is verified by 21 exact determinants (Dolgachev,
-Classical Algebraic Geometry, 2012, ch. 9) in the polynomial ring
-Z[r_1..r_k] of the square roots, one free degree-1 generator r_i per
-indeterminate n_i.  The coordinates are defined over the tower
+general position (Dolgachev, Classical Algebraic Geometry, 2012, ch. 9) —
+is verified by 21 exact polynomials in the brackets [ijk] = p_i . (p_j x p_k),
+the 3x3 determinants of the points.  No three points lie on a line when the
+20 brackets are nonzero.  The six points lie on no conic when the 6x6
+determinant of their Veronese rows (u^2, uv, v^2, uw, vw, w^2) is nonzero,
+and that determinant is -C for the bracket form of the conic condition
+(Sturmfels, Algorithms in Invariant Theory, 1993)
+
+    C = [123][145][246][356] - [124][135][236][456].
+
+Both sides are polynomials with integer coefficients in the 18 coordinates,
+and they are equal as polynomials (`tests/test_cubic.py::
+test_brackets_give_the_veronese_determinant` expands both in 18 free
+generators), so they stay equal under every substitution of coordinates:
+C is zero exactly when the conic determinant is.
+
+The brackets are taken in the polynomial ring Z[r_1..r_k] of the square
+roots, one free degree-1 generator r_i, named sqrt(n_i), per indeterminate
+n_i.  The coordinates are defined over the tower
 T = Z[n_1..n_k][r_1..r_k]/(r_i^2 - n_i), with n_i of degree 2, and T is that
 polynomial ring: r_i -> r_i is a graded map Z[r] -> T, onto because
 n_i = r_i^2 in T, and n_i -> r_i^2, r_i -> r_i is a graded map T -> Z[r],
 well defined because it kills every r_i^2 - n_i; the two composites fix
 every generator, so they are inverse isomorphisms.  A ring isomorphism
-carries a determinant of the coordinates to the determinant of their
-images, so each determinant is zero in T exactly when it is zero in Z[r],
-and there it is a plain polynomial product with no relation to rewrite.
+carries a polynomial in the coordinates to the same polynomial in their
+images, so each check is zero in T exactly when it is zero in Z[r], and
+there it is a plain polynomial product with no relation to rewrite.
 """
 
 from collections import Counter, namedtuple
@@ -42,7 +57,7 @@ from itertools import combinations
 from . import CcalcError
 from .etale import EtaleAlgebraExpr, gf2_eliminate
 from .ksymbols import euclidean_model, residue
-from .rings import Ring
+from .rings import Poly, Ring
 
 
 class CubicError(CcalcError):
@@ -64,9 +79,6 @@ class CertificateFails(CubicError):
     pass
 
 
-_SQRT_GENS = ("x", "y", "z", "v", "w", "x2", "y2", "z2")
-
-
 class PointConfig:
     """Three conjugate point-pairs with square classes and coordinates.
 
@@ -74,13 +86,14 @@ class PointConfig:
     m3 defaults to m1*m2.  When every class is a monomial in the model's
     indeterminates the explicit coordinates (+-sqrt(m1):1:0),
     (+-sqrt(m2):0:1), (0:+-sqrt(m3):1) are materialized in the polynomial
-    ring of the square roots: one free generator from _SQRT_GENS per
-    indeterminate, and sqrt(m) the product of the generators of m's names.
+    ring of the square roots: one free generator per indeterminate n of the
+    classes, named after its class as sqrt(n), for any number of
+    indeterminates, and sqrt(m) the product of the generators of m's names.
     The ring has no relation and no generator for the indeterminates
     themselves: the tower Z[n][r]/(r_i^2 - n_i) over them is isomorphic to
-    it by n_i -> r_i^2 (see the module docstring), so every determinant has
-    the same zero/nonzero verdict in both.  Pass `coordinates` to override
-    them.
+    it by n_i -> r_i^2 (see the module docstring), so every check has the
+    same zero/nonzero verdict in both.  Pass `coordinates`, six triples of
+    Polys over one ring, to override them.
     """
 
     def __init__(self, model, pair_classes, coordinates=None):
@@ -105,22 +118,23 @@ class PointConfig:
 
         self.coordinates = None
         names = sorted(set().union(*self.pair_classes))
-        pool = [g for g in _SQRT_GENS if g not in names]
         if coordinates is not None:
             self.coordinates = list(coordinates)
             if len(self.coordinates) != 6:
                 raise CubicError("expected six coordinate triples")
-        elif all(n in model.indeterminates for n in names) and len(names) <= len(
-            pool
-        ):
-            sqrt_of = dict(zip(names, pool))
-            ring = Ring([sqrt_of[n] for n in names])
-            roots = []
-            for m in self.pair_classes:
-                r = ring.one
-                for n in sorted(m):
-                    r = r * ring.gen(sqrt_of[n])
-                roots.append(r)
+            if not all(isinstance(p, tuple) and len(p) == 3 for p in self.coordinates):
+                raise CubicError("each point must be a triple of coordinates")
+            entries = [c for p in self.coordinates for c in p]
+            if not all(isinstance(c, Poly) for c in entries):
+                raise CubicError("each coordinate must be a Poly")
+            if len({c.ring for c in entries}) != 1:
+                raise CubicError("the coordinates live in different rings")
+        elif all(n in model.indeterminates for n in names):
+            ring = Ring(["sqrt(%s)" % n for n in names])
+            roots = [
+                ring.poly([(1, {"sqrt(%s)" % n: 1 for n in m})])
+                for m in self.pair_classes
+            ]
             zero, unit = ring.zero, ring.one
             self.coordinates = [
                 (roots[0], unit, zero),
@@ -292,7 +306,8 @@ def bitangent_algebra(lines):
 
 
 class PositionReport:
-    """Exact zero/nonzero verdicts for the 21 degeneracy determinants."""
+    """Exact zero/nonzero verdicts for the 20 collinearity brackets and the
+    conic condition."""
 
     def __init__(self, checks):
         self.checks = checks  # list of (label, nonzero boolean)
@@ -302,35 +317,28 @@ class PositionReport:
         return all(ok for _, ok in self.checks)
 
 
-def _det(rows):
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    ring = rows[0][0].ring
-    total = ring.zero
-    for j in range(n):
-        if rows[0][j].is_zero():
-            continue
-        minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
-        term = rows[0][j] * _det(minor)
-        total = total + term if j % 2 == 0 else total - term
-    return total
+def _bracket(p, q, r):
+    """The bracket [pqr] = p . (q x r), the determinant of the rows p, q, r."""
+    (a, b, c), (d, e, f), (g, h, i) = p, q, r
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
 def verify_general_position(cfg):
-    """Evaluate all 20 collinearity determinants and the conic determinant
-    exactly; raises DeterminantZero (listing the degeneracies) on failure."""
+    """Evaluate the 20 collinearity brackets and the bracket conic condition
+    (see the module docstring) exactly; raises DeterminantZero (listing the
+    degeneracies) on failure."""
     if cfg.coordinates is None:
         raise CubicError(
             "no coordinates available for this configuration; pass them explicitly"
         )
     pts = cfg.coordinates
-    checks = []
-    for i, j, k in combinations(range(6), 3):
-        det = _det([list(pts[i]), list(pts[j]), list(pts[k])])
-        checks.append(("line(%d,%d,%d)" % (i + 1, j + 1, k + 1), not det.is_zero()))
-    conic_rows = [[u * u, u * v, v * v, u * w, v * w, w * w] for u, v, w in pts]
-    checks.append(("conic(1..6)", not _det(conic_rows).is_zero()))
+    b = {t: _bracket(*(pts[i - 1] for i in t)) for t in combinations(range(1, 7), 3)}
+    checks = [("line(%d,%d,%d)" % t, not d.is_zero()) for t, d in b.items()]
+    conic = (
+        b[1, 2, 3] * b[1, 4, 5] * b[2, 4, 6] * b[3, 5, 6]
+        - b[1, 2, 4] * b[1, 3, 5] * b[2, 3, 6] * b[4, 5, 6]
+    )
+    checks.append(("conic(1..6)", not conic.is_zero()))
     report = PositionReport(checks)
     if not report.all_nonzero:
         raise DeterminantZero(report)

@@ -545,6 +545,9 @@ class Poly:
         return self.ring is other.ring and self._terms == other._terms
 
     def __hash__(self):
+        # a constant (zero included) equals its int, so it hashes as one
+        if self._terms.keys() <= {0}:
+            return hash(self._terms.get(0, 0))
         return hash((id(self.ring), frozenset(self._terms.items())))
 
     def is_zero(self):

@@ -12,7 +12,7 @@ from ccalc.cubic import (
     DeterminantZero,
     LABELS,
     PointConfig,
-    _det,
+    _bracket,
     bitangent_algebra,
     build_action,
     default_config,
@@ -215,12 +215,13 @@ def test_third_class_defaults_to_the_product():
 def test_default_coordinates_shape():
     cfg = default_config()
     ring = cfg.coordinates[0][0].ring
-    # the polynomial ring of the square roots: no indeterminate, no relation
-    assert ring.names == ("x", "y") and ring.degrees == (1, 1)
+    # the polynomial ring of the square roots: no indeterminate, no relation,
+    # one generator per indeterminate, named after its class
+    assert ring.names == ("sqrt(a)", "sqrt(b)") and ring.degrees == (1, 1)
     assert not ring.rel
-    x, y = ring.gen("x"), ring.gen("y")
+    x, y = ring.gen("sqrt(a)"), ring.gen("sqrt(b)")
     assert cfg.coordinates[0][0] == x and cfg.coordinates[1][0] == -x
-    assert str(x * x) == "x^2"
+    assert str(x * x) == "sqrt(a)^2"
     assert cfg.coordinates[4][1] == x * y
 
 
@@ -242,7 +243,7 @@ def test_degenerate_configuration_is_caught():
     ring = cfg.coordinates[0][0].ring
     bad = list(cfg.coordinates)
     # move the first point of pair 3 onto the line through points 1 and 3
-    bad[4] = (ring.gen("x") + ring.gen("y"), ring.one, ring.one)
+    bad[4] = (ring.gen("sqrt(a)") + ring.gen("sqrt(b)"), ring.one, ring.one)
     cfg2 = PointConfig(cfg.model, cfg.pair_classes, coordinates=bad)
     with pytest.raises(DeterminantZero) as err:
         verify_general_position(cfg2)
@@ -257,18 +258,69 @@ def test_degenerate_configuration_is_caught():
     assert not err.value.report.all_nonzero
 
 
+def _det(rows):
+    """The determinant of a square matrix of Polys by Laplace expansion along
+    the first row: the long computation that the brackets replace."""
+    if len(rows) == 1:
+        return rows[0][0]
+    total = rows[0][0].ring.zero
+    for j, entry in enumerate(rows[0]):
+        minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
+        term = entry * _det(minor)
+        total = total + term if j % 2 == 0 else total - term
+    return total
+
+
+def _position_matrices(points):
+    """The 20 collinearity matrices and the Veronese (conic) matrix of six
+    points, in the order of the position report's labels."""
+    for i, j, k in combinations(range(6), 3):
+        yield [list(points[i]), list(points[j]), list(points[k])]
+    yield [[u * u, u * v, v * v, u * w, v * w, w * w] for u, v, w in points]
+
+
+def test_brackets_give_the_veronese_determinant():
+    # the identity behind verify_general_position, in generic coordinates:
+    # 18 free generators, so it holds under every substitution
+    ring = Ring(["p%d%d" % (i, j) for i in range(1, 7) for j in range(3)])
+    pts = [tuple(ring.gen("p%d%d" % (i, j)) for j in range(3)) for i in range(1, 7)]
+    b = {}
+    for rows, (i, j, k) in zip(_position_matrices(pts), combinations(range(1, 7), 3)):
+        b[i, j, k] = _bracket(*rows)
+        assert b[i, j, k] == _det(rows) and len(b[i, j, k].terms) == 6
+    veronese = _det(list(_position_matrices(pts))[-1])
+    assert len(veronese.terms) == 720
+    assert veronese == -(
+        b[1, 2, 3] * b[1, 4, 5] * b[2, 4, 6] * b[3, 5, 6]
+        - b[1, 2, 4] * b[1, 3, 5] * b[2, 3, 6] * b[4, 5, 6]
+    )
+
+
+def test_six_points_on_a_conic_fail_only_the_conic_check():
+    # (1 : t : t^2) lies on y^2 = xz, and no three such points are collinear
+    # (Vandermonde), so the bracket conic condition alone must vanish
+    ring = Ring(["s"])
+    pts = [(ring.one, ring.const(t), ring.const(t * t)) for t in range(1, 7)]
+    cfg = PointConfig(euclidean_model(("a", "b")), (frozenset("a"), frozenset("b")), pts)
+    with pytest.raises(DeterminantZero) as err:
+        verify_general_position(cfg)
+    assert err.value.failures == ["conic(1..6)"]
+    oracle = [not _det(rows).is_zero() for rows in _position_matrices(pts)]
+    assert [ok for _, ok in err.value.report.checks] == oracle
+
+
 def _tower(cfg):
     """The fibered tower Z[n][r]/(r_i^2 - n_i) over the config's names, with
     the six points built in it from the pair classes alone."""
     names = sorted(set().union(*cfg.pair_classes))
-    sqrt_of = dict(zip(names, "xyz"))
+    root_of = {n: "sqrt(%s)" % n for n in names}
     tower = Ring(
-        [(n, 2) for n in names] + [(sqrt_of[n], 1) for n in names],
-        relations={sqrt_of[n]: (2, [[], [(-1, {n: 1})]]) for n in names},
+        [(n, 2) for n in names] + [(root_of[n], 1) for n in names],
+        relations={root_of[n]: (2, [[], [(-1, {n: 1})]]) for n in names},
     )
     points = []
     for m, (u, v) in zip(cfg.pair_classes, [(0, 1), (0, 2), (1, 2)]):
-        root = tower.poly([(1, {sqrt_of[n]: 1 for n in m})])
+        root = tower.poly([(1, {root_of[n]: 1 for n in m})])
         for sign in (1, -1):
             p = [tower.zero] * 3
             p[u], p[v] = sign * root, tower.one
@@ -276,33 +328,34 @@ def _tower(cfg):
     return tower, points
 
 
-def _position_matrices(points):
-    """The 20 collinearity matrices and the conic matrix of six points."""
-    for i, j, k in combinations(range(6), 3):
-        yield [list(points[i]), list(points[j]), list(points[k])]
-    yield [[u * u, u * v, v * v, u * w, v * w, w * w] for u, v, w in points]
-
-
+# pair classes as strings of one-letter names: every order of two or three of
+# a, b, c, p; two or three of the names that once held the square roots; nine
+# names in three classes (more than those names could cover); and the moved
+# point of test_degenerate_configuration_is_caught
 _ORACLE_CASES = [(g, False) for k in (2, 3) for g in permutations("abcp", k)]
-_ORACLE_CASES.append((("a", "b"), True))
+_ORACLE_CASES += [(g, False) for k in (2, 3) for g in combinations("xyzvw", k)]
+_ORACLE_CASES += [(("abc", "def", "ghi"), False), (("a", "b"), True)]
 
 
 @pytest.mark.parametrize(
-    "gens, degenerate",
+    "classes, degenerate",
     _ORACLE_CASES,
-    ids=["".join(g) + ("-degenerate" if d else "") for g, d in _ORACLE_CASES],
+    ids=[
+        ("-" if max(map(len, g)) > 1 else "").join(g) + ("-degenerate" if d else "")
+        for g, d in _ORACLE_CASES
+    ],
 )
-def test_square_root_ring_determinants_equal_the_tower(gens, degenerate):
+def test_square_root_ring_determinants_equal_the_tower(classes, degenerate):
     # each determinant over the square roots, read into the fibered tower by
-    # r_i -> r_i (so r_i^2 becomes n_i), is exactly the tower's determinant
-    cfg = PointConfig(euclidean_model(gens), [frozenset({n}) for n in gens])
+    # r_i -> r_i (so r_i^2 becomes n_i), is exactly the tower's determinant,
+    # and verify_general_position gives each the verdict of the determinant
+    cfg = PointConfig(euclidean_model("".join(classes)), [frozenset(m) for m in classes])
     tower, points = _tower(cfg)
     coords = list(cfg.coordinates)
     if degenerate:
-        # the move of test_degenerate_configuration_is_caught, in both rings
         ring = coords[0][0].ring
-        coords[4] = (ring.gen("x") + ring.gen("y"), ring.one, ring.one)
-        points[4] = (tower.gen("x") + tower.gen("y"), tower.one, tower.one)
+        coords[4] = (ring.gen("sqrt(a)") + ring.gen("sqrt(b)"), ring.one, ring.one)
+        points[4] = (tower.gen("sqrt(a)") + tower.gen("sqrt(b)"), tower.one, tower.one)
     dets = [
         (substitute(_det(free), {}, target=tower), _det(fibered))
         for free, fibered in zip(_position_matrices(coords), _position_matrices(points))
@@ -312,6 +365,11 @@ def test_square_root_ring_determinants_equal_the_tower(gens, degenerate):
         assert image == expected
     assert any(d.is_zero() for d, _ in dets) == degenerate
     assert [tuple(substitute(c, {}, target=tower) for c in p) for p in coords] == points
+    try:
+        report = verify_general_position(PointConfig(cfg.model, classes, coords))
+    except DeterminantZero as err:
+        report = err.report
+    assert [ok for _, ok in report.checks] == [not d.is_zero() for d, _ in dets]
 
 
 def test_position_needs_coordinates():

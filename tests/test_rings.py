@@ -650,6 +650,18 @@ def test_terms_is_a_fresh_view():
         p.terms = {}
 
 
+@pytest.mark.parametrize("c", [0, 1, -1, 3, -7, 2**70])
+def test_a_constant_hashes_as_the_int_it_equals(c):
+    # Poly == int holds for constants, so the hashes must agree: a set or a
+    # dict key holds one of the two, not both
+    for r in (chern_ring(), Ring(["x"])):
+        p = r.const(c)
+        assert p == c and hash(p) == hash(c)
+        assert len({p, c}) == 1 and {c: "int"}[p] == "int"
+    x = Ring(["x"]).gen("x")
+    assert x != 1 and len({x, 1}) == 2
+
+
 def test_slots_cannot_be_reassigned():
     r = chern_ring()
     p = r.gen("t") + r.gen("c1")

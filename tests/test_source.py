@@ -62,7 +62,12 @@ def _oracle_leaks(path, oracles, modules=("rings", "etale"), names=()):
     tree = ast.parse(path.read_text(), str(path))
     banned = set()
     for node in tree.body:
-        if isinstance(node, ast.ImportFrom):
+        if isinstance(node, ast.Import):
+            # `import ccalc.cubic as cubic` binds the module itself
+            for alias in node.names:
+                if alias.asname and alias.name.rpartition(".")[2] in modules:
+                    banned.add(alias.asname)
+        elif isinstance(node, ast.ImportFrom):
             source = (node.module or "").rpartition(".")[2]
             for alias in node.names:
                 # `from . import etale` and `from ccalc import etale` bind
@@ -108,6 +113,16 @@ def test_trace_form_oracle_shares_no_code_with_etale():
     `etale.trace_form`, so it may use `rings` but nothing from `etale`."""
     path = Path(__file__).with_name("test_etale.py")
     assert not _oracle_leaks(path, ("_gram_trace_form",), modules=("etale",))
+
+
+def test_determinant_oracle_shares_no_code_with_cubic():
+    """The Laplace determinant in the cubic tests is the oracle for the
+    brackets and the bracket conic condition of
+    `cubic.verify_general_position`, so it may use `rings` but nothing from
+    `cubic`."""
+    path = Path(__file__).with_name("test_cubic.py")
+    oracles = ("_det", "_position_matrices", "_tower")
+    assert not _oracle_leaks(path, oracles, modules=("cubic",))
 
 
 # Public names whose only callers outside the tests live outside src/ccalc:

@@ -39,6 +39,7 @@ E = euclidean_model(("a", "b"))
 A, B = frozenset({"a"}), frozenset({"b"})
 R = Ring(["x"])
 X = R.gen("x")
+R2X = Ring(["x"]).gen("x")
 YZ = Ring([("y", 2), ("z", 3)])
 
 
@@ -66,6 +67,13 @@ CASES = [
     # cubic
     ("five coordinate triples", lambda: PointConfig(E, (A, B), coordinates=[(1, 0, 0)] * 5),
      CubicError, "expected six coordinate triples"),
+    ("six integer triples", lambda: PointConfig(E, (A, B), coordinates=[(1, 0, 0)] * 6),
+     CubicError, "each coordinate must be a Poly"),
+    ("six pairs", lambda: PointConfig(E, (A, B), coordinates=[(1, 0)] * 6),
+     CubicError, "each point must be a triple of coordinates"),
+    ("points from two rings",
+     lambda: PointConfig(E, (A, B), coordinates=[(X, X, X)] * 5 + [(R2X, R2X, R2X)]),
+     CubicError, "the coordinates live in different rings"),
     # chow
     ("push fiber u", lambda: class_bin(4, push_fiber="u"), NotAFiberGenerator, "u"),
     # rings
