@@ -16,8 +16,8 @@ Two loci are computed:
   basis {h, c1}), and
 * the residual two-singular-point locus: an excess-intersection computation
   on the incidence space with two point factors s and t, pushed forward,
-  divided exactly by the one-point class, and renamed to the basis
-  {hz, u, c1} of the universal singular-point space.
+  divided exactly by the one-point class, and reduced symmetrically to the
+  basis {hz, u, c1} of the universal singular-point space.
 """
 
 from math import gcd
@@ -28,7 +28,6 @@ from .rings import (
     NotDivisible,
     Ring,
     exact_divide,
-    substitute,
     symmetric_reduce,
 )
 
@@ -77,10 +76,9 @@ TWOPOINT_RING = Ring(
 # Chern-class target for the one-point computation, basis {h, c1} in degree 1.
 CURVE_BASE = Ring(["h", ("c1", 1), ("c2", 2), ("c3", 3)])
 
-# Intermediate and target rings for the two-point computation: hz is the
-# hyperplane class of the universal singular-point space, u the class pulled
-# back from its point factor.
-_SINGULAR_FREE = Ring(["l1", "l2", "l3", "hz", "u"])
+# Chern-class target for the two-point computation: hz is the hyperplane
+# class of the universal singular-point space, u the class pulled back from
+# its point factor.
 SINGULAR_BASE = Ring(["hz", ("c1", 1), "u", ("c2", 2), ("c3", 3)])
 
 
@@ -194,8 +192,10 @@ def class_bin(d, push_fiber="t"):
     excess contribution supported on the diagonal (degree-1 part
     2*sum_i(class of H_i) - c1 of the embedding's normal bundle, multiplied
     by the surviving three-plane class), divide exactly by that class, and
-    rename to the singular-point-space basis {hz, u, c1}.  Either fiber may
-    be the pushforward direction; the result is identical.
+    reduce symmetrically to the singular-point-space basis {hz, u, c1}, with
+    h renamed to hz and the kept fiber to u on the way into the splitting
+    tower.  Either fiber may be the pushforward direction; the result is
+    identical.
 
     The division never raises NonUnique, for any d: the ring is A[h] with A
     = Z[l1,l2,l3][s,t] modulo the two cubic relations, a = prod(h + (d-1)*kept
@@ -240,8 +240,5 @@ def class_bin(d, push_fiber="t"):
     if quotient.contains(push_fiber):
         raise NotDivisible("quotient still involves the pushed fiber %r" % push_fiber)
 
-    renamed = substitute(
-        quotient, {"h": "hz", kept: "u"}, target=_SINGULAR_FREE
-    )
-    cls = symmetric_reduce(renamed, SINGULAR_BASE)
+    cls = symmetric_reduce(quotient, SINGULAR_BASE, {"h": "hz", kept: "u"})
     return LocusClassReport(d, cls, ("hz", "u", "c1"), r_value(d))

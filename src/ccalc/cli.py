@@ -209,18 +209,6 @@ def cmd_lines(args):
     with_bitangent = bitangent_algebra(report.algebra)
     alpha2 = galois_sw_total(with_bitangent, max_degree=2).alpha(2)
 
-    lines = ["group of order %d: %s" % (len(group), ", ".join(group)), "orbits:"]
-    for o in report.orbits:
-        lines.append(
-            "  %-16s over %s" % ("+".join(o.labels), field_str(o.extension, model))
-        )
-    lines.append("algebra: %s" % report.algebra)
-    lines.append(
-        "rank: %d (%d with the extra bitangent factor)"
-        % (report.algebra.rank, with_bitangent.rank)
-    )
-    lines.append("alpha2 = %s" % alpha2)
-
     payload = {
         "gens": list(names),
         "group": group,
@@ -239,26 +227,34 @@ def cmd_lines(args):
         "rank_with_bitangent": with_bitangent.rank,
         "alpha2": str(alpha2),
     }
+    # Every value is rendered once, into the payload; the text reads it there.
+    lines = ["group of order %d: %s" % (len(group), ", ".join(group)), "orbits:"]
+    lines += [
+        "  %-16s over %s" % ("+".join(o["labels"]), o["fixed_field"])
+        for o in payload["orbits"]
+    ]
+    lines += [
+        "algebra: %(algebra)s" % payload,
+        "rank: %(rank)d (%(rank_with_bitangent)d with the extra bitangent factor)"
+        % payload,
+        "alpha2 = %(alpha2)s" % payload,
+    ]
 
     if args.verify_position:
         pos = verify_general_position(cfg)
-        lines.append(
-            "general position: all %d determinants nonzero" % len(pos.checks)
-        )
         payload["position"] = {
             "determinants": len(pos.checks),
             "all_nonzero": pos.all_nonzero,
         }
+        lines.append(
+            "general position: all %(determinants)d determinants nonzero"
+            % payload["position"]
+        )
     if args.certificate:
         cert = nontriviality_certificate(alpha2)
-        lines.append(
-            "certificate at (%s): %s"
-            % (", ".join(cert.at), " -> ".join(str(x) for x in cert.chain))
-        )
-        payload["certificate"] = {
-            "at": list(cert.at),
-            "chain": [str(x) for x in cert.chain],
-        }
+        at, chain = list(cert.at), [str(x) for x in cert.chain]
+        payload["certificate"] = {"at": at, "chain": chain}
+        lines.append("certificate at (%s): %s" % (", ".join(at), " -> ".join(chain)))
     return lines, payload, True
 
 

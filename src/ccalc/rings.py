@@ -50,14 +50,17 @@ each pass keeps the terms of its fiber below n and rewrites the others.  A
 relation-free ring only multiplies out and checks degrees.
 
 A map between towers is a renaming of generators of equal degree
-(``substitute``): the renamed terms are read into the target like raw
-input, so the target's relations and cap reduce them.  The one map that is
-not a renaming, l3 = -(c1 + l1 + l2) in ``symmetric_reduce``, is a degree-1
-relation of its splitting tower.
+(``substitute``), done on packed monomials: each exponent field moves to its
+image's field, and the merged terms get the target's fiber passes and degree
+check like any product, so its relations and cap reduce them.  The one map
+that is not a renaming, l3 = -(c1 + l1 + l2) in ``symmetric_reduce``, is a
+degree-1 relation of its splitting tower; a renaming can be applied on the
+way into that tower.
 """
 
+from functools import reduce
 from math import gcd
-from operator import mul
+from operator import mul, or_
 
 from . import CcalcError
 
@@ -542,7 +545,9 @@ class Poly:
             other = self.ring.const(other)
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.ring is other.ring and self._terms == other._terms
+        # a constant compares by value across rings, as it does with an int
+        same = self.ring is other.ring or self._terms.keys() <= {0}
+        return same and self._terms == other._terms
 
     def __hash__(self):
         # a constant (zero included) equals its int, so it hashes as one
@@ -707,44 +712,48 @@ def substitute(p, mapping, target=None):
     Each generator of p's ring that occurs in p goes to the target generator
     mapping.get(name, name) (target defaults to p's ring), which must have
     the same degree (DegreeMismatch otherwise).  An image that is not a name
-    raises RingError, and one the target lacks UnknownGenerator.  The renamed
-    terms are read into the target in one pass (``Ring.poly``): generators
-    that land on one name add their exponents, and the target's relations
-    and cap reduce the result.
+    raises RingError, and one the target lacks UnknownGenerator.  The
+    generators that occur are read off the OR of p's packed monomials and
+    their images are checked once, in tower order, so of several bad images
+    the first generator's is reported.  Each packed monomial then becomes
+    the sum of its exponents times the target units of their images: the
+    generators that land on one name add their exponents, and the degree is
+    kept, so no field can overflow.  The merged terms go through the target's
+    fiber passes and degree check, so terms cancel before the cap applies.
     """
     ring = p.ring
     target = ring if target is None else target
-    images = {}
-    raw = []
-    for e, c in p.terms.items():
-        mono = {}
-        for i, exp in enumerate(e):
-            if exp:
-                if i not in images:
-                    name = ring.names[i]
-                    img = mapping.get(name, name)
-                    if not isinstance(img, str):
-                        raise RingError("image of %r must be a generator name" % name)
-                    degree = target.degrees[target._at(img)]
-                    if degree != ring.degrees[i]:
-                        raise DegreeMismatch(
-                            "image of %r has degree %d, expected %d"
-                            % (name, degree, ring.degrees[i])
-                        )
-                    images[i] = img
-                mono[images[i]] = mono.get(images[i], 0) + exp
-        raw.append((c, mono))
-    return target.poly(raw)
+    occurs = reduce(or_, p._terms, 0)
+    images = []
+    for i, (name, sh) in enumerate(zip(ring.names, ring._shifts)):
+        if (occurs >> sh) & _MASK:
+            img = mapping.get(name, name)
+            if not isinstance(img, str):
+                raise RingError("image of %r must be a generator name" % name)
+            j = target._at(img)
+            if target.degrees[j] != ring.degrees[i]:
+                raise DegreeMismatch(
+                    "image of %r has degree %d, expected %d"
+                    % (name, target.degrees[j], ring.degrees[i])
+                )
+            images.append((sh, target._unit[j]))
+    terms = {}
+    for e, c in p._terms.items():
+        key = sum(((e >> sh) & _MASK) * unit for sh, unit in images)
+        terms[key] = terms.get(key, 0) + c
+    return Poly(target, target._checked(target._reduce(terms, 0)))
 
 
-def symmetric_reduce(p, target):
+def symmetric_reduce(p, target, mapping=None):
     """Rewrite the symmetric dependence of p on the generators l1, l2, l3.
 
     The l's are the roots of x^3 + c1*x^2 + c2*x + c3 (c1 = -e1, c2 = e2,
-    c3 = -e3); other generators are carried to target by name.  p is read by
-    name into the splitting tower T = Z[target generators][l1][l2][l3] with
-    l1^3 = -(c1*l1^2 + c2*l1 + c3), l2^2 = -((c1 + l1)*l2 + c2 + c1*l1 +
-    l1^2) and l3 = -(c1 + l1 + l2), and from there into target by name.
+    c3 = -e3); other generators are carried to target by the renaming
+    mapping (by name where it has no entry; see ``substitute``, whose
+    errors a bad image raises).  p is renamed into the splitting tower T =
+    Z[target generators][l1][l2][l3] with l1^3 = -(c1*l1^2 + c2*l1 + c3),
+    l2^2 = -((c1 + l1)*l2 + c2 + c1*l1 + l1^2) and l3 = -(c1 + l1 + l2), and
+    from there into target by name.
     The degree-1 relation makes l3 a polynomial in the others, so T is
     Z[c][l1][l2] with those two relations: free over Z[c] with basis
     l1^a*l2^b (a < 3, b < 2), as Z[l1,l2,l3] is over Z[e].  So c_k ->
@@ -768,7 +777,7 @@ def symmetric_reduce(p, target):
             "l3": (1, [[(1, {"c1": 1}), (1, {"l1": 1}), (1, {"l2": 1})]]),
         },
     )
-    split = substitute(p, {}, target=tower)
+    split = substitute(p, mapping or {}, target=tower)
     if split.contains("l1") or split.contains("l2"):
         raise NotSymmetric("the dependence on l1, l2, l3 is not symmetric")
     return substitute(split, {}, target=target)

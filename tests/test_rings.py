@@ -1,5 +1,6 @@
 """Tests for the graded polynomial towers."""
 
+import itertools
 import random
 import time
 from fractions import Fraction
@@ -27,7 +28,7 @@ from ccalc.rings import (
     symmetric_reduce,
 )
 from ccalc.checks import _independent_reduce
-from ccalc.chow import TWOPOINT_RING
+from ccalc.chow import SINGULAR_BASE, TWOPOINT_RING
 
 
 def chern_ring(cap=None):
@@ -662,6 +663,19 @@ def test_a_constant_hashes_as_the_int_it_equals(c):
     assert x != 1 and len({x, 1}) == 2
 
 
+def test_constants_compare_by_value_across_rings():
+    # equality stays transitive through the int both constants equal
+    a, b = Ring(["x"]), chern_ring()
+    assert a.const(3) == 3 == b.const(3) and a.const(3) == b.const(3)
+    assert len({a.const(3), 3, b.const(3)}) == 1
+    assert a.zero == b.zero and a.const(3) != b.const(-3)
+    assert a.const(3) != b.gen("t") and b.gen("t") != a.const(3)
+    # a poly that is not a constant equals nothing of another ring
+    other = Ring(["x"])
+    assert a.gen("x") != other.gen("x") and a.gen("x") + 3 != other.gen("x") + 3
+    assert len({a.gen("x"), other.gen("x")}) == 2
+
+
 def test_slots_cannot_be_reassigned():
     r = chern_ring()
     p = r.gen("t") + r.gen("c1")
@@ -910,6 +924,42 @@ def test_substitute_merges_before_the_cap():
         substitute(src.gen("x") ** 7, {}, target=dst)
 
 
+def test_substitute_reports_the_first_bad_image_in_tower_order():
+    # b's term comes first in p, a comes first in the tower
+    src = Ring(["a", "b"])
+    dst = Ring(["x", ("c2", 2)])
+    p = src.poly([(1, {"b": 1}), (1, {"a": 1})])
+    assert list(p.terms) == [(0, 1), (1, 0)]
+    with pytest.raises(UnknownGenerator, match="^q$") as caught:
+        substitute(p, {"a": "q", "b": "c2"}, target=dst)
+    assert caught.type is UnknownGenerator
+    with pytest.raises(DegreeMismatch, match="^image of 'a' has degree 2, expected 1$"):
+        substitute(p, {"a": "c2", "b": "q"}, target=dst)
+    with pytest.raises(RingError, match="^image of 'a' must be a generator name$") as caught:
+        substitute(p, {"a": dst.gen("x"), "b": "q"}, target=dst)
+    assert caught.type is RingError
+
+
+def test_substitute_maps_packed_monomials_directly(monkeypatch):
+    src = Ring(["x", "y", ("z", 2)])
+    # u^3 = -w*u: the renamed terms get the fiber pass of u
+    dst = Ring([("w", 2), "u"], relations={"u": (3, [[], [(1, {"w": 1})], []])})
+    p = (src.gen("x") - 2 * src.gen("y") + src.gen("z") + 1) ** 6
+    images = {"x": dst.gen("u"), "y": dst.gen("u"), "z": dst.gen("w")}
+    expected = substitute_by_products(p, images, dst)
+    roots = l_ring()
+    sym = roots.gen("h") * (roots.gen("l1") + roots.gen("l2") + roots.gen("l3"))
+    base = Ring(["hz", ("c1", 1), ("c2", 2), ("c3", 3)])
+
+    def refuse(*args):
+        raise AssertionError("a ring map went through the tuple view or a raw list")
+
+    monkeypatch.setattr(Poly, "terms", property(refuse))
+    monkeypatch.setattr(Ring, "poly", refuse)
+    assert substitute(p, {"x": "u", "y": "u", "z": "w"}, target=dst) == expected
+    assert symmetric_reduce(sym, base, {"h": "hz"}) == -base.gen("hz") * base.gen("c1")
+
+
 @pytest.mark.parametrize(
     "make",
     [lambda: TWOPOINT_RING, root_ring, sqrt_ring, nested_ring, tower12],
@@ -1000,6 +1050,44 @@ def test_symmetric_reduce_needs_all_three_roots():
     src = Ring(["l1", "l2", "h"])
     with pytest.raises(UnknownGenerator, match="l3"):
         symmetric_reduce(src.gen("l1") + src.gen("l2"), c_ring())
+
+
+def test_symmetric_reduce_checks_the_renaming():
+    src = l_ring()
+    p = src.gen("h") * (src.gen("l1") + src.gen("l2") + src.gen("l3"))
+    dst = Ring(["hz", ("c1", 1), ("c2", 2), ("c3", 3)])
+    assert symmetric_reduce(p, dst, {"h": "hz"}) == -dst.gen("hz") * dst.gen("c1")
+    with pytest.raises(DegreeMismatch, match="^image of 'h' has degree 2, expected 1$"):
+        symmetric_reduce(p, dst, {"h": "c2"})
+    with pytest.raises(UnknownGenerator, match="^q$"):
+        symmetric_reduce(p, dst, {"h": "q"})
+    with pytest.raises(UnknownGenerator, match="^h$"):  # no renaming, and dst lacks h
+        symmetric_reduce(p, dst)
+    with pytest.raises(RingError, match="^image of 'h' must be a generator name$") as caught:
+        symmetric_reduce(p, dst, {"h": dst.gen("hz")})
+    assert caught.type is RingError
+
+
+@pytest.mark.parametrize("kept", ["s", "t"])
+def test_renaming_into_the_splitting_tower_matches_the_waypoint_route(kept):
+    """The one-call route of chow.class_bin equals a rename into a free ring
+    Z[l1,l2,l3,hz,u] followed by the reduction, on symmetric inputs over the
+    two-point ring in the roots, h and the kept fiber; expanding the roots
+    back gives the input."""
+    src, free = TWOPOINT_RING, Ring(["l1", "l2", "l3", "hz", "u"])
+    rename = {"h": "hz", kept: "u"}
+    rnd = random.Random("rename-into-tower-%s" % kept)
+    l1, l2, l3 = (src.gen(n) for n in ("l1", "l2", "l3"))
+    e1, e2, e3 = l1 + l2 + l3, l1 * l2 + l1 * l3 + l2 * l3, l1 * l2 * l3
+    back = {"hz": src.gen("h"), "u": src.gen(kept), "c1": -e1, "c2": e2, "c3": -e3}
+    for _ in range(30):
+        p = src.poly(random_raw(rnd, ["l1", "l2", "l3", "h", kept], 3))
+        sym = src.zero
+        for perm in itertools.permutations(("l1", "l2", "l3")):
+            sym = sym + substitute(p, dict(zip(("l1", "l2", "l3"), perm)))
+        got = symmetric_reduce(sym, SINGULAR_BASE, rename)
+        assert got == symmetric_reduce(substitute(sym, rename, target=free), SINGULAR_BASE)
+        assert substitute_by_products(got, back, src) == sym
 
 
 def test_symmetric_reduce_rejects_asymmetric():

@@ -1,0 +1,106 @@
+"""Replay fixed families of ccalc requests in process and check their digests.
+
+Each family is a list of argument vectors for ``ccalc.cli.main``, run in
+order in this process with stdout and stderr captured.  The JSON output of a
+--json request is parsed, its "elapsed" dropped and dumped again with sorted
+keys; a request's record is that stdout, "exit <code>" and its stderr.  The
+sha256 of a family's records is compared with the digest recorded in
+FAMILIES.  Stdlib only; ccalc is imported from the src/ next to this script.
+
+    python3 tools/sweep.py
+
+prints one line per family (name, request count, sha256, ok or MISMATCH) and
+exits 1 if any digest differs from the recorded one.
+"""
+
+import contextlib
+import hashlib
+import io
+import itertools
+import json
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from ccalc.cli import main  # noqa: E402
+
+
+def lines_requests(names, flag):
+    """lines --gens over every order of two or three names, with and without --json."""
+    return [
+        ["lines", "--gens", ",".join(gens), flag, *extra]
+        for k in (2, 3)
+        for gens in itertools.permutations(names, k)
+        for extra in ([], ["--json"])
+    ]
+
+
+def class_requests():
+    """classz for d = 1..120 and classd for d = 2..120, with and without --json;
+    the smallest degree of each is refused (exit 1)."""
+    return [
+        [command, "-d", str(d), *extra]
+        for command, low in (("classz", 1), ("classd", 2))
+        for d in range(low, 121)
+        for extra in ([], ["--json"])
+    ]
+
+
+# (name, requests, recorded sha256).  The three lines families use the nine
+# worksheet names a, b, c, p, q, r, t, u, w, and names that once also named
+# the square roots (x, y, z, v, w, x2, y2, z2).
+FAMILIES = (
+    (
+        "lines --certificate",
+        lines_requests("abcpqrtuw", "--certificate"),
+        "eea619a72155f2ef8c98444fd0d20def0024cd2b2a0f14a0566dca6a76ef4483",
+    ),
+    (
+        "lines --verify-position",
+        lines_requests("abcpqrtuw", "--verify-position"),
+        "8dabb85a8592f6babf7d79a50d79065ac11d8c8cd6de003618e1655a1a9e41ad",
+    ),
+    (
+        "lines --verify-position, root-like names",
+        lines_requests(
+            ["a", "b", "x", "y", "z", "v", "w", "x2", "y2", "z2"], "--verify-position"
+        ),
+        "19c46222109f98895f50b65c4311a7239a5da08a4dc9939049ab598141e41897",
+    ),
+    (
+        "classz and classd",
+        class_requests(),
+        "2849e886a93abf1911cd229758b96388d2265c9aead4013b5d50e42740413c7a",
+    ),
+)
+
+
+def digest(requests):
+    """The sha256 of the records of requests, run in order."""
+    h = hashlib.sha256()
+    for argv in requests:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        text = out.getvalue()
+        if "--json" in argv and text:
+            doc = json.loads(text)
+            doc.pop("elapsed")
+            text = json.dumps(doc, sort_keys=True) + "\n"
+        h.update(("%sexit %d\n%s" % (text, code, err.getvalue())).encode())
+    return h.hexdigest()
+
+
+def run():
+    failed = 0
+    for name, requests, recorded in FAMILIES:
+        got = digest(requests)
+        ok = got == recorded
+        failed += not ok
+        print("%-40s %5d %s %s" % (name, len(requests), got, "ok" if ok else "MISMATCH"))
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(run())
