@@ -6,20 +6,20 @@ Six points in the plane come in three conjugate pairs, pair i defined over
 the quadratic extension of square class m_i (defaults a, b, a*b).  The Galois
 group is the character group of the subgroup M generated by the m_i: an
 element is a bitmask g whose bit j is set when it negates the square root of
-the j-th basis class of M, elements compose by XOR, and g swaps the i-th
-point pair exactly when g meets the coordinate mask of m_i over that basis in
-an odd number of bits.  M is built once, as a dict from each class to its
-coordinate mask, and the fixed field of each stabilizer is read off it.  The
-mask is the element: the action, the point permutations and the stabilizers
-are computed on masks, and names such as sigma*tau exist only to render the
-group and the stabilizers.  The 27 labels — six exceptional divisors E_i,
-fifteen lines L_ij through point pairs, six conics C_i through five points —
-inherit the permutation, and each orbit is defined over the fixed field of
-its stabilizer.  Summing over orbits yields an etale algebra; its
-Galois-Stiefel-Whitney class alpha_2 is computed by the caller, and
-`nontriviality_certificate` shows a class nonzero by an iterated residue
-whose word it reads off the class (for that alpha_2, a double residue ending
-at 1).
+the j-th pair class outside the span of the ones before it, elements compose
+by XOR, and g swaps the i-th point pair exactly when g meets the coordinate
+mask of m_i over those classes in an odd number of bits.  M is built once, by
+`etale.gf2_span`, as a dict from each class to its coordinate mask, and the
+fixed field of each stabilizer is read off it.  The mask is the element: the
+action, the point permutations and the stabilizers are computed on masks, and
+names such as sigma*tau exist only to render the group and the stabilizers.
+The 27 labels — six exceptional divisors E_i, fifteen lines L_ij through
+point pairs, six conics C_i through five points — inherit the permutation,
+and each orbit is defined over the fixed field of its stabilizer.  Summing
+over orbits yields an etale algebra; its Galois-Stiefel-Whitney class alpha_2
+is computed by the caller, and `nontriviality_certificate` shows a class
+nonzero by an iterated residue whose word it reads off the class (for that
+alpha_2, a double residue ending at 1).
 
 The one honest geometric input — that the six default points really are in
 general position (Dolgachev, Classical Algebraic Geometry, 2012, ch. 9) —
@@ -55,7 +55,7 @@ from collections import Counter, namedtuple
 from itertools import combinations
 
 from . import CcalcError
-from .etale import EtaleAlgebraExpr, gf2_eliminate
+from .etale import EtaleAlgebraExpr, gf2_span
 from .ksymbols import euclidean_model, residue
 from .rings import Poly, Ring
 
@@ -178,15 +178,15 @@ class LineSet:
     """The 27 labels with the Galois permutations and the group structure.
 
     A group element is its mask: an int g < 2^k whose bit j is set when g
-    negates the square root of basis[j], so elements compose by XOR.
+    negates the square root of the j-th pair class outside the span of the
+    ones before it, so elements compose by XOR.
     `action` and `point_perms` are keyed by mask, in display order; `names`
     maps each mask to its name (1, sigma, tau, sigma*tau, ...) and is read
     only to render the group."""
 
-    def __init__(self, config, basis, span, names, point_perms):
+    def __init__(self, config, span, names, point_perms):
         self.config = config
-        self.basis = basis  # basis of M as square classes
-        self.span = span  # each class of M to its coordinate mask over basis
+        self.span = span  # each class of M to its coordinate mask
         self.names = names
         self.point_perms = point_perms
         self.action = {g: _induced(pp) for g, pp in point_perms.items()}
@@ -208,16 +208,10 @@ def build_action(cfg):
     """Derive the group, the point permutations, the 27-label permutations,
     and verify the homomorphism property on every pair of elements.
 
-    The span of M grows as one dict, from each class to its coordinate mask
-    over the basis, while the pair classes are read: a class already in the
-    dict is dependent, and its value is its coordinates."""
-    span, basis, coords = {frozenset(): 0}, [], []
-    for m in cfg.pair_classes:
-        if m not in span:
-            span.update({c ^ m: g | 1 << len(basis) for c, g in span.items()})
-            basis.append(m)
-        coords.append(span[m])
-    k = len(basis)
+    The span of M is one dict from each class to its coordinate mask
+    (`etale.gf2_span` over the pair classes), and M has 2^k classes."""
+    span, coords = gf2_span(cfg.pair_classes)
+    k = len(span).bit_length() - 1
     gen_names = ["sigma", "tau"] if k <= 2 else ["sigma%d" % j for j in range(1, k + 1)]
 
     names, point_perms = {}, {}
@@ -230,7 +224,7 @@ def build_action(cfg):
             p, q = 2 * i - 1, 2 * i
             pp[p], pp[q] = (q, p) if (c & g).bit_count() % 2 else (p, q)
 
-    ls = LineSet(cfg, basis, span, names, point_perms)
+    ls = LineSet(cfg, span, names, point_perms)
     # homomorphism check on all pairs, through the label action itself
     action = ls.action
     for g in action:
@@ -256,6 +250,16 @@ class OrbitReport:
         return sorted(len(o.labels) for o in self.orbits)
 
 
+def _echelon_basis(group):
+    """The reduced-echelon basis of a group of square classes, sorted by
+    names, read off the whole group.  A row's pivot is its largest name, and
+    no other row holds it, so every class is the sum of the rows whose pivots
+    it holds: the pivots are the largest names of the nonzero classes, and
+    the rows are the classes that hold exactly one pivot."""
+    pivots = {max(m) for m in group if m}
+    return tuple(sorted((m for m in group if len(m & pivots) == 1), key=sorted))
+
+
 def orbit_decomposition(ls):
     """Orbits, stabilizers, fixed fields, and the assembled etale algebra."""
     seen = set()
@@ -274,20 +278,19 @@ def orbit_decomposition(ls):
         fixed = [
             m
             for m, c in ls.span.items()
-            if m and all((c & g).bit_count() % 2 == 0 for g in stab)
+            if all((c & g).bit_count() % 2 == 0 for g in stab)
         ]
-        ext, _ = gf2_eliminate(fixed)
         orbits.append(
             Orbit(
                 tuple(sorted(orbit, key=_LABEL_POS.__getitem__)),
                 tuple(ls.names[g] for g in stab),
-                ext,
+                _echelon_basis(fixed),
             )
         )
     orbits.sort(key=lambda o: (len(o.labels), _LABEL_POS[o.labels[0]]))
 
-    # gf2_eliminate's basis depends on the span alone, so equal fixed fields
-    # have equal extension tuples
+    # the echelon basis depends on the fixed group alone, so equal fixed
+    # fields have equal extension tuples
     counts = Counter(o.extension for o in orbits)
     order = sorted(
         counts, key=lambda e: (len(e), sorted((len(m), sorted(m)) for m in e))

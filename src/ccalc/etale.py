@@ -117,28 +117,23 @@ def field_str(ext, model):
     return "F(%s)" % ",".join("sqrt(%s)" % monomial_str(m, model) for m in ext)
 
 
-def gf2_eliminate(classes):
-    """GF(2) elimination on square classes, each a frozenset of names with
-    symmetric difference as the product; a row's pivot is its largest name.
+def gf2_span(classes):
+    """The GF(2) span of square classes, each a frozenset of names with
+    symmetric difference as the product.
 
-    Returns (basis, deps).  basis is the reduced-echelon basis of the span,
-    sorted by names, so it depends on the span alone.  deps[i] is None when
-    classes[i] is independent of classes[:i], and otherwise the frozenset of
-    the indices j < i of independent classes whose classes multiply to
-    classes[i] (unique, since those classes are independent).
+    Returns (span, coords).  span maps each product of a subset of the
+    classes to its coordinate mask: bit j stands for the j-th class that lies
+    outside the span of the classes before it, and reading such a class
+    doubles the span.  coords[i] is span[classes[i]], so classes[i] is
+    independent of classes[:i] exactly when its mask is a new bit.
     """
-    rows, deps = [], []  # rows: (class, inputs multiplying to it), reduced
-    for i, m in enumerate(classes):
-        combo = frozenset({i})
-        for row, used in rows:
-            if max(row) in m:
-                m, combo = m ^ row, combo ^ used
-        deps.append(None if m else combo - {i})
-        if m:
-            # clear the new pivot from the other rows; their pivots stay
-            rows = [(r ^ m, u ^ combo) if max(m) in r else (r, u) for r, u in rows]
-            rows.append((m, combo))
-    return tuple(sorted((r for r, _ in rows), key=sorted)), deps
+    span, coords = {frozenset(): 0}, []
+    for m in classes:
+        if m not in span:
+            new = len(span)  # 2^j after j new classes: bit j
+            span.update({c ^ m: g | new for c, g in span.items()})
+        coords.append(span[m])
+    return span, coords
 
 
 class EtaleAlgebraExpr:
@@ -149,11 +144,12 @@ class EtaleAlgebraExpr:
     and the multiplicity is any positive integer.  An extension has at most
     ROOTS_LIMIT classes.  Within each extension no nonempty subproduct of the
     classes may be trivial in the model, otherwise the factor would not be a
-    field: gf2_eliminate checks this in O(s^2) steps, and DependentClasses
-    names the first dependent class together with the earlier ones that
-    multiply with it to a square.  Two algebras are equal when every field
-    has the same total multiplicity in both, a field being the span of its
-    classes in the model (so F(sqrt(a),sqrt(b)) = F(sqrt(a),sqrt(a*b))).
+    field: gf2_span grows the span of the classes, at most 2^s entries, and
+    DependentClasses names the first class whose mask is not a new bit
+    together with the earlier ones that multiply with it to a square.  Two
+    algebras are equal when every field has the same total multiplicity in
+    both, a field being the span of its classes in the model (so
+    F(sqrt(a),sqrt(b)) = F(sqrt(a),sqrt(a*b))).
     """
 
     def __init__(self, model, factors):
@@ -174,16 +170,17 @@ class EtaleAlgebraExpr:
                 for name in mono:
                     if not model.knows(name):
                         raise UnknownName(name)
-            basis, deps = gf2_eliminate([m - trivial for m in ext])
-            for i, dep in enumerate(deps):
-                if dep is not None:
+            span, coords = gf2_span([m - trivial for m in ext])
+            for i, c in enumerate(coords):
+                if c != 1 << i:
+                    # the earlier classes are independent, so bit j is input j
                     raise DependentClasses(
                         "subproduct of sqrt arguments %s is a square"
-                        % (sorted(dep | {i}),)
+                        % ([j for j in range(i) if c >> j & 1] + [i],)
                     )
             self.factors.append((ext, mult))
-            # the basis depends on the span alone, so it keys the field
-            self._fields[basis] = self._fields.get(basis, 0) + mult
+            field = frozenset(span)  # the field's whole square-class group
+            self._fields[field] = self._fields.get(field, 0) + mult
         self.rank = sum(mult * 2 ** len(ext) for ext, mult in self.factors)
 
     def times(self, other):

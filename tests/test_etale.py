@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ccalc import etale, ksymbols
+from ccalc.cubic import _echelon_basis
 from ccalc.etale import (
     MULTIPLICITY_DIGITS,
     ROOTS_LIMIT,
@@ -25,7 +26,7 @@ from ccalc.etale import (
     UnknownName,
     alpha_tot_product_check,
     galois_sw_total,
-    gf2_eliminate,
+    gf2_span,
     monomial_str,
     parse_algebra,
     sw_total,
@@ -132,7 +133,7 @@ def test_equality_compares_fields_not_presentations():
     )
 
 
-# -- GF(2) elimination of square classes ------------------------------------------
+# -- GF(2) spans of square classes ------------------------------------------
 
 NAMES = ("a", "b", "c", "minus_one", "two")
 
@@ -147,28 +148,58 @@ def _subset_products(classes):
             yield frozenset(combo), acc
 
 
+def _row_reduce(classes):
+    """The reduced-echelon basis of the span of classes, sorted by names, by
+    row elimination with a row's largest name as its pivot (reference)."""
+    rows = []
+    for m in classes:
+        for row in rows:
+            if max(row) in m:
+                m ^= row
+        if m:
+            # clear the new pivot from the other rows; their pivots stay
+            rows = [r ^ m if max(m) in r else r for r in rows]
+            rows.append(m)
+    return tuple(sorted(rows, key=sorted))
+
+
+CLASS_LISTS = st.lists(st.frozensets(st.sampled_from(NAMES), max_size=3), max_size=6)
+
+
 @settings(max_examples=300)
-@given(st.lists(st.frozensets(st.sampled_from(NAMES), max_size=3), max_size=6))
-def test_gf2_eliminate_against_subset_enumeration(classes):
-    basis, deps = gf2_eliminate(classes)
-    span = {acc for _, acc in _subset_products(classes)}
-    # the basis spans the same classes, is reduced echelon and sorted
-    assert {acc for _, acc in _subset_products(list(basis))} == span
-    assert len(span) == 2 ** len(basis)
+@given(CLASS_LISTS)
+def test_gf2_span_against_subset_enumeration(classes):
+    span, coords = gf2_span(classes)
+    # the keys are every subset product, 2^k of them for k new classes
+    assert set(span) == {acc for _, acc in _subset_products(classes)}
+    new = [
+        m
+        for i, m in enumerate(classes)
+        if m not in {acc for _, acc in _subset_products(classes[:i])}
+    ]
+    assert len(span) == 2 ** len(new)
+    # bit j of a mask is the j-th new class, so the masks rebuild the classes
+    assert coords == [span[m] for m in classes]
+    for m, g in span.items():
+        acc = frozenset()
+        for j, b in enumerate(new):
+            if g >> j & 1:
+                acc ^= b
+        assert acc == m
+
+
+@settings(max_examples=300)
+@given(CLASS_LISTS)
+def test_echelon_basis_of_a_group_is_the_row_reduced_basis(classes):
+    group = {acc for _, acc in _subset_products(classes)}
+    basis = _row_reduce(classes)
+    # the reference: a sorted basis of the group, each row with one pivot
+    assert {acc for _, acc in _subset_products(list(basis))} == group
+    assert len(group) == 2 ** len(basis)
     pivots = [max(m) for m in basis]
-    for m in basis:
-        assert sum(p in m for p in pivots) == 1
-    assert list(basis) == sorted(basis, key=sorted)
-    # deps: None exactly for classes outside the span of the earlier ones
-    for i, dep in enumerate(deps):
-        earlier = {acc for _, acc in _subset_products(classes[:i])}
-        assert (dep is None) == (classes[i] not in earlier)
-        if dep is not None:
-            assert all(j < i and deps[j] is None for j in dep)
-            acc = frozenset()
-            for j in dep:
-                acc ^= classes[j]
-            assert acc == classes[i]
+    assert all(sum(p in m for p in pivots) == 1 for m in basis)
+    assert _echelon_basis(group) == basis
+    assert _echelon_basis(sorted(group, key=sorted, reverse=True)) == basis
 
 
 @settings(max_examples=300)
@@ -188,6 +219,8 @@ def test_dependent_classes_names_a_square_subproduct(ext, preset):
     except DependentClasses as e:
         named = json.loads(re.search(r"\[.*\]", str(e)).group())
         assert frozenset(named) in squares
+        # the first dependent class, whose earlier classes are independent
+        assert named == sorted(named) and named[-1] == min(map(max, squares))
     else:
         assert not squares
 

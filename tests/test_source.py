@@ -115,6 +115,14 @@ def test_trace_form_oracle_shares_no_code_with_etale():
     assert not _oracle_leaks(path, ("_gram_trace_form",), modules=("etale",))
 
 
+def test_row_reduction_oracle_shares_no_code_with_etale_or_cubic():
+    """Row elimination in the étale tests is the oracle for the echelon basis
+    that `cubic.orbit_decomposition` reads off a fixed group out of
+    `etale.gf2_span`, so it uses nothing from `etale` or `cubic`."""
+    path = Path(__file__).with_name("test_etale.py")
+    assert not _oracle_leaks(path, ("_row_reduce",), modules=("etale", "cubic"))
+
+
 def test_determinant_oracle_shares_no_code_with_cubic():
     """The Laplace determinant in the cubic tests is the oracle for the
     brackets and the bracket conic condition of

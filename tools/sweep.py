@@ -47,6 +47,29 @@ def class_requests():
     ]
 
 
+def sw_requests(classes):
+    """sw --max-degree 2 over every ordered pair and triple of classes, repeats
+    included, as the square roots of one factor, in the closed, euclidean and
+    generic models, with and without --json; a dependent subproduct is
+    refused (exit 1)."""
+    return [
+        [
+            "sw",
+            "--algebra",
+            "F(%s)" % ",".join("sqrt(%s)" % m for m in ext),
+            "--model",
+            model,
+            "--max-degree",
+            "2",
+            *extra,
+        ]
+        for model in ("closed", "euclidean", "generic")
+        for k in (2, 3)
+        for ext in itertools.product(classes, repeat=k)
+        for extra in ([], ["--json"])
+    ]
+
+
 # (name, requests, recorded sha256).  The three lines families use the nine
 # worksheet names a, b, c, p, q, r, t, u, w, and names that once also named
 # the square roots (x, y, z, v, w, x2, y2, z2).
@@ -72,6 +95,11 @@ FAMILIES = (
         "classz and classd",
         class_requests(),
         "2849e886a93abf1911cd229758b96388d2265c9aead4013b5d50e42740413c7a",
+    ),
+    (
+        "sw, one factor of two or three roots",
+        sw_requests(("a", "b", "a*b", "-1", "-a", "2", "-2*b")),
+        "aafebbee3c73b944a04aa15cf2b3d31ad2cbddef31540280f944d41c24946c8b",
     ),
 )
 
