@@ -209,8 +209,11 @@ def build_action(cfg):
     and verify the homomorphism property on every pair of elements.
 
     The span of M is one dict from each class to its coordinate mask
-    (`etale.gf2_span` over the pair classes), and M has 2^k classes."""
-    span, coords = gf2_span(cfg.pair_classes)
+    (`etale.gf2_span` over the model masks of the pair classes, its keys
+    turned back into classes of names), and M has 2^k classes."""
+    model = cfg.model
+    span, coords = gf2_span([model.class_mask(m) for m in cfg.pair_classes])
+    span = {frozenset(model.gen_names(m)): c for m, c in span.items()}
     k = len(span).bit_length() - 1
     gen_names = ["sigma", "tau"] if k <= 2 else ["sigma%d" % j for j in range(1, k + 1)]
 

@@ -32,6 +32,13 @@ pointwise one: at each subset S of the names in use the whole product is
 transform is 1 at S.  `ksymbols.power_product` computes it so, in closed form: a few bit
 operations on ints of 2^n bits (n names in use) per distinct symbol and per
 degree, whatever the factor count and the multiplicities.
+
+Square classes are frozensets of names at the edge of this module: in an
+algebra's `factors`, in `trace_form`'s output and in every rendering.
+Inside `EtaleAlgebraExpr` each class is its model mask
+(`ksymbols.FieldModel.class_mask`), which `gf2_span` spans and the fields
+are keyed by; `sw_total` reads each diagonal class's degree-1 symbol off the
+model's name table (`ksymbols.degree_one`).
 """
 
 from math import isqrt
@@ -118,8 +125,8 @@ def field_str(ext, model):
 
 
 def gf2_span(classes):
-    """The GF(2) span of square classes, each a frozenset of names with
-    symmetric difference as the product.
+    """The GF(2) span of square classes, each an int mask with XOR as the
+    product (`FieldModel.class_mask`).
 
     Returns (span, coords).  span maps each product of a subset of the
     classes to its coordinate mask: bit j stands for the j-th class that lies
@@ -127,7 +134,7 @@ def gf2_span(classes):
     doubles the span.  coords[i] is span[classes[i]], so classes[i] is
     independent of classes[:i] exactly when its mask is a new bit.
     """
-    span, coords = {frozenset(): 0}, []
+    span, coords = {0: 0}, []
     for m in classes:
         if m not in span:
             new = len(span)  # 2^j after j new classes: bit j
@@ -142,21 +149,27 @@ class EtaleAlgebraExpr:
     factors: list of (extension, multiplicity) where extension is a tuple of
     square classes (frozensets of names) generating F(sqrt m1, ..., sqrt ms),
     and the multiplicity is any positive integer.  An extension has at most
-    ROOTS_LIMIT classes.  Within each extension no nonempty subproduct of the
-    classes may be trivial in the model, otherwise the factor would not be a
-    field: gf2_span grows the span of the classes, at most 2^s entries, and
-    DependentClasses names the first class whose mask is not a new bit
-    together with the earlier ones that multiply with it to a square.  Two
-    algebras are equal when every field has the same total multiplicity in
-    both, a field being the span of its classes in the model (so
-    F(sqrt(a),sqrt(b)) = F(sqrt(a),sqrt(a*b))).
+    ROOTS_LIMIT classes.  The constructor maps each class once to its model
+    mask (`FieldModel.class_mask`, which drops the trivial names), and that
+    step raises UnknownName on the first name the model does not know.
+    Within each extension no nonempty subproduct of the classes may be
+    trivial in the model, otherwise the factor would not be a field:
+    gf2_span grows the span of the masks, at most 2^s entries, and
+    DependentClasses names the first class whose coordinate mask is not a
+    new bit together with the earlier ones that multiply with it to a
+    square.  Two algebras are equal when every field has the same total
+    multiplicity in both, a field being the span of its classes in the model
+    (so F(sqrt(a),sqrt(b)) = F(sqrt(a),sqrt(a*b))).
+
+    The masks live only inside: `_fields` is keyed by the frozenset of a
+    field's span masks.  `factors`, `str` and the classes that `trace_form`
+    reads keep the names as given.
     """
 
     def __init__(self, model, factors):
         self.model = model
         self.factors = []
         self._fields = {}  # total multiplicity of each field
-        trivial = {n for n in model.constants if model.is_trivial(n)}
         for ext, mult in factors:
             ext = tuple(frozenset(m) for m in ext)
             if not (isinstance(mult, int) and mult >= 1):
@@ -166,11 +179,11 @@ class EtaleAlgebraExpr:
                     "factor with %d square roots; the limit is %d"
                     % (len(ext), ROOTS_LIMIT)
                 )
-            for mono in ext:
-                for name in mono:
-                    if not model.knows(name):
-                        raise UnknownName(name)
-            span, coords = gf2_span([m - trivial for m in ext])
+            try:
+                masks = [model.class_mask(m) for m in ext]
+            except UnknownGenerator as e:
+                raise UnknownName(*e.args) from None
+            span, coords = gf2_span(masks)
             for i, c in enumerate(coords):
                 if c != 1 << i:
                     # the earlier classes are independent, so bit j is input j
@@ -240,6 +253,9 @@ def parse_algebra(text, model):
 
 # -- trace forms ---------------------------------------------------------------
 
+
+# the square class of 2
+_TWO = frozenset({"two"})
 
 # Root count s -> the trace-form diagonal over Z[q0..q(s-1)], filled on first
 # use: one (odd power of two, q-exponent tuple) per basis element.
@@ -314,7 +330,7 @@ def trace_form(ext, model):
     """
     classes = []
     for odd_two, exps in _gram_diagonal(len(ext)):
-        cls = frozenset({"two"}) if odd_two else frozenset()
+        cls = _TWO if odd_two else frozenset()
         for j, e in enumerate(exps):
             if e % 2:
                 cls ^= ext[j]
@@ -386,7 +402,7 @@ def sw_total(alg, max_degree=None):
 def galois_sw_total(alg, max_degree=None):
     """Galois-corrected classes: {2}*previous added in even degrees."""
     sw = sw_total(alg, max_degree)
-    two = symbol(["2"], alg.model)
+    two = symbol([_TWO], alg.model)
     classes = [sw.classes[0]]
     for i in range(1, len(sw.classes)):
         c = sw.classes[i]

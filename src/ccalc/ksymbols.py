@@ -26,7 +26,8 @@ the indeterminates in declaration order), so the rule above is
 A symbol entry is still read as a frozenset of names (`_as_monomial`,
 `_parse_monomial`), which is what `etale` and `cubic` use; `degree_one` is
 the one place that maps its names to basis symbols, for `symbol` and for
-`etale.sw_total`.  `render` sorts basis symbols by (degree, m, names), where
+`etale.sw_total`, one lookup per name in the model's name table (see
+`FieldModel`).  `render` sorts basis symbols by (degree, m, names), where
 names is the tuple of internal names of the mask in display order compared
 as strings: "two" sorts after "f", and "x10" before "x2", so the order is
 not that of the masks.
@@ -109,6 +110,16 @@ class FieldModel:
     indeterminates: ordered tuple of transcendental names (a, b, ...).
     constants: map from constant-class name to "free" or "trivial";
     must contain "minus_one".
+
+    The constructor builds the model's name table, `_table`: each name,
+    minus_one included, maps to its bit and to its degree-1 basis symbol,
+    None where the model makes the name trivial.  The bits follow display
+    order, minus_one last, so below minus_one's bit a mask is the generator
+    mask of the basis symbols.  `knows`, `is_trivial`, `class_mask`,
+    `degree_one` and `residue` all read the table.  Names stay the currency
+    of the API (entries, `factors`, trace forms, rendering); masks of square
+    classes (`class_mask`) live inside `etale.EtaleAlgebraExpr` and
+    `cubic.build_action`, and symbol supports hold generator masks.
     """
 
     def __init__(self, indeterminates, constants, name="custom"):
@@ -130,31 +141,54 @@ class FieldModel:
         if overlap or len(set(self.indeterminates)) != len(self.indeterminates):
             raise KError("model names must be unique")
         # one bit per name, in display order: the constants by spelling, then
-        # the indeterminates in declaration order.  Sorting makes the bits
-        # independent of the insertion order of `constants`.
+        # the indeterminates in declaration order, then minus_one.  Sorting
+        # makes the bits independent of the insertion order of `constants`.
         constants = sorted(
             (_CONSTANT_SPELLING.get(n, n), n)
             for n in self.constants
             if n != "minus_one"
         )
-        self._names = tuple(n for _, n in constants) + self.indeterminates
-        self._bit = {n: 1 << i for i, n in enumerate(self._names)}
+        self._names = tuple(n for _, n in constants) + self.indeterminates + ("minus_one",)
+        # the name table: each name to (its bit, its degree-1 basis symbol),
+        # the symbol None where the name is trivial
+        self._table = {}
+        for i, n in enumerate(self._names):
+            if self.constants.get(n) == "trivial":
+                self._table[n] = (1 << i, None)
+            else:
+                self._table[n] = (1 << i, (1, 0) if n == "minus_one" else (0, 1 << i))
+        self._indeterminate_bits = sum(self._table[n][0] for n in self.indeterminates)
 
     @property
     def eps_free(self):
         return self.constants["minus_one"] == "free"
 
     def is_trivial(self, name):
-        return self.constants.get(name) == "trivial"
+        return name in self._table and self._table[name][1] is None
 
     def knows(self, name):
-        return name in self._bit or name == "minus_one"
+        return name in self._table
+
+    def class_mask(self, cls):
+        """The mask of a square class (an iterable of names) in the model: the
+        bits of its nontrivial names.  Raises UnknownGenerator on the first
+        name the model does not know."""
+        table, mask = self._table, 0
+        for name in cls:
+            try:
+                bit, sym = table[name]
+            except KeyError:
+                raise UnknownGenerator(name) from None
+            if sym is not None:
+                mask ^= bit
+        return mask
 
     def sort_gens(self, gens):
-        return tuple(sorted(gens, key=self._bit.__getitem__))
+        # the bits of distinct names differ, so the (bit, symbol) pairs sort by bit
+        return tuple(sorted(gens, key=self._table.__getitem__))
 
     def gen_names(self, mask):
-        """The names of the bits of `mask`, in display order."""
+        """The names of the bits of `mask`, in display order (minus_one last)."""
         names = []
         while mask:
             low = mask & -mask
@@ -319,13 +353,16 @@ def _product(model, xs, ys):
 def degree_one(cls, model):
     """Support of the degree-1 symbol {cls} of a square class (a frozenset of
     names): one basis symbol per name that the model does not trivialize,
-    (1, 0) for minus_one and (0, bit of the name) otherwise."""
-    pieces = set()
+    (1, 0) for minus_one and (0, bit of the name) otherwise, each read off
+    the model's name table."""
+    table, pieces = model._table, set()
     for n in cls:
-        if not model.knows(n):
-            raise UnknownGenerator(n)
-        if not model.is_trivial(n):
-            pieces.add((1, 0) if n == "minus_one" else (0, model._bit[n]))
+        try:
+            sym = table[n][1]
+        except KeyError:
+            raise UnknownGenerator(n) from None
+        if sym is not None:
+            pieces.add(sym)
     return frozenset(pieces)
 
 
@@ -440,15 +477,19 @@ def power_product(counts, cap, model):
 def residue(x, at):
     """Ramification at the valuation 'order of vanishing of the variable at':
     sends a basis symbol containing the variable to the symbol without it,
-    and kills symbols not containing it.  Lowers degree by one."""
-    if not x.model.knows(at):
+    and kills symbols not containing it.  Lowers degree by one.  One lookup
+    in the name table checks `at`: UnknownGenerator for a name the model does
+    not know, then NotAnIndeterminate for a constant class."""
+    model = x.model
+    entry = model._table.get(at)
+    if entry is None:
         raise UnknownGenerator(at)
-    if at not in x.model.indeterminates:
+    bit = entry[0]
+    if not bit & model._indeterminate_bits:
         raise NotAnIndeterminate(
             "residues are taken at indeterminates, not constant classes: %r" % at
         )
-    bit = x.model._bit[at]
-    return KElement(x.model, {(m, g ^ bit) for m, g in x.support if g & bit})
+    return KElement(model, {(m, g ^ bit) for m, g in x.support if g & bit})
 
 
 def iterated_residue(x, names):
@@ -563,7 +604,7 @@ def _parse_monomial(reader, model):
             if n.bit_length() % 2 == 0:  # an odd power of two
                 mono ^= {"two"}
         elif token and token not in _PUNCT:  # a name or other run, not the end
-            if token not in model._bit:  # which has no minus_one
+            if token not in model._table or token == "minus_one":
                 cut = "..." if len(token) > QUOTE_LIMIT else ""
                 raise UnknownGenerator(token[:QUOTE_LIMIT] + cut)
             reader.i += 1

@@ -7,8 +7,14 @@ prints exactly one pass/fail line per guarantee.  Wall-clock bounds are
 asserted where the guarantee states one.
 """
 
+import io
+import json
+import os
 import time
+from contextlib import redirect_stdout
 from math import gcd
+
+import pytest
 
 from ccalc import checks
 from ccalc.chow import class_bin, class_z, r_value
@@ -31,6 +37,8 @@ from ccalc.groups import (
     n_torsion,
 )
 from ccalc.ksymbols import euclidean_model, iterated_residue, parse_kelement
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "check_all.json")
 
 
 def _basis_poly(ring, coeffs):
@@ -147,19 +155,39 @@ def test_08_group_descriptors():
     assert hyperelliptic_divisibility().value == 18
 
 
-def test_09_property_suites():
-    lines = checks.check_properties(seed=checks.DEFAULT_SEED)
+@pytest.fixture(scope="module")
+def check_all_run():
+    """One `ccalc check-all --json` run in process, which tests 09 to 11
+    share: its exit code, its wall time and its JSON document.  check-all
+    runs the property suites at checks.DEFAULT_SEED."""
+    out = io.StringIO()
+    t0 = time.perf_counter()
+    with redirect_stdout(out):
+        rc = cli_main(["check-all", "--json"])
+    elapsed = time.perf_counter() - t0
+    return rc, elapsed, json.loads(out.getvalue())
+
+
+def test_09_property_suites(check_all_run):
+    suites = {name for name, _ in checks.PROPERTY_SUITES}
+    lines = [c for c in check_all_run[2]["checks"] if c["name"] in suites]
     assert len(lines) == 5
     for line in lines:
-        assert line.ok, "%s: %s" % (line.name, line.detail)
-        assert line.detail == "1000 cases", line.name
+        assert line["ok"], "%s: %s" % (line["name"], line["detail"])
+        assert line["detail"] == "1000 cases", line["name"]
 
 
-def test_10_check_all_exits_clean(capsys):
-    t0 = time.perf_counter()
-    rc = cli_main(["check-all"])
-    elapsed = time.perf_counter() - t0
-    out = capsys.readouterr().out
+def test_10_check_all_exits_clean(check_all_run):
+    rc, elapsed, doc = check_all_run
     assert rc == 0
-    assert "all 45 checks passed" in out
+    # all 45 checks passed
+    assert doc["all_ok"] and len(doc["checks"]) == 45
+    assert all(c["ok"] for c in doc["checks"])
     assert elapsed < 60.0, "took %.2fs" % elapsed
+
+
+def test_11_check_all_json_matches_the_golden_file(check_all_run):
+    doc = dict(check_all_run[2])
+    assert doc.pop("elapsed") >= 0
+    with open(GOLDEN, encoding="utf-8") as f:
+        assert json.dumps(doc, indent=2, sort_keys=True) + "\n" == f.read()

@@ -166,22 +166,29 @@ def _row_reduce(classes):
 CLASS_LISTS = st.lists(st.frozensets(st.sampled_from(NAMES), max_size=3), max_size=6)
 
 
+def _mask(cls):
+    """A class of NAMES as an int mask, bit i for NAMES[i]."""
+    return sum(1 << NAMES.index(n) for n in cls)
+
+
 @settings(max_examples=300)
 @given(CLASS_LISTS)
 def test_gf2_span_against_subset_enumeration(classes):
-    span, coords = gf2_span(classes)
+    masks = [_mask(m) for m in classes]
+    span, coords = gf2_span(masks)
     # the keys are every subset product, 2^k of them for k new classes
-    assert set(span) == {acc for _, acc in _subset_products(classes)}
+    assert set(span) == {_mask(acc) for _, acc in _subset_products(classes)}
     new = [
-        m
+        _mask(m)
         for i, m in enumerate(classes)
         if m not in {acc for _, acc in _subset_products(classes[:i])}
     ]
     assert len(span) == 2 ** len(new)
-    # bit j of a mask is the j-th new class, so the masks rebuild the classes
-    assert coords == [span[m] for m in classes]
+    # bit j of a coordinate mask is the j-th new class, so the coordinate
+    # masks rebuild the classes
+    assert coords == [span[m] for m in masks]
     for m, g in span.items():
-        acc = frozenset()
+        acc = 0
         for j, b in enumerate(new):
             if g >> j & 1:
                 acc ^= b
@@ -228,6 +235,126 @@ def test_dependent_classes_names_a_square_subproduct(ext, preset):
 def test_dependent_classes_message_of_repeated_root():
     with pytest.raises(DependentClasses, match=r"arguments \[0, 1\] is a square"):
         parse_algebra("F(sqrt(a),sqrt(a))", EUC)
+
+
+# -- the mask constructor against the name-set constructor it replaced ---------
+
+# The three presets and one custom model with an extra trivial constant s and
+# an extra free constant k.  POOL holds every name of the custom model;
+# `_random_factors` sometimes adds two names no model knows.
+CUSTOM = FieldModel(
+    ("a", "b", "c"), {"minus_one": "free", "two": "trivial", "s": "trivial", "k": "free"}
+)
+POOL = ("minus_one", "two", "s", "k", "a", "b", "c")
+
+
+def _name_span(classes):
+    """gf2_span over frozensets of names, frozenset() the zero (reference)."""
+    span, coords = {frozenset(): 0}, []
+    for m in classes:
+        if m not in span:
+            new = len(span)
+            span.update({c ^ m: g | new for c, g in span.items()})
+        coords.append(span[m])
+    return span, coords
+
+
+def _reference_fields(model, factors):
+    """The name-set constructor: each field, as its group of classes of
+    names, with its total multiplicity, and the rank; or the error raised."""
+    trivial = {n for n, flag in model.constants.items() if flag == "trivial"}
+    known = set(model.constants) | set(model.indeterminates)
+    fields, rank = {}, 0
+    try:
+        for ext, mult in factors:
+            for mono in ext:
+                for name in mono:
+                    if name not in known:
+                        raise UnknownName(name)
+            span, coords = _name_span([m - trivial for m in ext])
+            for i, c in enumerate(coords):
+                if c != 1 << i:
+                    raise DependentClasses(
+                        "subproduct of sqrt arguments %s is a square"
+                        % ([j for j in range(i) if c >> j & 1] + [i],)
+                    )
+            field = frozenset(span)
+            fields[field] = fields.get(field, 0) + mult
+            rank += mult * 2 ** len(ext)
+    except EtaleError as e:
+        return type(e), str(e)
+    return fields, rank
+
+
+def _mask_fields(model, factors):
+    """EtaleAlgebraExpr's fields, each mask read back as a class of names,
+    and its rank; or the error raised."""
+    try:
+        alg = EtaleAlgebraExpr(model, factors)
+    except EtaleError as e:
+        return type(e), str(e)
+    names = model.gen_names
+    groups = {
+        frozenset(frozenset(names(m)) for m in field): mult
+        for field, mult in alg._fields.items()
+    }
+    return groups, alg.rank
+
+
+def _random_factors(rng):
+    factors = []
+    for _ in range(rng.randrange(1, 4)):
+        ext = []
+        for _ in range(rng.randrange(4)):
+            cls = set(rng.sample(POOL, rng.randrange(4)))
+            if rng.random() < 0.04:
+                cls |= {"zz", "q"}  # two unknown names: the first one is named
+            ext.append(frozenset(cls))
+        factors.append((tuple(ext), rng.randrange(1, 4)))
+    return factors
+
+
+def _other_presentation(rng, model, factors):
+    """The same fields presented anew: random row operations on each
+    factor's classes, trivial names put in, factors split and shuffled."""
+    trivial = [n for n in model.constants if model.is_trivial(n)]
+    out = []
+    for ext, mult in factors:
+        ext = list(ext)
+        for _ in range(3 if len(ext) > 1 else 0):
+            i, j = rng.sample(range(len(ext)), 2)
+            ext[j] ^= ext[i]
+        if trivial:
+            ext = [m ^ {rng.choice(trivial)} if rng.random() < 0.5 else m for m in ext]
+        rng.shuffle(ext)
+        k = rng.randrange(1, mult + 1)
+        out += [(tuple(ext), k)] + ([(tuple(ext), mult - k)] if k < mult else [])
+    rng.shuffle(out)
+    return out
+
+
+@pytest.mark.parametrize("model", (CLO, EUC, GEN, CUSTOM), ids=lambda m: m.name)
+def test_mask_constructor_matches_the_name_set_constructor(model):
+    rng = random.Random(43)
+    built, errors = [], set()
+    for _ in range(600):
+        factors = _random_factors(rng)
+        got = _mask_fields(model, factors)
+        assert got == _reference_fields(model, factors), factors
+        if got[0] in (UnknownName, DependentClasses):
+            errors.add(got[0])
+        else:
+            alg = EtaleAlgebraExpr(model, factors)
+            assert alg.factors == factors  # the classes keep their names
+            built.append((alg, got[0], factors))
+    assert errors == {UnknownName, DependentClasses} and len(built) > 60
+    for alg, fields, factors in built:
+        other = _other_presentation(rng, model, factors)
+        assert _reference_fields(model, other) == (fields, alg.rank)
+        assert EtaleAlgebraExpr(model, other) == alg
+    # random pairs: equal exactly when the name-set fields are equal
+    for (x, fx, _), (y, fy, _) in zip(built, built[1:] + built[:1]):
+        assert (x == y) == (fx == fy)
 
 
 def test_parse_whitespace_insensitive():

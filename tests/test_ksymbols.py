@@ -6,6 +6,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ccalc import ksymbols
 from ccalc.etale import DependentClasses, EtaleAlgebraExpr, parse_algebra
 from ccalc.ksymbols import (
     EPS_POWER_LIMIT,
@@ -501,3 +502,96 @@ def test_render_matches_a_reference_sort_of_frozenset_supports():
             support ^= term
         assert x.render() == reference_render(support), seed
         assert parse_kelement(x.render(), SCRAMBLED) == x
+
+
+# -- the name table against the name-set loops it replaced ----------------------
+
+# The three presets and one custom model with an extra trivial constant s and
+# an extra free constant k.  POOL holds every name of the custom model and
+# two names no model knows.
+CUSTOM = FieldModel(
+    ("a", "b", "c"), {"minus_one": "free", "two": "trivial", "s": "trivial", "k": "free"}
+)
+TABLE_MODELS = (CLO, EUC, GEN, CUSTOM)
+POOL = ("minus_one", "two", "s", "k", "a", "b", "c", "zz", "q")
+
+
+def reference_knows(model, name):
+    return name == "minus_one" or name in model.constants or name in model.indeterminates
+
+
+def reference_is_trivial(model, name):
+    return model.constants.get(name) == "trivial"
+
+
+def reference_bits(model):
+    """Each non-eps name's bit: the constants by spelling, then the
+    indeterminates in declaration order."""
+    spelling = {"two": "2"}
+    constants = sorted((spelling.get(n, n), n) for n in model.constants if n != "minus_one")
+    names = [n for _, n in constants] + list(model.indeterminates)
+    return {n: 1 << i for i, n in enumerate(names)}
+
+
+def reference_degree_one(cls, model):
+    """The name-set loop: two model queries per name."""
+    pieces = set()
+    for n in cls:
+        if not reference_knows(model, n):
+            raise UnknownGenerator(n)
+        if not reference_is_trivial(model, n):
+            pieces.add((1, 0) if n == "minus_one" else (0, reference_bits(model)[n]))
+    return frozenset(pieces)
+
+
+def reference_residue(x, at):
+    if not reference_knows(x.model, at):
+        raise UnknownGenerator(at)
+    if at not in x.model.indeterminates:
+        raise NotAnIndeterminate(
+            "residues are taken at indeterminates, not constant classes: %r" % at
+        )
+    bit = reference_bits(x.model)[at]
+    return {(m, g ^ bit) for m, g in x.support if g & bit}
+
+
+def outcome(f, *args):
+    """f(*args), or the type and message of what it raised."""
+    try:
+        return f(*args)
+    except KError as e:
+        return type(e), str(e)
+
+
+@pytest.mark.parametrize("model", TABLE_MODELS, ids=lambda m: m.name)
+def test_the_name_table_answers_as_the_name_set_loops(model):
+    for name in POOL:
+        assert model.knows(name) == reference_knows(model, name), name
+        assert model.is_trivial(name) == reference_is_trivial(model, name), name
+    rng = random.Random(31)
+    for _ in range(2000):
+        # a tuple fixes the order, so two unknown names test which one is named
+        cls = tuple(rng.choice(POOL) for _ in range(rng.randrange(6)))
+        assert outcome(ksymbols.degree_one, cls, model) == outcome(
+            reference_degree_one, cls, model
+        ), cls
+
+
+@pytest.mark.parametrize("model", TABLE_MODELS, ids=lambda m: m.name)
+def test_residue_checks_at_by_the_table_in_the_old_order(model):
+    rng = random.Random(37)
+    known = [n for n in POOL if model.knows(n) and n != "minus_one"]
+    for _ in range(100):
+        entries = [
+            "*".join(rng.sample(known, rng.randrange(1, 3))) for _ in range(rng.randrange(4))
+        ]
+        x = symbol(entries, model)
+        for at in POOL:
+            got = outcome(lambda: residue(x, at).support)
+            assert got == outcome(reference_residue, x, at), (entries, at)
+    # an unknown name is reported before a known name that is no indeterminate
+    with pytest.raises(UnknownGenerator, match="zz"):
+        residue(one(model), "zz")
+    for constant in ("minus_one", "two"):
+        with pytest.raises(NotAnIndeterminate, match=repr(constant)):
+            residue(one(model), constant)
