@@ -480,9 +480,10 @@ def property_normal_forms(rnd, cases):
             return False, "case %d: normal form is not idempotent" % i
         q = PROP_RING.poly(_random_raw(rnd))
         r = PROP_RING.poly(_random_raw(rnd, max_terms=2))
-        if (p + q) * r != p * r + q * r:
+        pq, qr = p * q, q * r
+        if (p + q) * r != p * r + qr:
             return False, "case %d: distributivity fails" % i
-        if p * q != q * p or (p * q) * r != p * (q * r):
+        if pq != q * p or pq * r != p * qr:
             return False, "case %d: commutativity/associativity fails" % i
         if p - p != PROP_RING.zero or PROP_RING.one * p != p:
             return False, "case %d: unit/negation fails" % i

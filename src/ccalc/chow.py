@@ -197,11 +197,13 @@ def class_bin(d, push_fiber="t"):
     tower.  Either fiber may be the pushforward direction; the result is
     identical.
 
-    The division never raises NonUnique, for any d: the ring is A[h] with A
-    = Z[l1,l2,l3][s,t] modulo the two cubic relations, a = prod(h + (d-1)*kept
-    + l_i) is monic of degree 3 in the relation-free h, and the products x*a
-    for x of degree 1 have degree 4, below the cap of 6.  So x -> x*a is
-    injective on degree 1 and the quotient is unique.
+    The quotient is unique, for any d: the ring is A[h] with A =
+    Z[l1,l2,l3][s,t] modulo the two cubic relations, since h has no
+    relation and occurs in none, and a = prod(h + (d-1)*kept + l_i) is monic
+    of degree 3 in h.  In A[h] multiplication by a monic element is
+    injective (the top h-coefficient of x*a is that of x), so long division
+    by a in h (``exact_divide``) finds the one quotient there is.  Its
+    products have the numerator's degree 4, below the cap of 6.
 
     The quotient is Q = 3d(d-2) h - 3(d-2)*kept + d(d-1)^2 (l1 + l2 + l3)
     for every d >= 4, renamed to 3d(d-2) hz - 3(d-2) u - d(d-1)^2 c1.  The
@@ -236,7 +238,7 @@ def class_bin(d, push_fiber="t"):
     excess = 2 * sum_planes - c1_normal
 
     num = fiber_pushforward(xi, push_fiber) - excess * a
-    quotient = exact_divide(num, a)
+    quotient = exact_divide(num, a, monic_in="h")
     if quotient.contains(push_fiber):
         raise NotDivisible("quotient still involves the pushed fiber %r" % push_fiber)
 

@@ -206,11 +206,19 @@ def _induced(pp):
 
 def build_action(cfg):
     """Derive the group, the point permutations, the 27-label permutations,
-    and verify the homomorphism property on every pair of elements.
+    and verify the homomorphism property A[g] o A[h] = A[g ^ h].
 
     The span of M is one dict from each class to its coordinate mask
     (`etale.gf2_span` over the model masks of the pair classes, its keys
-    turned back into classes of names), and M has 2^k classes."""
+    turned back into classes of names), and M has 2^k classes.
+
+    The property is checked for g = h = 0 and for each generator g = e_j
+    against every h: 1 + k*2^k checks, which imply it for every pair, by
+    induction on the number of bits of g.  A[0] o A[0] = A[0] makes the
+    permutation A[0] the identity: that is the case g = 0.  For g != 0 take
+    a bit j of g.  The generator checks give A[g] = A[e_j] o A[g ^ e_j], so
+    A[g] o A[h] = A[e_j] o A[g ^ e_j] o A[h] = A[e_j] o A[g ^ e_j ^ h]
+    (induction) = A[g ^ h] (a generator check again)."""
     model = cfg.model
     span, coords = gf2_span([model.class_mask(m) for m in cfg.pair_classes])
     span = {frozenset(model.gen_names(m)): c for m, c in span.items()}
@@ -228,16 +236,17 @@ def build_action(cfg):
             pp[p], pp[q] = (q, p) if (c & g).bit_count() % 2 else (p, q)
 
     ls = LineSet(cfg, span, names, point_perms)
-    # homomorphism check on all pairs, through the label action itself
+    # homomorphism check on the identity and the generators, through the
+    # label action itself
     action = ls.action
-    for g in action:
-        for h in action:
-            for lab in LABELS:
-                if action[g][action[h][lab]] != action[g ^ h][lab]:
-                    raise ActionNotHomomorphism(
-                        "action of %s after %s differs from %s on %s"
-                        % (names[g], names[h], names[g ^ h], lab)
-                    )
+    pairs = [(0, 0)] + [(1 << j, h) for j in range(k) for h in action]
+    for g, h in pairs:
+        for lab in LABELS:
+            if action[g][action[h][lab]] != action[g ^ h][lab]:
+                raise ActionNotHomomorphism(
+                    "action of %s after %s differs from %s on %s"
+                    % (names[g], names[h], names[g ^ h], lab)
+                )
     return ls
 
 
@@ -323,10 +332,25 @@ class PositionReport:
         return all(ok for _, ok in self.checks)
 
 
+# (sign, i, j, k) for each permutation (i, j, k) of the three columns
+_SIGNED_PERMUTATIONS = (
+    (1, 0, 1, 2), (1, 1, 2, 0), (1, 2, 0, 1),
+    (-1, 0, 2, 1), (-1, 2, 1, 0), (-1, 1, 0, 2),
+)
+
+
 def _bracket(p, q, r):
-    """The bracket [pqr] = p . (q x r), the determinant of the rows p, q, r."""
-    (a, b, c), (d, e, f), (g, h, i) = p, q, r
-    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    """The bracket [pqr] = p . (q x r), the determinant of the rows p, q, r,
+    as the sum of sign * p[i] * q[j] * r[k] over the six permutations; a
+    term with a zero entry is skipped (two of the six survive in each bracket
+    of the default configuration)."""
+    out = p[0].ring.zero
+    for sign, i, j, k in _SIGNED_PERMUTATIONS:
+        a, b, c = p[i], q[j], r[k]
+        if a.is_zero() or b.is_zero() or c.is_zero():
+            continue
+        out = out + a * b * c if sign > 0 else out - a * b * c
+    return out
 
 
 def verify_general_position(cfg):

@@ -19,7 +19,7 @@ computing those relations, a ring may declare such a generator with relation
 produce a term of degree > cap raises TruncationExceeded instead of silently
 working in the wrong quotient.  Degrees <= cap are exact.
 
-Coefficients are arbitrary-precision ints throughout, the linear solve of
+Coefficients are arbitrary-precision ints throughout, the long division of
 ``exact_divide`` included: the divisibility bookkeeping downstream (gcds of
 class coefficients) has zero tolerance.
 
@@ -60,7 +60,7 @@ way into that tower.
 
 from functools import reduce
 from math import gcd
-from operator import mul, or_
+from operator import or_
 
 from . import CcalcError
 
@@ -106,10 +106,6 @@ class NotSymmetric(RingError):
 
 
 class NotDivisible(RingError):
-    pass
-
-
-class NonUnique(RingError):
     pass
 
 
@@ -631,79 +627,46 @@ def _nonzero(terms):
 # -- the ring-level operations the worksheets need --------------------------
 
 
-def exact_divide(num, den):
-    """q with q*den == num, found by an exact linear solve over the integers.
+def exact_divide(num, den, *, monic_in):
+    """q with q*den == num, by long division in the generator monic_in.
 
-    Both arguments must be homogeneous.  q is expanded over the monomials of
-    degree deg(num)-deg(den); each monomial of degree deg(num) gives one row:
-    the coefficients of basis[j]*den, then that of num.  Bareiss's
-    fraction-free elimination (Math. Comp. 22, 1968) takes row <- (p*row -
-    f*pivot_row) // prev below each pivot p, prev the pivot before it (1 at
-    first).  Each division is exact, also past a column without a pivot: by
-    Sylvester's identity an entry after k pivots is a (k+1)-minor of the
-    input, an integer.  Back-substitution stays in the integers.  Raises
-    NotDivisible when no quotient exists (or none with integer coefficients)
-    and NonUnique when the solution is not unique -- a nontrivial kernel of
-    multiplication by den is reported, never silently resolved.
+    monic_in must be a generator h with no relation of its own that occurs
+    in no relation, so the ring is A[h] over the ring A of the other
+    generators, and den must be monic in h: its h^n coefficient is 1, n the
+    top exponent of h in den.  While the remainder, num at first, has terms
+    at h-exponent k >= n, the group of its terms at the top k, divided by
+    h^n, joins the quotient, and that group times den is subtracted.  The
+    product of a group with den has top h-exponent k and top coefficient the
+    group's own, so each step clears exponent k.  Multiplication by a monic
+    element of A[h] is injective, so the quotient is unique; a nonzero
+    remainder of h-exponent below n raises NotDivisible, as do a divisor not
+    monic in h and a generator h with a relation or in one.
     """
     ring = num.ring
     if den.ring is not ring:
         raise RingMismatch("operands live in different rings")
     if den.is_zero():
         raise NotDivisible("division by the zero element")
-    if num.is_zero():
-        return ring.zero
-    ndeg = num.homogeneous_degree()
-    ddeg = den.homogeneous_degree()
-    qdeg = ndeg - ddeg
-    if qdeg < 0:
-        raise NotDivisible("numerator degree below denominator degree")
-    basis = ring.monomials_of_degree(qdeg)
-    if not basis:
-        raise NotDivisible("no monomials of degree %d" % qdeg)
-
-    n = len(basis)
-    rows = {}
-    for j, e in enumerate(basis):
-        for e2, c in (Poly(ring, {e: 1}) * den)._terms.items():
-            rows.setdefault(e2, [0] * (n + 1))[j] = c
-    for e2, c in num._terms.items():
-        if e2 not in rows:
-            raise NotDivisible("numerator outside the column space")
-        rows[e2][n] = c
-
-    mat = list(rows.values())
-    rank, prev = 0, 1
-    for j in range(n):
-        piv = next((i for i in range(rank, len(mat)) if mat[i][j]), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        top = mat[rank]
-        p = top[j]
-        for i in range(rank + 1, len(mat)):
-            f = mat[i][j]
-            mat[i] = [(p * x - f * y) // prev for x, y in zip(mat[i], top)]
-        prev = p
-        rank += 1
-    if any(row[n] for row in mat[rank:]):
-        raise NotDivisible("inconsistent system: nonzero remainder")
-    if rank < n:
-        raise NonUnique(
-            "multiplication by the denominator has a %d-dimensional kernel in degree %d"
-            % (n - rank, qdeg)
-        )
-    # full column rank: row j is the pivot row of column j
-    x = [0] * n
-    for j in reversed(range(n)):
-        row = mat[j]
-        x[j], rem = divmod(row[n] - sum(map(mul, row[j + 1 : n], x[j + 1 :])), row[j])
-        if rem:
-            raise NotDivisible("quotient exists only with fractional coefficients")
-    q = Poly(ring, {e: v for e, v in zip(basis, x) if v})
-    if q * den != num:
-        raise NotDivisible("solved quotient does not reproduce the numerator")
-    return q
+    i = ring._at(monic_in)
+    sh = ring._shifts[i]
+    if i in ring.rel:
+        raise NotDivisible("%r has a relation" % monic_in)
+    if any((e >> sh) & _MASK for _, rhs in ring.rel.values() for e in rhs):
+        raise NotDivisible("%r occurs in a relation" % monic_in)
+    n = max((e >> sh) & _MASK for e in den._terms)
+    strip = n * ring._unit[i]
+    if {e: c for e, c in den._terms.items() if (e >> sh) & _MASK == n} != {strip: 1}:
+        raise NotDivisible("the divisor is not monic in %r" % monic_in)
+    quotient = {}
+    rem = num
+    while rem._terms:
+        k = max((e >> sh) & _MASK for e in rem._terms)
+        if k < n:
+            raise NotDivisible("nonzero remainder")
+        group = {e - strip: c for e, c in rem._terms.items() if (e >> sh) & _MASK == k}
+        quotient.update(group)
+        rem = rem - Poly(ring, group) * den
+    return Poly(ring, quotient)
 
 
 def substitute(p, mapping, target=None):

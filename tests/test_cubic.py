@@ -4,7 +4,9 @@
 from itertools import combinations, permutations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from ccalc import cubic
 from ccalc.cubic import (
     ActionNotHomomorphism,
     CertificateFails,
@@ -100,6 +102,28 @@ def test_action_is_group_homomorphism(make):
         for h in ls.action:
             for lab in LABELS:
                 assert ls.action[g][ls.action[h][lab]] == ls.action[g ^ h][lab]
+
+
+@pytest.mark.parametrize("make", [default_config, three_class_config])
+def test_a_wrong_non_generator_action_is_caught(make, monkeypatch):
+    # build_action checks only the identity and the generators; a wrong
+    # action of the product of all generators, built last, still breaks one
+    # of those checks
+    order = len(build_action(make()).action)
+    real = cubic._induced
+    built = []
+
+    def induced(pp):
+        out = real(pp)
+        built.append(out)
+        if len(built) == order:
+            out["E1"], out["E2"] = out["E2"], out["E1"]
+        return out
+
+    monkeypatch.setattr(cubic, "_induced", induced)
+    with pytest.raises(ActionNotHomomorphism):
+        build_action(make())
+    assert len(built) == order
 
 
 @pytest.mark.parametrize("make", [default_config, three_class_config])
@@ -294,6 +318,20 @@ def test_brackets_give_the_veronese_determinant():
         b[1, 2, 3] * b[1, 4, 5] * b[2, 4, 6] * b[3, 5, 6]
         - b[1, 2, 4] * b[1, 3, 5] * b[2, 3, 6] * b[4, 5, 6]
     )
+
+
+_ENTRY_RING = Ring(["u", "v"])
+_U, _V = _ENTRY_RING.gen("u"), _ENTRY_RING.gen("v")
+_ENTRIES = (_ENTRY_RING.zero, _ENTRY_RING.one, -_ENTRY_RING.one, _U, -_V, _U + _V, 2 * _U * _V)
+
+
+@settings(max_examples=200)
+@given(st.lists(st.sampled_from(_ENTRIES), min_size=9, max_size=9))
+def test_brackets_with_zero_entries_give_the_determinant(entries):
+    # real coordinates hold zeros, whose terms _bracket skips; the free
+    # coordinates of the Veronese test never reach that branch
+    rows = [entries[0:3], entries[3:6], entries[6:9]]
+    assert _bracket(*rows) == _det(rows)
 
 
 def test_six_points_on_a_conic_fail_only_the_conic_check():

@@ -4,6 +4,7 @@ import itertools
 import random
 import time
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +15,6 @@ from ccalc.rings import (
     DegreeMismatch,
     DuplicateGenerator,
     NonMonicRelation,
-    NonUnique,
     NotDivisible,
     NotSymmetric,
     Poly,
@@ -689,44 +689,141 @@ def test_slots_cannot_be_reassigned():
 
 
 def test_exact_divide_recovers_factor():
-    r = chern_ring()
-    t, c1, c2 = r.gen("t"), r.gen("c1"), r.gen("c2")
-    num = (t + c1) * (t ** 2 + c2)
-    assert exact_divide(num, t + c1) == t ** 2 + c2
-    assert exact_divide(num, t ** 2 + c2) == t + c1
+    r = root_ring()
+    h, s, l1, t = r.gen("h"), r.gen("s"), r.gen("l1"), r.gen("t")
+    num = (h + s) * (h ** 2 + l1 * t)
+    assert exact_divide(num, h + s, monic_in="h") == h ** 2 + l1 * t
+    assert exact_divide(num, h ** 2 + l1 * t, monic_in="h") == h + s
 
 
 def test_exact_divide_not_divisible():
+    # h^2 = (h - l1)(h + l1) + l1^2 leaves the remainder l1^2
     r = root_ring()
-    with pytest.raises(NotDivisible):
-        exact_divide(r.gen("h") ** 2, r.gen("t"))
+    with pytest.raises(NotDivisible, match="^nonzero remainder$"):
+        exact_divide(r.gen("h") ** 2, r.gen("h") + r.gen("l1"), monic_in="h")
 
 
 def test_exact_divide_fractional_quotient_rejected():
-    r = chern_ring()
-    with pytest.raises(NotDivisible):
-        exact_divide(r.gen("c1"), r.const(2))
+    # h*l1 / (2h) = l1/2: a divisor whose top coefficient is not 1 is refused
+    # before any division
+    r = root_ring()
+    h = r.gen("h")
+    with pytest.raises(NotDivisible, match="not monic in 'h'"):
+        exact_divide(h * r.gen("l1"), 2 * h, monic_in="h")
+    with pytest.raises(NotDivisible, match="not monic in 'h'"):
+        exact_divide(h * h, h * r.gen("s"), monic_in="h")
 
 
-def test_exact_divide_reports_nonunique():
+def test_exact_divide_needs_a_generator_outside_every_relation():
+    r = root_ring()
+    s, l1 = r.gen("s"), r.gen("l1")
+    with pytest.raises(NotDivisible, match="'s' has a relation"):
+        exact_divide(s * s, s, monic_in="s")
+    with pytest.raises(NotDivisible, match="'l1' occurs in a relation"):
+        exact_divide(l1 * l1, l1, monic_in="l1")
+    with pytest.raises(UnknownGenerator):
+        exact_divide(l1, l1, monic_in="zz")
+
+
+def test_exact_divide_zero_numerator():
+    r = root_ring()
+    assert exact_divide(r.zero, r.gen("h") + r.gen("t"), monic_in="h") == r.zero
+
+
+class NonUnique(RingError):
+    """The oracles' report of a kernel of multiplication by the divisor."""
+
+
+def bareiss_divide(num, den):
+    """Reference for exact_divide: q with q*den == num, found by an exact
+    linear solve over the integers.
+
+    Both arguments must be homogeneous.  q is expanded over the monomials of
+    degree deg(num)-deg(den); each monomial of degree deg(num) gives one row:
+    the coefficients of basis[j]*den, then that of num.  Bareiss's
+    fraction-free elimination (Math. Comp. 22, 1968) takes row <- (p*row -
+    f*pivot_row) // prev below each pivot p, prev the pivot before it (1 at
+    first).  Each division is exact, also past a column without a pivot: by
+    Sylvester's identity an entry after k pivots is a (k+1)-minor of the
+    input, an integer.  Back-substitution stays in the integers.  Raises
+    NotDivisible when no quotient exists (or none with integer coefficients)
+    and NonUnique when the solution is not unique.  It needs no monic
+    divisor and shares no solver code with exact_divide.
+    """
+    ring = num.ring
+    if den.ring is not ring:
+        raise RingMismatch("operands live in different rings")
+    if den.is_zero():
+        raise NotDivisible("division by the zero element")
+    if num.is_zero():
+        return ring.zero
+    ndeg = num.homogeneous_degree()
+    ddeg = den.homogeneous_degree()
+    qdeg = ndeg - ddeg
+    if qdeg < 0:
+        raise NotDivisible("numerator degree below denominator degree")
+    basis = ring.monomials_of_degree(qdeg)
+    if not basis:
+        raise NotDivisible("no monomials of degree %d" % qdeg)
+
+    n = len(basis)
+    rows = {}
+    for j, e in enumerate(basis):
+        for e2, c in (Poly(ring, {e: 1}) * den)._terms.items():
+            rows.setdefault(e2, [0] * (n + 1))[j] = c
+    for e2, c in num._terms.items():
+        if e2 not in rows:
+            raise NotDivisible("numerator outside the column space")
+        rows[e2][n] = c
+
+    mat = list(rows.values())
+    rank, prev = 0, 1
+    for j in range(n):
+        piv = next((i for i in range(rank, len(mat)) if mat[i][j]), None)
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        top = mat[rank]
+        p = top[j]
+        for i in range(rank + 1, len(mat)):
+            f = mat[i][j]
+            mat[i] = [(p * x - f * y) // prev for x, y in zip(mat[i], top)]
+        prev = p
+        rank += 1
+    if any(row[n] for row in mat[rank:]):
+        raise NotDivisible("inconsistent system: nonzero remainder")
+    if rank < n:
+        raise NonUnique(
+            "multiplication by the denominator has a %d-dimensional kernel in degree %d"
+            % (n - rank, qdeg)
+        )
+    # full column rank: row j is the pivot row of column j
+    x = [0] * n
+    for j in reversed(range(n)):
+        row = mat[j]
+        x[j], rem = divmod(row[n] - sum(map(mul, row[j + 1 : n], x[j + 1 :])), row[j])
+        if rem:
+            raise NotDivisible("quotient exists only with fractional coefficients")
+    q = Poly(ring, {e: v for e, v in zip(basis, x) if v})
+    if q * den != num:
+        raise NotDivisible("solved quotient does not reproduce the numerator")
+    return q
+
+
+def test_bareiss_oracle_reports_nonunique():
     # (s-l1)(s-l2) times anything kills (s-l3)-multiples, so the quotient of
     # den*h by den is only determined up to that kernel.
     r = root_ring()
     s, l1, l2 = r.gen("s"), r.gen("l1"), r.gen("l2")
     den = (s - l1) * (s - l2)
     with pytest.raises(NonUnique):
-        exact_divide(den * r.gen("h"), den)
-
-
-def test_exact_divide_zero_numerator():
-    r = chern_ring()
-    assert exact_divide(r.zero, r.gen("t")) == r.zero
+        bareiss_divide(den * r.gen("h"), den)
 
 
 def fraction_divide(num, den):
-    """Reference for exact_divide: Gauss-Jordan elimination over Fraction on
-    the same system, with the same checks, in the same order and with the
-    same messages.  It shares no solver code with exact_divide."""
+    """Reference for bareiss_divide: Gauss-Jordan elimination over Fraction
+    on the same system, with the same checks, in the same order and with the
+    same messages.  It shares no solver code with bareiss_divide."""
     ring = num.ring
     if den.ring is not ring:
         raise RingMismatch("operands live in different rings")
@@ -814,9 +911,13 @@ def divide_outcome(divide, num, den):
         return type(e), str(e)
 
 
-def random_form(rng, ring, degree, nterms):
-    """A random homogeneous Poly of the given degree (possibly zero)."""
+def random_form(rng, ring, degree, nterms, avoid=None):
+    """A random homogeneous Poly of the given degree (possibly zero), in
+    monomials without the generator avoid when one is named."""
     monos = ring.monomials_of_degree(degree)
+    if avoid is not None:
+        i = ring.index[avoid]
+        monos = [e for e in monos if not ring._unpack(e)[i]]
     return ring.poly(
         [
             (rng.randint(-3, 3), dict(zip(ring.names, ring._unpack(rng.choice(monos)))))
@@ -825,7 +926,7 @@ def random_form(rng, ring, degree, nterms):
     )
 
 
-def test_exact_divide_agrees_with_the_fraction_oracle():
+def test_bareiss_oracle_agrees_with_the_fraction_oracle():
     """Same quotient, or same exception class and message, as fraction_divide
     on planted quotients, a num with one extra term, a scaled den (fractional
     quotients) and dens with a kernel like (s-l1)(s-l2)."""
@@ -833,7 +934,7 @@ def test_exact_divide_agrees_with_the_fraction_oracle():
     seen = set()
 
     def compare(num, den):
-        got = divide_outcome(exact_divide, num, den)
+        got = divide_outcome(bareiss_divide, num, den)
         assert got == divide_outcome(fraction_divide, num, den), (num, den)
         seen.add(got[1] if isinstance(got, tuple) else "quotient")
 
@@ -867,6 +968,50 @@ def test_exact_divide_agrees_with_the_fraction_oracle():
         "quotient exists only with fractional coefficients",
     }
     assert any("dimensional kernel" in m for m in seen), seen
+
+
+def x_ring():
+    """sqrt_ring with a free x of degree 2 on top, in no relation."""
+    return Ring(
+        [("a", 2), ("b", 2), ("ra", 1), ("rb", 1), ("x", 2)],
+        relations={
+            "ra": (2, [[], [(-1, {"a": 1})]]),
+            "rb": (2, [[], [(-1, {"b": 1})]]),
+        },
+    )
+
+
+MONIC_CASES = ((root_ring(), "h"), (x_ring(), "x"))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(MONIC_CASES),
+    st.integers(1, 3),
+    st.integers(0, 2),
+    st.booleans(),
+    st.randoms(use_true_random=False),
+)
+def test_exact_divide_agrees_with_the_bareiss_oracle(case, n, qdeg, perturb, rng):
+    """Long division and the Bareiss solve give the same quotient, or both
+    raise NotDivisible, on random homogeneous divisors monic in a free
+    generator g: g^n plus forms free of g times lower powers of g.  The
+    oracle never finds a kernel there."""
+    r, name = case
+    g = r.gen(name)
+    step = r.degrees[r.index[name]]
+    den = g ** n
+    for k in range(n):
+        den = den + random_form(rng, r, (n - k) * step, 2, avoid=name) * g ** k
+    num = random_form(rng, r, qdeg, 3) * den
+    if perturb:
+        num = num + random_form(rng, r, n * step + qdeg, 1)
+    expected = divide_outcome(bareiss_divide, num, den)
+    got = divide_outcome(lambda a, b: exact_divide(a, b, monic_in=name), num, den)
+    if isinstance(expected, Poly):
+        assert got == expected
+    else:
+        assert expected[0] is NotDivisible and got[0] is NotDivisible, (expected, got)
 
 
 # -- substitution ------------------------------------------------------------
@@ -1123,19 +1268,6 @@ raw_terms = st.lists(
 
 chern_polys = raw_terms.map(CHERN.poly)
 
-# the relation t^3 + c1 t^2 + c2 t + c3 is homogeneous, so a sum of MONOS of
-# one degree stays homogeneous in normal form
-homogeneous_chern_polys = st.integers(0, 4).flatmap(
-    lambda deg: st.lists(
-        st.tuples(
-            st.integers(min_value=-9, max_value=9),
-            st.sampled_from(
-                [m for m in MONOS if CHERN.poly([(1, m)]).homogeneous_degree() == deg]
-            ),
-        ),
-        max_size=6,
-    )
-).map(CHERN.poly)
 
 
 @settings(max_examples=300)
@@ -1171,16 +1303,25 @@ def test_ring_axioms(a, b, c):
     assert a - a == r.zero
 
 
+# CHERN with a free h in no relation: the ring Z[c1,c2,c3][t][h] is A[h]
+CHERN_H = Ring(
+    [("c1", 1), ("c2", 2), ("c3", 3), ("t", 1), ("h", 1)],
+    relations={"t": (3, [[(1, {"c1": 1})], [(1, {"c2": 1})], [(1, {"c3": 1})]])},
+)
+
+
 @settings(max_examples=200)
-@given(homogeneous_chern_polys, homogeneous_chern_polys)
-def test_exact_divide_inverts_multiplication(a, b):
-    if b.is_zero():
-        return
-    try:
-        q = exact_divide(a * b, b)
-    except NonUnique:
-        return
-    assert q * b == a * b
+@given(raw_terms, raw_terms, st.lists(raw_terms, max_size=3))
+def test_exact_divide_inverts_multiplication(top, bottom, lower):
+    # a = top*h + bottom and b = h^n + lower[n-1]*h^(n-1) + ... + lower[0],
+    # neither of them homogeneous in general; b is monic in h, so a is the
+    # one quotient of a*b
+    h = CHERN_H.gen("h")
+    a = CHERN_H.poly(top) * h + CHERN_H.poly(bottom)
+    b = h ** len(lower)
+    for k, raw in enumerate(lower):
+        b = b + CHERN_H.poly(raw) * h ** k
+    assert exact_divide(a * b, b, monic_in="h") == a
 
 
 @settings(max_examples=200)

@@ -135,8 +135,10 @@ def test_determinant_oracle_shares_no_code_with_cubic():
 
 # Public names whose only callers outside the tests live outside src/ccalc:
 # perfbench/spans.py times `etale.alpha_tot_product_check` as a span of the
-# `algebras` workload, so it stays until that benchmark stops binding it.
-OUTSIDE_CALLERS = {"etale.alpha_tot_product_check"}
+# `algebras` workload, and counts the `rings.exact_divide.cols` metric with
+# `Ring.monomials_of_degree`, so both stay until that benchmark stops
+# binding them.
+OUTSIDE_CALLERS = {"etale.alpha_tot_product_check", "rings.Ring.monomials_of_degree"}
 
 
 # The namedtuples of src/ccalc, whose fields the public-name guard checks.

@@ -41,6 +41,7 @@ R = Ring(["x"])
 X = R.gen("x")
 R2X = Ring(["x"]).gen("x")
 YZ = Ring([("y", 2), ("z", 3)])
+TX = Ring(["x", "t"], relations={"t": (2, [[(1, {"x": 1})], []])})
 
 
 def _cli(*argv):
@@ -86,14 +87,25 @@ CASES = [
      RingError, "bad exponent -1 for 'x'"),
     ("power -1", lambda: X ** -1, RingError, "exponent must be a nonnegative integer"),
     ("not homogeneous", lambda: (X + X * X).homogeneous_degree(), NotHomogeneous, "x + x^2"),
-    ("divide across rings", lambda: exact_divide(X, YZ.gen("y")),
+    ("divide across rings", lambda: exact_divide(X, YZ.gen("y"), monic_in="x"),
      RingMismatch, "operands live in different rings"),
-    ("divide by zero", lambda: exact_divide(X, R.zero),
+    ("divide by zero", lambda: exact_divide(X, R.zero, monic_in="x"),
      NotDivisible, "division by the zero element"),
-    ("divide degree below", lambda: exact_divide(X, X * X),
-     NotDivisible, "numerator degree below denominator degree"),
-    ("no quotient monomials", lambda: exact_divide(YZ.gen("z"), YZ.gen("y")),
-     NotDivisible, "no monomials of degree 1"),
+    ("divide degree below", lambda: exact_divide(X, X * X, monic_in="x"),
+     NotDivisible, "nonzero remainder"),
+    ("no quotient monomials", lambda: exact_divide(YZ.gen("z"), YZ.gen("y"), monic_in="y"),
+     NotDivisible, "nonzero remainder"),
+    ("divide with a remainder", lambda: exact_divide(X * X + 1, X + 1, monic_in="x"),
+     NotDivisible, "nonzero remainder"),
+    ("divisor not monic", lambda: exact_divide(X * X, 2 * X, monic_in="x"),
+     NotDivisible, "the divisor is not monic in 'x'"),
+    ("divide in a fiber generator", lambda: exact_divide(TX.gen("t"), TX.gen("t"), monic_in="t"),
+     NotDivisible, "'t' has a relation"),
+    ("divide in a generator of a relation",
+     lambda: exact_divide(TX.gen("x"), TX.gen("x"), monic_in="x"),
+     NotDivisible, "'x' occurs in a relation"),
+    ("divide in an unknown generator", lambda: exact_divide(X, X, monic_in="zz"),
+     UnknownRingGenerator, "zz"),
     ("roots not of degree 1",
      lambda: symmetric_reduce(Ring([("l1", 2), "l2", "l3"]).one, Ring(["c1", "c2", "c3"])),
      DegreeMismatch, "symmetric reduction expects a degree-1 triple"),

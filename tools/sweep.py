@@ -47,6 +47,16 @@ def class_requests():
     ]
 
 
+def big_classd_requests():
+    """classd at d = 10^(n-1) + n for n = 50, 100 and 301 digits (d = 0, 2, 5
+    mod 6), with and without --json."""
+    return [
+        ["classd", "-d", str(10 ** (n - 1) + n), *extra]
+        for n in (50, 100, 301)
+        for extra in ([], ["--json"])
+    ]
+
+
 def sw_requests(classes):
     """sw --max-degree 2 over every ordered pair and triple of classes, repeats
     included, as the square roots of one factor, in the closed, euclidean and
@@ -95,6 +105,11 @@ FAMILIES = (
         "classz and classd",
         class_requests(),
         "2849e886a93abf1911cd229758b96388d2265c9aead4013b5d50e42740413c7a",
+    ),
+    (
+        "classd at 50-, 100- and 301-digit d",
+        big_classd_requests(),
+        "c9eaced1e414be6dd5bbfb94ae0c21091fd30f449d9c986e640b79b2bd7942eb",
     ),
     (
         "sw, one factor of two or three roots",
