@@ -466,7 +466,8 @@ def property_normal_forms(rnd, cases):
     for i in range(cases):
         raw = _random_raw(rnd)
         p = PROP_RING.poly(raw)
-        if p.terms != _independent_reduce(raw):
+        terms = p.terms  # a new dict on each access
+        if terms != _independent_reduce(raw):
             return False, "case %d: normal form differs from long division" % i
         shuffled = raw[:]
         rnd.shuffle(shuffled)
@@ -474,7 +475,7 @@ def property_normal_forms(rnd, cases):
             return False, "case %d: term order changed the normal form" % i
         back = [
             (c, {n: k for n, k in zip(PROP_RING.names, e) if k})
-            for e, c in p.terms.items()
+            for e, c in terms.items()
         ]
         if PROP_RING.poly(back) != p:
             return False, "case %d: normal form is not idempotent" % i
@@ -543,12 +544,13 @@ def _random_algebra(rnd, model, max_rank):
                 if mono:
                     exts.append(mono)
             factors.append((tuple(exts), rnd.randint(1, 2)))
+        # the rank needs only the draws, so an algebra too large is never built
+        if sum(mult * 2 ** len(exts) for exts, mult in factors) > max_rank:
+            continue
         try:
-            alg = EtaleAlgebraExpr(model, factors)
+            return EtaleAlgebraExpr(model, factors)
         except DependentClasses:
             continue
-        if alg.rank <= max_rank:
-            return alg
 
 
 def _independent_galois_sw(alg):

@@ -56,7 +56,7 @@ from itertools import combinations
 
 from . import CcalcError
 from .etale import EtaleAlgebraExpr, gf2_span
-from .ksymbols import euclidean_model, residue
+from .ksymbols import _quote, euclidean_model, residue
 from .rings import Poly, Ring
 
 
@@ -93,11 +93,15 @@ class PointConfig:
     themselves: the tower Z[n][r]/(r_i^2 - n_i) over them is isomorphic to
     it by n_i -> r_i^2 (see the module docstring), so every check has the
     same zero/nonzero verdict in both.  Pass `coordinates`, six triples of
-    Polys over one ring, to override them.
+    Polys over one ring, to override them.  A pair class given as a string
+    raises CubicError, since it would read as the set of its letters.
     """
 
     def __init__(self, model, pair_classes, coordinates=None):
         self.model = model
+        for m in pair_classes:
+            if isinstance(m, str):
+                raise CubicError("pair class %s is a string; give a set of names" % _quote(m))
         pair_classes = [frozenset(m) for m in pair_classes]
         if len(pair_classes) not in (2, 3):
             raise CubicError("expected two or three pair classes")

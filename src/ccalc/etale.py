@@ -50,6 +50,7 @@ from .ksymbols import (
     UnknownGenerator,
     _Reader,
     _parse_monomial,
+    _quote,
     degree_one,
     power_product,
     symbol,
@@ -148,15 +149,16 @@ class EtaleAlgebraExpr:
 
     factors: list of (extension, multiplicity) where extension is a tuple of
     square classes (frozensets of names) generating F(sqrt m1, ..., sqrt ms),
-    and the multiplicity is any positive integer.  An extension has at most
-    ROOTS_LIMIT classes.  The constructor maps each class once to its model
-    mask (`FieldModel.class_mask`, which drops the trivial names), and that
-    step raises UnknownName on the first name the model does not know.
-    Within each extension no nonempty subproduct of the classes may be
-    trivial in the model, otherwise the factor would not be a field:
-    gf2_span grows the span of the masks, at most 2^s entries, and
-    DependentClasses names the first class whose coordinate mask is not a
-    new bit together with the earlier ones that multiply with it to a
+    and the multiplicity is any positive integer.  A class given as a string
+    raises EtaleError, since it would read as the set of its letters.  An
+    extension has at most ROOTS_LIMIT classes.  The constructor maps each
+    class once to its model mask (`FieldModel.class_mask`, which drops the
+    trivial names), and that step raises UnknownName on the first name the
+    model does not know.  Within each extension no nonempty subproduct of
+    the classes may be trivial in the model, otherwise the factor would not
+    be a field: gf2_span grows the span of the masks, at most 2^s entries,
+    and DependentClasses names the first class whose coordinate mask is not
+    a new bit together with the earlier ones that multiply with it to a
     square.  Two algebras are equal when every field has the same total
     multiplicity in both, a field being the span of its classes in the model
     (so F(sqrt(a),sqrt(b)) = F(sqrt(a),sqrt(a*b))).
@@ -171,6 +173,11 @@ class EtaleAlgebraExpr:
         self.factors = []
         self._fields = {}  # total multiplicity of each field
         for ext, mult in factors:
+            for m in ext:
+                if isinstance(m, str):
+                    raise EtaleError(
+                        "square class %s is a string; give a set of names" % _quote(m)
+                    )
             ext = tuple(frozenset(m) for m in ext)
             if not (isinstance(mult, int) and mult >= 1):
                 raise EtaleError("multiplicity must be a positive integer")
@@ -400,9 +407,20 @@ def sw_total(alg, max_degree=None):
 
 
 def galois_sw_total(alg, max_degree=None):
-    """Galois-corrected classes: {2}*previous added in even degrees."""
+    """Galois-corrected classes: alpha_i = w_i + {2}*w_(i-1) in even degrees
+    i, alpha_i = w_i in odd ones, w the plain classes of `sw_total` (the cap
+    and the errors are its).
+
+    In degree 2 this is Serre's formula w2(q_E) = w2(rho_E) + {2}*{d_E}
+    (Serre, Comment. Math. Helv. 59, 1984; GMS 2003, Ch. VII).  Where 2 is a
+    square in the model, {2} = 0 and every correction vanishes, so the plain
+    vector itself is returned: the closed and euclidean models never form a
+    product with the zero class.
+    """
     sw = sw_total(alg, max_degree)
     two = symbol([_TWO], alg.model)
+    if two.is_zero():
+        return sw
     classes = [sw.classes[0]]
     for i in range(1, len(sw.classes)):
         c = sw.classes[i]

@@ -789,6 +789,42 @@ def test_plain_requests_build_no_parser(capsys, monkeypatch, name):
     assert (code, err) == (0, "") and out
 
 
+# plain requests, read straight from COMMANDS, and the same requests in
+# spellings only argparse reads (an abbreviation, --flag=value, -dN)
+SPELLINGS = [
+    (["rvalue", "-d", "7"], ["rvalue", "-d=7"]),
+    (["rvalue", "-d", "3"], ["rvalue", "-d3"]),
+    (["classz", "-d", "5", "--json"], ["classz", "-d5", "--js"]),
+    (["sw", "--algebra", "F(sqrt(a))", "--model", "closed"],
+     ["sw", "--alg", "F(sqrt(a))", "--model=closed"]),
+    (["brauer", "--stack", "xd", "-d", "5", "--char", "7"],
+     ["brauer", "--st", "xd", "-d=5", "--ch=7"]),
+    (["brauer", "--stack", "xd"], ["brauer", "--stack=xd"]),
+    (["lines", "--gens", "a,b", "--certificate"], ["lines", "--gen=a,b", "--cert"]),
+    (["residue", "--expr", "{a,b}", "--at", "a"], ["residue", "--ex={a,b}", "--at=a"]),
+]
+
+
+@pytest.mark.parametrize("plain, spelled", SPELLINGS, ids=lambda argv: " ".join(argv))
+def test_argparse_only_spellings_match_the_plain_requests(capsys, monkeypatch, plain, spelled):
+    built = []
+    real = build_parser
+
+    def counted(command=None):
+        built.append(command)
+        return real(command)
+
+    monkeypatch.setattr("ccalc.cli.build_parser", counted)
+    results, parsed = [], []
+    for argv in (plain, spelled):
+        del built[:]
+        code, out, err = run(capsys, *argv)
+        results.append((code, re.sub(r'"elapsed": [0-9.e-]+', '"elapsed": 0', out), err))
+        parsed.append(bool(built))
+    assert results[0] == results[1] and (results[0][1] or results[0][2])
+    assert parsed == [False, True]
+
+
 def test_every_option_is_one_the_plain_reader_reads():
     # cli._read follows argparse only for these keywords; an option with any
     # other (nargs, append, a type raising other than ValueError) needs it

@@ -404,7 +404,7 @@ def test_square_root_ring_determinants_equal_the_tower(classes, degenerate):
     assert any(d.is_zero() for d, _ in dets) == degenerate
     assert [tuple(substitute(c, {}, target=tower) for c in p) for p in coords] == points
     try:
-        report = verify_general_position(PointConfig(cfg.model, classes, coords))
+        report = verify_general_position(PointConfig(cfg.model, cfg.pair_classes, coords))
     except DeterminantZero as err:
         report = err.report
     assert [ok for _, ok in report.checks] == [not d.is_zero() for d, _ in dets]

@@ -790,6 +790,41 @@ def test_sw_over_a_model_without_two_names_the_missing_class():
         sw_total(parse_algebra("F(sqrt(a))", model))
 
 
+def _shortcut_cases(rnd, model):
+    """F^0 and 20 seeded algebras of up to three factors of up to three roots."""
+    return [EtaleAlgebraExpr(model, [])] + [_random_sw_algebra(rnd, model, 3, 3) for _ in range(20)]
+
+
+def test_galois_classes_are_the_plain_ones_where_two_is_a_square(monkeypatch):
+    # {2} = 0 kills every even-degree correction, so galois_sw_total hands
+    # back the plain vector and multiplies no two classes
+    def no_product(*args):
+        raise AssertionError("a KElement product where {2} = 0")
+
+    monkeypatch.setattr(ksymbols.KElement, "__mul__", no_product)
+    rnd = random.Random(20261020)
+    for model in (CLO, EUC, CUSTOM):
+        assert symbol(["2"], model).is_zero()
+        for alg in _shortcut_cases(rnd, model):
+            for cap in range(9):
+                plain, galois = sw_total(alg, cap), galois_sw_total(alg, cap)
+                assert galois.classes == plain.classes, (model, alg, cap)
+                assert (galois.cap, galois.rank) == (plain.cap, plain.rank)
+
+
+def test_generic_even_classes_differ_from_the_plain_ones_by_two_times_the_one_below():
+    rnd = random.Random(20261021)
+    two = symbol(["2"], GEN)
+    for alg in _shortcut_cases(rnd, GEN):
+        for cap in range(9):
+            plain, galois = sw_total(alg, cap), galois_sw_total(alg, cap)
+            assert (galois.cap, galois.rank) == (plain.cap, plain.rank)
+            w = plain.classes
+            for i, alpha in enumerate(galois.classes):
+                gap = two * w[i - 1] if i and i % 2 == 0 else zero(GEN)
+                assert alpha + w[i] == gap, (alg, cap, i)
+
+
 def test_sw_cap_is_bounded(monkeypatch):
     alg = parse_algebra("F(sqrt(a))^100 * F^100", EUC)
     assert sw_total(alg, max_degree=SW_CAP_LIMIT).cap == SW_CAP_LIMIT

@@ -57,6 +57,11 @@ CASES = [
      EtaleError, "multiplicity must be a positive integer"),
     ("unknown name", lambda: EtaleAlgebraExpr(E, [((frozenset({"zz"}),), 1)]),
      UnknownName, "zz"),
+    # a string would read as the set of its letters: {a, b}, or an unknown z
+    ("string square class", lambda: EtaleAlgebraExpr(E, [(("ab",), 1)]),
+     EtaleError, "square class 'ab' is a string; give a set of names"),
+    ("string square class of unknown letters", lambda: EtaleAlgebraExpr(E, [(("xyz",), 1)]),
+     EtaleError, "square class 'xyz' is a string; give a set of names"),
     ("times across models",
      lambda: EtaleAlgebraExpr(E, []).times(EtaleAlgebraExpr(generic_model(("a", "b")), [])),
      ModelMismatch, "algebras live over different field models"),
@@ -66,6 +71,8 @@ CASES = [
     ("symbol plus int", lambda: one(E) + 1, ModelMismatch, "expected a KElement, got 1"),
     ("unknown symbol entry", lambda: symbol([["zz"]], E), UnknownGenerator, "zz"),
     # cubic
+    ("string pair class", lambda: PointConfig(euclidean_model(("a", "b", "c")), ("ab", "c")),
+     CubicError, "pair class 'ab' is a string; give a set of names"),
     ("five coordinate triples", lambda: PointConfig(E, (A, B), coordinates=[(1, 0, 0)] * 5),
      CubicError, "expected six coordinate triples"),
     ("six integer triples", lambda: PointConfig(E, (A, B), coordinates=[(1, 0, 0)] * 6),
