@@ -35,10 +35,11 @@ degree, whatever the factor count and the multiplicities.
 
 Square classes are frozensets of names at the edge of this module: in an
 algebra's `factors`, in `trace_form`'s output and in every rendering.
-Inside `EtaleAlgebraExpr` each class is its model mask
-(`ksymbols.FieldModel.class_mask`), which `gf2_span` spans and the fields
-are keyed by; `sw_total` reads each diagonal class's degree-1 symbol off the
-model's name table (`ksymbols.degree_one`).
+Inside, each class is its model mask (`ksymbols.FieldModel.class_mask`):
+`EtaleAlgebraExpr` spans the masks with `gf2_span` and keys the fields by
+them, and `sw_total` counts each diagonal class by its mask, which
+`ksymbols.power_product` reads bit by bit as the degree-1 symbol of the
+class: no support of a symbol is formed before the classes are read off.
 """
 
 from math import isqrt
@@ -51,7 +52,6 @@ from .ksymbols import (
     _Reader,
     _parse_monomial,
     _quote,
-    degree_one,
     power_product,
     symbol,
     zero,
@@ -380,14 +380,14 @@ def sw_total(alg, max_degree=None):
     degree-1 classes of the trace-form diagonal, by the power formula.
 
     Reads each factor's trace form once, in factor order, and counts every
-    nonzero diagonal symbol, as its degree-1 support (`ksymbols.degree_one`),
-    with its multiplicity over the algebra.  `ksymbols.power_product` then
-    gives the product of the (1 + c)^n up to the cap in closed form (see the
-    module docstring), without multiplying two supports; past
-    ksymbols.POWER_NAMES_LIMIT names in use it raises KError.  The cap is
-    min(rank, max_degree), with max_degree 7 by default; a max_degree that
-    is not a nonnegative integer or a cap above SW_CAP_LIMIT raises
-    EtaleError.
+    diagonal class that is not trivial in the model, as its model mask
+    (`ksymbols.FieldModel.class_mask`), with its multiplicity over the
+    algebra.  `ksymbols.power_product` then gives the product of the
+    (1 + c)^n up to the cap in closed form (see the module docstring),
+    without multiplying two supports; past ksymbols.POWER_NAMES_LIMIT names
+    in use it raises KError.  The cap is min(rank, max_degree), with
+    max_degree 7 by default; a max_degree that is not a nonnegative integer
+    or a cap above SW_CAP_LIMIT raises EtaleError.
     """
     if not (max_degree is None or isinstance(max_degree, int) and max_degree >= 0):
         raise EtaleError("max_degree must be a nonnegative integer, got %r" % (max_degree,))
@@ -397,10 +397,10 @@ def sw_total(alg, max_degree=None):
         raise EtaleError(
             "classes up to degree %d requested; the limit is %d" % (cap, SW_CAP_LIMIT)
         )
-    counts = {}
+    class_mask, counts = model.class_mask, {}
     for ext, mult in alg.factors:
         for d in trace_form(ext, model):
-            c = degree_one(d, model)
+            c = class_mask(d)
             if c:
                 counts[c] = counts.get(c, 0) + mult
     return SWClassVector(model, alg.rank, power_product(counts, cap, model))

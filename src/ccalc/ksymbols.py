@@ -24,20 +24,23 @@ non-eps name one bit, in display order (constants by spelling, then
 the indeterminates in declaration order), so the rule above is
 (m1 + m2 + (g1 & g2).bit_count(), g1 | g2) and a residue clears one bit.
 A symbol entry is still read as a frozenset of names (`_as_monomial`,
-`_parse_monomial`), which is what `etale` and `cubic` use; `degree_one` is
-the one place that maps its names to basis symbols, for `symbol` and for
-`etale.sw_total`, one lookup per name in the model's name table (see
-`FieldModel`).  `render` sorts basis symbols by (degree, m, names), where
-names is the tuple of internal names of the mask in display order compared
-as strings: "two" sorts after "f", and "x10" before "x2", so the order is
-not that of the masks.
+`_parse_monomial`), which is what `etale` and `cubic` use; `degree_one` maps
+its names to basis symbols for `symbol`, one lookup per name in the model's
+name table (see `FieldModel`).  A degree-1 class on its way into the power
+formula is its model mask instead (`FieldModel.class_mask`): below the
+minus_one bit that mask is the generator mask of its basis symbols, and the
+minus_one bit is the basis symbol {-1} = (1, 0).  `render` sorts basis
+symbols by (degree, m, names), where names is the tuple of internal names of
+the mask in display order compared as strings: "two" sorts after "f", and
+"x10" before "x2", so the order is not that of the masks.
 
 The Stiefel-Whitney power formula of `etale`, the product of the (1 + c)^n
-truncated at a degree cap, runs here, in `power_product`, in closed form.
-Up to the degree, the product rule is an OR-convolution of sets of masks,
-and the zeta transform over the subsets of the names in use turns it into a
-bitwise AND; so no two supports are multiplied, and each class is one int
-bit set until it is read off (see `power_product`).
+truncated at a degree cap, runs here, in `power_product`, in closed form and
+on the model masks of the classes c.  Up to the degree, the product rule is
+an OR-convolution of sets of masks, and the zeta transform over the subsets
+of the names in use turns it into a bitwise AND; so no two supports are
+multiplied, and each class is one int bit set until it is read off (see
+`power_product`).
 
 The free-module reading of these basis symbols is validated by the iterated
 residue maps (see `residue`): residues at the generator set of a basis symbol
@@ -116,9 +119,10 @@ class FieldModel:
     None where the model makes the name trivial.  The bits follow display
     order, minus_one last, so below minus_one's bit a mask is the generator
     mask of the basis symbols.  `knows`, `is_trivial`, `class_mask`,
-    `degree_one` and `residue` all read the table.  Names stay the currency
-    of the API (entries, `factors`, trace forms, rendering); masks of square
-    classes (`class_mask`) live inside `etale.EtaleAlgebraExpr` and
+    `degree_one`, `power_product` and `residue` all read the table.  Names
+    stay the currency of the API (entries, `factors`, trace forms,
+    rendering); masks of square classes (`class_mask`) live inside
+    `etale.EtaleAlgebraExpr`, `etale.sw_total` with `power_product`, and
     `cubic.build_action`, and symbol supports hold generator masks.
     """
 
@@ -390,9 +394,10 @@ def symbol(entries, model):
 
 def power_product(counts, cap, model):
     """The classes of degrees 0..cap of the product of the (1 + c)^n over the
-    items (c, n) of counts, each c a support from `degree_one` and n >= 1:
-    a list of cap + 1 KElements.  Raises KError when the symbols that enter
-    use more than POWER_NAMES_LIMIT names.
+    items (c, n) of counts, each c the model mask of a square class
+    (`FieldModel.class_mask`) standing for its degree-1 symbol {c}, and
+    n >= 1: a list of cap + 1 KElements.  Raises KError when the symbols that
+    enter use more than POWER_NAMES_LIMIT names.
 
     The closed form.  In a class of degree i the basis symbol (m, g) has
     m = i - |g|, so the product rule reads
@@ -402,26 +407,32 @@ def power_product(counts, cap, model):
     up to the degree, a product is the OR-convolution of the sets of masks.
     The zeta transform over GF(2), zf(S) = sum over T <= S of f(T), is its
     own inverse and turns OR-convolution into the pointwise product
-    (Bjorklund-Husfeldt-Kaski-Koivisto 2007).  A degree-1 support c becomes
-    zc(S) = [(1, 0) in c] + |S & masks(c)| mod 2, so at each point S the
-    product of the (1 + c t)^n is (1 + t)^N_S, N_S the sum of the n * zc(S).
-    By Lucas' theorem its degree-i coefficient is 1 exactly when
-    i & ~N_S == 0, which needs N_S only mod 2^L, 2^L > cap.  Where -1 is a
-    square the basis symbols with m > 0 are dropped at the end: the quotient
-    by the ideal (eps) is a ring map.
+    (Bjorklund-Husfeldt-Kaski-Koivisto 2007).  A degree-1 symbol {c} becomes
+    zc(S) = [c holds the minus_one bit] + |S & names(c)| mod 2: the
+    minus_one bit is the basis symbol (1, 0), whose transform is the
+    constant point function 1, and each other bit is the basis symbol of one
+    name, whose transform is 1 at the points that contain the name.  So at
+    each point S the product of the (1 + c t)^n is (1 + t)^N_S, N_S the sum
+    of the n * zc(S).  By Lucas' theorem its degree-i coefficient is 1
+    exactly when i & ~N_S == 0, which needs N_S only mod 2^L, 2^L > cap.
+    Where -1 is a square the basis symbols with m > 0 are dropped at the
+    end: the quotient by the ideal (eps) is a ring map.
 
-    The points are the subsets S of the n names in use (the names of the
-    symbols whose n is nonzero mod 2^L), and a function on them is one int,
-    bit S holding the value at S.  N_S is kept as L bit planes, filled by
-    ripple-carry AND/XOR; each class is an AND of planes, transformed back
-    by n shift-XOR steps and read off its set bits.
+    The points are the subsets S of the n names in use (the OR of the masks
+    whose n is nonzero mod 2^L, the minus_one bit cleared), and a function
+    on them is one int, bit S holding the value at S; zc is `full` or 0 by
+    the minus_one bit, XOR the points `has[bit]` of each other bit of c.
+    N_S is kept as L bit planes, filled by ripple-carry AND/XOR; each class
+    is an AND of planes, transformed back by n shift-XOR steps and read off
+    its set bits.
     """
     width = cap.bit_length()  # L: only N_S mod 2^L matters
     counts = [(c, n) for c, n in counts.items() if n & ((1 << width) - 1)]
+    neg = model._table["minus_one"][0]
     used = 0
     for c, _ in counts:
-        for _, g in c:
-            used |= g
+        used |= c
+    used &= ~neg
     if used.bit_count() > POWER_NAMES_LIMIT:
         raise KError(
             "power product over %d names; the limit is %d"
@@ -440,9 +451,12 @@ def power_product(counts, cap, model):
     full = (1 << len(gens)) - 1
     planes = [0] * width  # planes[k]: the points S with bit k of N_S set
     for c, n in counts:
-        zc = 0
-        for _, g in c:
-            zc ^= has[g] if g else full
+        zc = full if c & neg else 0
+        c &= ~neg
+        while c:
+            bit = c & -c
+            zc ^= has[bit]
+            c ^= bit
         for k in range(width):
             if n >> k & 1:
                 carry = zc
@@ -493,6 +507,11 @@ def residue(x, at):
 
 
 def iterated_residue(x, names):
+    """The residue at names[0], then at names[1], and so on, one `residue`
+    per name.  A word given as a string raises KError, since it would read
+    as the sequence of its letters."""
+    if isinstance(names, str):
+        raise KError("residue word %s is a string; give a sequence of names" % _quote(names))
     for n in names:
         x = residue(x, n)
     return x

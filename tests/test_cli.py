@@ -624,6 +624,31 @@ def test_help_exits_cleanly(capsys):
     assert "classz" in out and "check-all" in out
 
 
+def test_help_lists_every_command_and_an_unknown_one_is_an_invalid_choice(capsys):
+    # with no subcommand named, main builds the full parser
+    code, out, err = run(capsys, "--help")
+    assert (code, err) == (0, "")
+    names = ["classz", "classd", "rvalue", "sw", "lines", "brauer", "residue", "check-all"]
+    assert sorted(names) == sorted(COMMANDS)
+    for name in names:
+        assert re.search(r"^    %s( |$)" % re.escape(name), out, re.M), name
+    code, out, err = run(capsys, "frobnicate")
+    assert (code, out) == (2, "")
+    assert "invalid choice" in err
+
+
+def test_long_malformed_expression_gets_a_short_error(capsys):
+    # 2500 terms and a malformed one at the end: the error quotes QUOTE_LIMIT
+    # characters around it.  The 300-character token and name requests of the
+    # same bound are test_unknown_token_message_is_bounded and
+    # test_bad_name_message_is_bounded.
+    expr = " + ".join(["{a,b}"] * 2500) + " + {a b}"
+    code, out, err = run(capsys, "residue", "--expr", expr, "--at", "a")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: expected ',' or '}' at position %d in ..." % (len(expr) - 2))
+    assert len(err.encode()) < QUOTE_LIMIT + 120
+
+
 @pytest.mark.parametrize(
     "argv", [["rvalue", "-d", "7"], ["--help"], ["frobnicate"]], ids=" ".join
 )

@@ -1,6 +1,7 @@
 """Orbit bookkeeping, general position, and the residue certificate for the
 27 lines attached to three conjugate point-pairs."""
 
+from collections import Counter
 from itertools import combinations, permutations, product
 
 import pytest
@@ -29,6 +30,7 @@ from ccalc.ksymbols import (
     euclidean_model,
     generic_model,
     iterated_residue,
+    one,
     parse_kelement,
     symbol,
     zero,
@@ -579,3 +581,111 @@ def test_orbits_match_the_pair_class_oracle():
         assert report.algebra.rank == 27
     # 42 pairs and 294 triples of classes with the first two distinct
     assert count == 42 + 294
+
+
+# -- w(rho_28) by the character count -----------------------------------------------
+
+
+def _character_sw(ls, cap):
+    """w_0..w_cap of the permutation representation rho_28 of the Galois
+    group G on the 28 bitangents, from `ls.action` and `ls.span` alone.
+
+    rho_28 is the sum over the orbits O of Ind_(Stab O)^G 1.  The characters
+    of G are the classes m of M, m acting as g -> (-1)^popcount(span[m] & g),
+    and one occurs in Ind_H^G 1 once when H lies in its kernel, so
+
+        w(rho_28) = prod over m != 1 of (1 + {m})^(n_m),
+
+    n_m the number of orbits of the 27 labels whose stabilizer lies in the
+    kernel of m; the 28th bitangent is fixed by G and feeds only the trivial
+    character.  Each factor 1 + {m} enters by one pass of KElement products
+    per unit of n_m, truncated at the cap."""
+    model = ls.config.model
+    stabilizers, seen = [], set()
+    for lab in LABELS:
+        if lab not in seen:
+            seen |= {perm[lab] for perm in ls.action.values()}
+            stabilizers.append([g for g, perm in ls.action.items() if perm[lab] == lab])
+    w = [one(model)] + [zero(model)] * cap
+    top = 0  # w[i] is zero for i > top
+    for m, coords in ls.span.items():
+        if not m:
+            continue
+        x = symbol([m], model)
+        for stab in stabilizers:
+            if all((coords & g).bit_count() % 2 == 0 for g in stab):
+                top = min(cap, top + 1)
+                for i in range(top, 0, -1):
+                    w[i] = w[i] + x * w[i - 1]
+    return w
+
+
+def _four_name_configs(model):
+    """Every configuration of two or three pair classes among the 15 nonzero
+    classes of a, b, c, d, the classes taken as a multiset with the first two
+    distinct: reordering them renumbers the six points, which conjugates the
+    action by a permutation of the labels and changes neither w(rho_28) nor
+    the bitangent algebra."""
+    classes = [frozenset(c) for r in range(1, 5) for c in combinations("abcd", r)]
+    for i, j in combinations(range(len(classes)), 2):
+        yield PointConfig(model, (classes[i], classes[j]))
+        for k in range(len(classes)):
+            if k > j or k in (i, j):
+                yield PointConfig(model, (classes[i], classes[j], classes[k]))
+
+
+def _character_and_galois_sw(preset):
+    """(pair classes, w(rho_28), galois_sw_total of the bitangent algebra)
+    up to degree 8 for each of the 770 four-name configurations."""
+    out = []
+    for cfg in _four_name_configs(MODEL_PRESETS[preset](tuple("abcd"))):
+        ls = build_action(cfg)
+        alpha = galois_sw_total(
+            bitangent_algebra(orbit_decomposition(ls).algebra), max_degree=8
+        ).classes
+        out.append((cfg.pair_classes, _character_sw(ls, 8), alpha))
+    assert len(out) == 105 + 665
+    return out
+
+
+@pytest.mark.parametrize("preset", ["closed", "euclidean"])
+def test_bitangent_classes_are_the_character_count(preset):
+    """Where 2 is a square, galois_sw_total of the bitangent algebra is
+    w(rho_28) in every degree up to 8."""
+    for classes, w, alpha in _character_and_galois_sw(preset):
+        assert alpha == w, classes
+
+
+def test_generic_bitangent_alpha2_is_the_character_count():
+    """In the generic model alpha_2, the class the paper uses, is w_2(rho_28)
+    in every configuration, and so is every odd degree.  alpha_4, alpha_6 and
+    alpha_8 carry the {2}-correction of `galois_sw_total` and may differ
+    (ROADMAP item 2): every basis symbol of a difference holds 2, and the
+    degrees that differ are pinned per configuration count, the differences
+    themselves for the pair classes (a, b) and (a, b, c)."""
+    a, b, c = frozenset("a"), frozenset("b"), frozenset("c")
+    differ, pinned = Counter(), {}
+    for classes, w, alpha in _character_and_galois_sw("generic"):
+        assert alpha[2] == w[2], classes
+        degrees = tuple(i for i in range(9) if alpha[i] != w[i])
+        differ[degrees] += 1
+        for i in degrees:
+            model = w[i].model
+            assert all("two" in model.gen_names(g) for _, g in (alpha[i] + w[i]).support)
+        if classes in ((a, b, a | b), (a, b, c)):
+            pinned[classes] = [str(alpha[i] + w[i]) for i in (4, 6, 8)]
+    assert differ == {(4, 6, 8): 560, (4, 6): 210}
+    assert pinned == {
+        (a, b, a | b): [
+            "{-1,-1,-1,2}",
+            "{-1,-1,-1,2,a,b} + {-1,-1,-1,-1,2,a} + {-1,-1,-1,-1,2,b}",
+            "{-1,-1,-1,-1,-1,2,a,b} + {-1,-1,-1,-1,-1,-1,2,a}"
+            " + {-1,-1,-1,-1,-1,-1,2,b} + {-1,-1,-1,-1,-1,-1,-1,2}",
+        ],
+        (a, b, c): [
+            "{-1,-1,2,a} + {-1,-1,2,b} + {-1,-1,2,c} + {-1,-1,-1,2}",
+            "{-1,-1,2,a,b,c} + {-1,-1,-1,2,a,b} + {-1,-1,-1,2,a,c} + {-1,-1,-1,2,b,c}",
+            "{-1,-1,-1,-1,-1,2,a,b} + {-1,-1,-1,-1,-1,2,a,c}"
+            " + {-1,-1,-1,-1,-1,2,b,c} + {-1,-1,-1,-1,-1,-1,-1,2}",
+        ],
+    }

@@ -716,11 +716,29 @@ def _kelement_sw(alg, cap):
     return _kelement_power_loop(counts, cap, model)
 
 
+def _class_counts(model, classes):
+    """The counts `power_product` takes, {model mask: n}, and the pass loop's
+    reference counts, {degree-1 KElement: n}, built from the `degree_one`
+    supports, for the (square class, n) pairs `classes`; trivial classes are
+    dropped from both."""
+    masks, symbols = {}, {}
+    for cls, n in classes:
+        c = model.class_mask(cls)
+        if c:
+            masks[c] = masks.get(c, 0) + n
+            sym = ksymbols.KElement(model, ksymbols.degree_one(cls, model))
+            symbols[sym] = symbols.get(sym, 0) + n
+    return masks, symbols
+
+
+def _random_multiplicity(rnd):
+    return rnd.choice((rnd.randint(1, 8), rnd.randint(1, 2 ** 40 - 1), 2 ** 40 - 1))
+
+
 def test_power_product_matches_the_kelement_loop_on_random_counts():
-    """The closed form against the pass loop, on random counts of degree-1
-    supports over the three presets and a model where -1 is a square and 2
-    is free: caps 0-20 and 128, multiplicities up to 2^40 - 1, and empty
-    counts."""
+    """The closed form against the pass loop, on random mask counts over the
+    three presets and a model where -1 is a square and 2 is free: caps 0-20
+    and 128, multiplicities up to 2^40 - 1, and empty counts."""
     models = (CLO, EUC, GEN, FieldModel(("a", "b", "c"), {"minus_one": "trivial", "two": "free"}))
     names = ("minus_one", "two", "a", "b", "c")
     caps = list(range(21)) + [128]
@@ -728,19 +746,41 @@ def test_power_product_matches_the_kelement_loop_on_random_counts():
     for case in range(600):
         model = models[case % len(models)]
         cap = caps[case % len(caps)]
-        counts = {}
-        for _ in range(rnd.randrange(6)):
-            c = ksymbols.degree_one(frozenset(n for n in names if rnd.random() < 0.4), model)
-            if c:
-                n = rnd.choice((rnd.randint(1, 8), rnd.randint(1, 2 ** 40 - 1), 2 ** 40 - 1))
-                counts[c] = counts.get(c, 0) + n
-        expected = _kelement_power_loop(
-            {ksymbols.KElement(model, c): n for c, n in counts.items()}, cap, model
-        )
-        assert ksymbols.power_product(counts, cap, model) == expected, (model, cap, counts)
+        classes = [
+            (frozenset(n for n in names if rnd.random() < 0.4), _random_multiplicity(rnd))
+            for _ in range(rnd.randrange(6))
+        ]
+        masks, symbols = _class_counts(model, classes)
+        expected = _kelement_power_loop(symbols, cap, model)
+        assert ksymbols.power_product(masks, cap, model) == expected, (model, cap, masks)
     for model in models:
         for cap in caps:
             assert ksymbols.power_product({}, cap, model) == [one(model)] + [zero(model)] * cap
+
+
+@pytest.mark.parametrize("model", (CLO, EUC, GEN), ids=lambda m: m.name)
+def test_power_product_reads_the_minus_one_and_two_bits(model):
+    """Seeded counts in which every case holds a class with -1, one with 2
+    and one with both, against the pass loop on the `degree_one` supports:
+    the -1 bit is the constant point function, and 2 is a name where it is
+    free and dropped where it is a square."""
+    rnd = random.Random("minus one and two, " + model.name)
+    names = ("a", "b", "c")
+    for case in range(60):
+        cap = (0, 1, 2, 3, 7, 8, 16, 128)[case % 8]
+        classes = [
+            (frozenset({"minus_one"} | {n for n in names if rnd.random() < 0.3}), 1),
+            (frozenset({"two"} | {n for n in names if rnd.random() < 0.3}), 2 ** 40 - 1),
+            (frozenset({"minus_one", "two"}), _random_multiplicity(rnd)),
+        ]
+        classes += [
+            (frozenset(n for n in names + ("minus_one", "two") if rnd.random() < 0.4),
+             _random_multiplicity(rnd))
+            for _ in range(rnd.randrange(4))
+        ]
+        masks, symbols = _class_counts(model, classes)
+        expected = _kelement_power_loop(symbols, cap, model)
+        assert ksymbols.power_product(masks, cap, model) == expected, (cap, classes)
 
 
 def _random_sw_algebra(rnd, model, factors, roots):
@@ -914,7 +954,7 @@ def test_sw_bounds_the_names_in_use():
     rnd = random.Random(limit)
     counts = {}
     for _ in range(40):
-        c = ksymbols.degree_one(frozenset(n for n in names if rnd.random() < 0.5), model)
+        c = model.class_mask(frozenset(n for n in names if rnd.random() < 0.5))
         counts[c] = counts.get(c, 0) + 2 ** 40 - 1
     t0 = time.perf_counter()
     classes = ksymbols.power_product(counts, 8, model)

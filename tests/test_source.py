@@ -99,8 +99,8 @@ def test_checks_oracles_share_no_code_with_the_library():
     """The second implementations in `checks` are compared against `rings`
     and `etale`, so they must not call into either.  The Stiefel-Whitney
     oracle also stays off the power formula that `etale.sw_total` runs in
-    `ksymbols` (`power_product`, `degree_one`) and works on plain KElement
-    arithmetic."""
+    `ksymbols` (`power_product`) and off `degree_one`, and works on plain
+    KElement arithmetic."""
     path = next(p for p in SOURCES if p.name == "checks.py")
     assert not _oracle_leaks(path, ("_independent_reduce", "_independent_galois_sw"))
     assert not _oracle_leaks(
@@ -113,6 +113,20 @@ def test_trace_form_oracle_shares_no_code_with_etale():
     `etale.trace_form`, so it may use `rings` but nothing from `etale`."""
     path = Path(__file__).with_name("test_etale.py")
     assert not _oracle_leaks(path, ("_gram_trace_form",), modules=("etale",))
+
+
+def test_character_count_oracle_shares_no_code_with_etale():
+    """w(rho_28) in the cubic tests is the oracle for `galois_sw_total` of the
+    bitangent algebra, so it reads the action and the span of a `LineSet`
+    and multiplies KElements, and uses nothing from `etale`, neither the
+    power formula nor the orbit algebra that `cubic` builds with it."""
+    path = Path(__file__).with_name("test_cubic.py")
+    assert not _oracle_leaks(
+        path,
+        ("_character_sw",),
+        modules=("etale",),
+        names=("orbit_decomposition", "bitangent_algebra", "power_product", "degree_one"),
+    )
 
 
 def test_row_reduction_oracle_shares_no_code_with_etale_or_cubic():

@@ -18,6 +18,7 @@ from ccalc.ksymbols import (
     UnknownGenerator,
     euclidean_model,
     generic_model,
+    iterated_residue,
     one,
     symbol,
 )
@@ -70,6 +71,13 @@ CASES = [
      KError, "constant flags are 'free' or 'trivial', got 'maybe'"),
     ("symbol plus int", lambda: one(E) + 1, ModelMismatch, "expected a KElement, got 1"),
     ("unknown symbol entry", lambda: symbol([["zz"]], E), UnknownGenerator, "zz"),
+    # a string word would read as its letters: residues at x, 1, 0, or at b then a
+    ("string residue word", lambda: iterated_residue(symbol([A, B], E), "x10"),
+     KError, "residue word 'x10' is a string; give a sequence of names"),
+    ("string residue word of model names", lambda: iterated_residue(symbol([A, B], E), "ba"),
+     KError, "residue word 'ba' is a string; give a sequence of names"),
+    ("long string residue word", lambda: iterated_residue(one(E), "ab" * 100),
+     KError, "residue word %r... is a string; give a sequence of names" % ("ab" * 40)),
     # cubic
     ("string pair class", lambda: PointConfig(euclidean_model(("a", "b", "c")), ("ab", "c")),
      CubicError, "pair class 'ab' is a string; give a set of names"),
