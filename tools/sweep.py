@@ -80,6 +80,28 @@ def sw_requests(classes):
     ]
 
 
+def residue_requests(classes):
+    """residue --at a of the symbol {c1,...,ck} for k = 1..3 over every ordered
+    choice of classes, repeats included, in the closed, euclidean and generic
+    models, with and without --json."""
+    return [
+        [
+            "residue",
+            "--expr",
+            "{%s}" % ",".join(entries),
+            "--at",
+            "a",
+            "--model",
+            model,
+            *extra,
+        ]
+        for model in ("closed", "euclidean", "generic")
+        for k in (1, 2, 3)
+        for entries in itertools.product(classes, repeat=k)
+        for extra in ([], ["--json"])
+    ]
+
+
 # (name, requests, recorded sha256).  The three lines families use the nine
 # worksheet names a, b, c, p, q, r, t, u, w, and names that once also named
 # the square roots (x, y, z, v, w, x2, y2, z2).
@@ -115,6 +137,11 @@ FAMILIES = (
         "sw, one factor of two or three roots",
         sw_requests(("a", "b", "a*b", "-1", "-a", "2", "-2*b")),
         "aafebbee3c73b944a04aa15cf2b3d31ad2cbddef31540280f944d41c24946c8b",
+    ),
+    (
+        "residue at a, one to three classes",
+        residue_requests(("a", "b", "a*b", "-1", "-a", "2", "-2*b", "4", "8*a")),
+        "8d3d7ddead99a53b7a5f82930895ea57fca5723ea208cd4c0814183c382f9396",
     ),
 )
 
