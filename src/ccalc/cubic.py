@@ -56,7 +56,7 @@ from itertools import combinations
 
 from . import CcalcError
 from .etale import EtaleAlgebraExpr, gf2_span
-from .ksymbols import _quote, euclidean_model, residue
+from .ksymbols import UnknownGenerator, _quote, euclidean_model, residue
 from .rings import Poly, Ring
 
 
@@ -83,12 +83,15 @@ class PointConfig:
     """Three conjugate point-pairs with square classes and coordinates.
 
     pair_classes (required): two or three square classes (m1, m2[, m3]);
-    m3 defaults to m1*m2.  When every class is a monomial in the model's
-    indeterminates the explicit coordinates (+-sqrt(m1):1:0),
-    (+-sqrt(m2):0:1), (0:+-sqrt(m3):1) are materialized in the polynomial
-    ring of the square roots: one free generator per indeterminate n of the
-    classes, named after its class as sqrt(n), for any number of
-    indeterminates, and sqrt(m) the product of the generators of m's names.
+    m3 defaults to m1*m2.  Each class is reduced by its model mask
+    (`FieldModel.class_mask`), m3 by default the XOR of the first two, and
+    kept as the set of the names of its mask.  When every class is a
+    monomial in the model's indeterminates the explicit coordinates
+    (+-sqrt(m1):1:0), (+-sqrt(m2):0:1), (0:+-sqrt(m3):1) are materialized
+    in the polynomial ring of the square roots: one free generator per
+    indeterminate n of the classes, named after its class as sqrt(n), for
+    any number of indeterminates, and sqrt(m) the product of the generators
+    of m's names.
     The ring has no relation and no generator for the indeterminates
     themselves: the tower Z[n][r]/(r_i^2 - n_i) over them is isomorphic to
     it by n_i -> r_i^2 (see the module docstring), so every check has the
@@ -105,20 +108,20 @@ class PointConfig:
         pair_classes = [frozenset(m) for m in pair_classes]
         if len(pair_classes) not in (2, 3):
             raise CubicError("expected two or three pair classes")
-        reduced = []
+        masks = []
         for m in pair_classes:
-            for name in m:
-                if not model.knows(name):
-                    raise CubicError("unknown square class name %r" % name)
-            r = frozenset(n for n in m if not model.is_trivial(n))
-            if not r:
+            try:
+                c = model.class_mask(m)
+            except UnknownGenerator as e:
+                raise CubicError("unknown square class name %r" % e.args[0]) from None
+            if not c:
                 raise CubicError("pair class %s is trivial in the model" % sorted(m))
-            reduced.append(r)
-        if reduced[0] == reduced[1]:
+            masks.append(c)
+        if masks[0] == masks[1]:
             raise CubicError("the first two pair classes must be independent")
-        if len(reduced) == 2:
-            reduced.append(reduced[0] ^ reduced[1])
-        self.pair_classes = tuple(reduced)
+        if len(masks) == 2:
+            masks.append(masks[0] ^ masks[1])
+        self.pair_classes = tuple(frozenset(model.gen_names(c)) for c in masks)
 
         self.coordinates = None
         names = sorted(set().union(*self.pair_classes))

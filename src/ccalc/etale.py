@@ -35,7 +35,8 @@ degree, whatever the factor count and the multiplicities.
 
 Square classes are frozensets of names at the edge of this module: in an
 algebra's `factors`, in `trace_form`'s output and in every rendering.
-Inside, each class is its model mask (`ksymbols.FieldModel.class_mask`):
+Inside, each class is its model mask (`ksymbols.FieldModel.class_mask`),
+the one reader from a class to the model, which `ksymbols.symbol` uses too:
 `EtaleAlgebraExpr` spans the masks with `gf2_span` and keys the fields by
 them, and `sw_total` counts each diagonal class by its mask, which
 `ksymbols.power_product` reads bit by bit as the degree-1 symbol of the

@@ -23,16 +23,17 @@ Inside an element, gens is an int bit mask.  The FieldModel gives each
 non-eps name one bit, in display order (constants by spelling, then
 the indeterminates in declaration order), so the rule above is
 (m1 + m2 + (g1 & g2).bit_count(), g1 | g2) and a residue clears one bit.
-A symbol entry is still read as a frozenset of names (`_as_monomial`,
-`_parse_monomial`), which is what `etale` and `cubic` use; `degree_one` maps
-its names to basis symbols for `symbol`, one lookup per name in the model's
-name table (see `FieldModel`).  A degree-1 class on its way into the power
-formula is its model mask instead (`FieldModel.class_mask`): below the
-minus_one bit that mask is the generator mask of its basis symbols, and the
-minus_one bit is the basis symbol {-1} = (1, 0).  `render` sorts basis
-symbols by (degree, m, names), where names is the tuple of internal names of
-the mask in display order compared as strings: "two" sorts after "f", and
-"x10" before "x2", so the order is not that of the masks.
+Every square class enters through its model mask (`FieldModel.class_mask`),
+the XOR of the bits of its names with the bits of the trivial names cleared;
+a text entry is first read into a set of names by `_parse_monomial`.  The
+mask is the degree-1 symbol {c}: below the minus_one bit it is the generator
+mask of its basis symbols, and the minus_one bit is the basis symbol
+{-1} = (1, 0).  `symbol` and the power formula both read a class so.
+
+`render` sorts basis symbols by (degree, m, names), where names is the tuple
+of internal names of the mask in display order compared as strings: "two"
+sorts after "f", and "x10" before "x2", so the order is not that of the
+masks.
 
 The Stiefel-Whitney power formula of `etale`, the product of the (1 + c)^n
 truncated at a degree cap, runs here, in `power_product`, in closed form and
@@ -115,15 +116,16 @@ class FieldModel:
     must contain "minus_one".
 
     The constructor builds the model's name table, `_table`: each name,
-    minus_one included, maps to its bit and to its degree-1 basis symbol,
-    None where the model makes the name trivial.  The bits follow display
-    order, minus_one last, so below minus_one's bit a mask is the generator
-    mask of the basis symbols.  `knows`, `is_trivial`, `class_mask`,
-    `degree_one`, `power_product` and `residue` all read the table.  Names
-    stay the currency of the API (entries, `factors`, trace forms,
-    rendering); masks of square classes (`class_mask`) live inside
-    `etale.EtaleAlgebraExpr`, `etale.sw_total` with `power_product`, and
-    `cubic.build_action`, and symbol supports hold generator masks.
+    minus_one included, maps to its bit, and `_trivial` holds the bits of
+    the names that the model makes squares.  The bits follow display order,
+    minus_one last, so below minus_one's bit a mask is the generator mask of
+    the basis symbols.  `class_mask` reads a square class into its mask
+    through the table, and `residue`, `power_product`, `sort_gens` and
+    `_parse_monomial` read it too.  Names stay the currency of the API at
+    the edges (`factors`, trace forms, rendering); inside, a square class is
+    its mask: in `symbol`, `etale.EtaleAlgebraExpr`, `etale.sw_total` with
+    `power_product`, and `cubic.PointConfig` and `cubic.build_action`, and
+    symbol supports hold generator masks.
     """
 
     def __init__(self, indeterminates, constants, name="custom"):
@@ -153,42 +155,34 @@ class FieldModel:
             if n != "minus_one"
         )
         self._names = tuple(n for _, n in constants) + self.indeterminates + ("minus_one",)
-        # the name table: each name to (its bit, its degree-1 basis symbol),
-        # the symbol None where the name is trivial
-        self._table = {}
-        for i, n in enumerate(self._names):
-            if self.constants.get(n) == "trivial":
-                self._table[n] = (1 << i, None)
-            else:
-                self._table[n] = (1 << i, (1, 0) if n == "minus_one" else (0, 1 << i))
-        self._indeterminate_bits = sum(self._table[n][0] for n in self.indeterminates)
+        # the name table: each name to its bit
+        self._table = {n: 1 << i for i, n in enumerate(self._names)}
+        self._trivial = sum(
+            self._table[n] for n, flag in self.constants.items() if flag == "trivial"
+        )
+        self._indeterminate_bits = sum(self._table[n] for n in self.indeterminates)
 
     @property
     def eps_free(self):
         return self.constants["minus_one"] == "free"
 
-    def is_trivial(self, name):
-        return name in self._table and self._table[name][1] is None
-
-    def knows(self, name):
-        return name in self._table
-
     def class_mask(self, cls):
         """The mask of a square class (an iterable of names) in the model: the
-        bits of its nontrivial names.  Raises UnknownGenerator on the first
-        name the model does not know."""
+        XOR of the bits of its names, the bits of trivial names cleared.
+        Raises UnknownGenerator on the first name the model does not know,
+        and KError for a string, which would read as the set of its letters."""
+        if isinstance(cls, str):
+            raise KError("square class %s is a string; give a set of names" % _quote(cls))
         table, mask = self._table, 0
         for name in cls:
             try:
-                bit, sym = table[name]
-            except KeyError:
+                mask ^= table[name]
+            except (KeyError, TypeError):  # TypeError: an unhashable name
                 raise UnknownGenerator(name) from None
-            if sym is not None:
-                mask ^= bit
-        return mask
+        return mask & ~self._trivial
 
     def sort_gens(self, gens):
-        # the bits of distinct names differ, so the (bit, symbol) pairs sort by bit
+        # display order is the order of the bits
         return tuple(sorted(gens, key=self._table.__getitem__))
 
     def gen_names(self, mask):
@@ -326,22 +320,6 @@ def one(model):
     return KElement(model, _ONE)
 
 
-def _as_monomial(entry, model):
-    """Coerce an entry (string, iterable of names, or frozenset) to a reduced
-    exponent-vector-mod-2, i.e. a frozenset of names."""
-    if isinstance(entry, str):
-        reader = _Reader(entry)
-        mono = _parse_monomial(reader, model)
-        reader.expect("", "expected '*' between factors")
-        return mono
-    mono = frozenset()
-    for name in entry:
-        if not model.knows(name):
-            raise UnknownGenerator(name)
-        mono ^= {name}
-    return mono
-
-
 def _product(model, xs, ys):
     """Support of the product of two supports by the rule in the module
     docstring, summed mod 2; eps powers die where -1 is a square."""
@@ -354,34 +332,38 @@ def _product(model, xs, ys):
     return acc
 
 
-def degree_one(cls, model):
-    """Support of the degree-1 symbol {cls} of a square class (a frozenset of
-    names): one basis symbol per name that the model does not trivialize,
-    (1, 0) for minus_one and (0, bit of the name) otherwise, each read off
-    the model's name table."""
-    table, pieces = model._table, set()
-    for n in cls:
-        try:
-            sym = table[n][1]
-        except KeyError:
-            raise UnknownGenerator(n) from None
-        if sym is not None:
-            pieces.add(sym)
-    return frozenset(pieces)
-
-
 def symbol(entries, model):
     """Normal form of the symbol with the given entries.
 
-    An entry (a signed monomial, i.e. a square class) is the sum of the basis
-    symbols of `degree_one`.  The symbol is the product of these sums, so
-    {x,x} = {-1,x} follows from the product rule.  Raises KError when that
-    product would form more than EXPANSION_LIMIT basis-symbol products.
+    An entry is a square class: a text such as "-2*a" (see `_parse_monomial`)
+    or an iterable of names.  It is read into its model mask
+    (`FieldModel.class_mask`), and its degree-1 symbol is the sum of one
+    basis symbol per bit: (1, 0) for the minus_one bit, (0, bit) for each
+    other.  The symbol is the product of these sums, so {x,x} = {-1,x}
+    follows from the product rule.  Raises KError when the entries are one
+    string, which would read as its letters, and when that product would
+    form more than EXPANSION_LIMIT basis-symbol products.
     """
+    if isinstance(entries, str):
+        raise KError(
+            "symbol entries %s are a string; give a sequence of square classes"
+            % _quote(entries)
+        )
+    neg = model._table["minus_one"]
     acc = _ONE
     products = 0
     for entry in entries:
-        pieces = degree_one(_as_monomial(entry, model), model)
+        if isinstance(entry, str):
+            reader = _Reader(entry)
+            entry = _parse_monomial(reader, model)
+            reader.expect("", "expected '*' between factors")
+        c = model.class_mask(entry)
+        pieces = {(1, 0)} if c & neg else set()
+        c &= ~neg
+        while c:
+            bit = c & -c
+            pieces.add((0, bit))
+            c ^= bit
         products += len(acc) * len(pieces)
         if products > EXPANSION_LIMIT:
             raise KError(
@@ -428,7 +410,7 @@ def power_product(counts, cap, model):
     """
     width = cap.bit_length()  # L: only N_S mod 2^L matters
     counts = [(c, n) for c, n in counts.items() if n & ((1 << width) - 1)]
-    neg = model._table["minus_one"][0]
+    neg = model._table["minus_one"]
     used = 0
     for c, _ in counts:
         used |= c
@@ -493,12 +475,13 @@ def residue(x, at):
     sends a basis symbol containing the variable to the symbol without it,
     and kills symbols not containing it.  Lowers degree by one.  One lookup
     in the name table checks `at`: UnknownGenerator for a name the model does
-    not know, then NotAnIndeterminate for a constant class."""
+    not know (an unhashable one included), then NotAnIndeterminate for a
+    constant class."""
     model = x.model
-    entry = model._table.get(at)
-    if entry is None:
-        raise UnknownGenerator(at)
-    bit = entry[0]
+    try:
+        bit = model._table[at]
+    except (KeyError, TypeError):
+        raise UnknownGenerator(at) from None
     if not bit & model._indeterminate_bits:
         raise NotAnIndeterminate(
             "residues are taken at indeterminates, not constant classes: %r" % at

@@ -219,7 +219,7 @@ def test_dependent_classes_names_a_square_subproduct(ext, preset):
     squares = [
         combo
         for combo, acc in _subset_products(ext)
-        if combo and all(model.is_trivial(n) for n in acc)
+        if combo and not model.class_mask(acc)
     ]
     try:
         EtaleAlgebraExpr(model, [(tuple(ext), 1)])
@@ -317,7 +317,7 @@ def _random_factors(rng):
 def _other_presentation(rng, model, factors):
     """The same fields presented anew: random row operations on each
     factor's classes, trivial names put in, factors split and shuffled."""
-    trivial = [n for n in model.constants if model.is_trivial(n)]
+    trivial = [n for n in model.constants if not model.class_mask((n,))]
     out = []
     for ext, mult in factors:
         ext = list(ext)
@@ -718,15 +718,15 @@ def _kelement_sw(alg, cap):
 
 def _class_counts(model, classes):
     """The counts `power_product` takes, {model mask: n}, and the pass loop's
-    reference counts, {degree-1 KElement: n}, built from the `degree_one`
-    supports, for the (square class, n) pairs `classes`; trivial classes are
-    dropped from both."""
+    reference counts, {degree-1 KElement: n}, built by `symbol([cls])`, for
+    the (square class, n) pairs `classes`; trivial classes are dropped from
+    both."""
     masks, symbols = {}, {}
     for cls, n in classes:
         c = model.class_mask(cls)
         if c:
             masks[c] = masks.get(c, 0) + n
-            sym = ksymbols.KElement(model, ksymbols.degree_one(cls, model))
+            sym = symbol([cls], model)
             symbols[sym] = symbols.get(sym, 0) + n
     return masks, symbols
 
@@ -761,7 +761,7 @@ def test_power_product_matches_the_kelement_loop_on_random_counts():
 @pytest.mark.parametrize("model", (CLO, EUC, GEN), ids=lambda m: m.name)
 def test_power_product_reads_the_minus_one_and_two_bits(model):
     """Seeded counts in which every case holds a class with -1, one with 2
-    and one with both, against the pass loop on the `degree_one` supports:
+    and one with both, against the pass loop on the `symbol([cls])` supports:
     the -1 bit is the constant point function, and 2 is a name where it is
     free and dropped where it is a square."""
     rnd = random.Random("minus one and two, " + model.name)

@@ -6,7 +6,6 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ccalc import ksymbols
 from ccalc.etale import DependentClasses, EtaleAlgebraExpr, parse_algebra
 from ccalc.ksymbols import (
     EPS_POWER_LIMIT,
@@ -61,7 +60,8 @@ def test_model_requires_minus_one():
 
 def test_model_flags():
     assert EUC.eps_free and not CLO.eps_free
-    assert EUC.is_trivial("two") and not GEN.is_trivial("two")
+    assert EUC.class_mask(("two",)) == 0 and GEN.class_mask(("two",)) != 0
+    assert symbol([("two",)], EUC).is_zero() and not symbol([("two",)], GEN).is_zero()
 
 
 # -- symbol normal form ------------------------------------------------------
@@ -419,7 +419,7 @@ def test_algebra_render_parse_round_trip(factors):
 
 @pytest.mark.parametrize("model", (EUC, CLO, GEN), ids=lambda m: m.name)
 def test_mask_product_matches_the_frozenset_rule(model):
-    names = [n for n in ("two", "a", "b", "c") if not model.is_trivial(n)]
+    names = [n for n in ("two", "a", "b", "c") if model.class_mask((n,))]
     masks = {n: bit(n, model) for n in names}
     rng = random.Random(19)
 
@@ -544,6 +544,21 @@ def reference_degree_one(cls, model):
     return frozenset(pieces)
 
 
+def reference_class_support(cls, model):
+    """The support of {cls} for a sequence of names: UnknownGenerator for
+    the first name the model does not know, else the name-set loop on the
+    names that occur an odd number of times."""
+    reference_degree_one(cls, model)
+    return reference_degree_one({n for n in cls if cls.count(n) % 2}, model)
+
+
+def reference_mask(cls, model):
+    """The mask of the reference support of {cls}: the generator masks of
+    its basis symbols, and for (1, 0) the bit after them, minus_one's."""
+    neg = 1 << len(reference_bits(model))
+    return sum(neg if m else g for m, g in reference_class_support(cls, model))
+
+
 def reference_residue(x, at):
     if not reference_knows(x.model, at):
         raise UnknownGenerator(at)
@@ -566,21 +581,25 @@ def outcome(f, *args):
 @pytest.mark.parametrize("model", TABLE_MODELS, ids=lambda m: m.name)
 def test_the_name_table_answers_as_the_name_set_loops(model):
     for name in POOL:
-        assert model.knows(name) == reference_knows(model, name), name
-        assert model.is_trivial(name) == reference_is_trivial(model, name), name
+        got = outcome(model.class_mask, (name,))
+        if reference_knows(model, name):
+            assert (got == 0) == reference_is_trivial(model, name), name
+        else:
+            assert got == (UnknownGenerator, name), name
     rng = random.Random(31)
     for _ in range(2000):
         # a tuple fixes the order, so two unknown names test which one is named
         cls = tuple(rng.choice(POOL) for _ in range(rng.randrange(6)))
-        assert outcome(ksymbols.degree_one, cls, model) == outcome(
-            reference_degree_one, cls, model
+        assert outcome(model.class_mask, cls) == outcome(reference_mask, cls, model), cls
+        assert outcome(lambda: symbol([cls], model).support) == outcome(
+            reference_class_support, cls, model
         ), cls
 
 
 @pytest.mark.parametrize("model", TABLE_MODELS, ids=lambda m: m.name)
 def test_residue_checks_at_by_the_table_in_the_old_order(model):
     rng = random.Random(37)
-    known = [n for n in POOL if model.knows(n) and n != "minus_one"]
+    known = [n for n in POOL if reference_knows(model, n) and n != "minus_one"]
     for _ in range(100):
         entries = [
             "*".join(rng.sample(known, rng.randrange(1, 3))) for _ in range(rng.randrange(4))
@@ -595,3 +614,13 @@ def test_residue_checks_at_by_the_table_in_the_old_order(model):
     for constant in ("minus_one", "two"):
         with pytest.raises(NotAnIndeterminate, match=repr(constant)):
             residue(one(model), constant)
+
+
+def test_an_unhashable_name_in_a_class_is_an_unknown_generator():
+    with pytest.raises(UnknownGenerator, match=re.escape("['a']")):
+        EUC.class_mask([["a"]])
+
+
+def test_an_unhashable_name_in_a_residue_word_is_an_unknown_generator():
+    with pytest.raises(UnknownGenerator, match=re.escape("['a']")):
+        iterated_residue(symbol(["a", "b"], EUC), [["a"]])

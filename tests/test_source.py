@@ -99,12 +99,12 @@ def test_checks_oracles_share_no_code_with_the_library():
     """The second implementations in `checks` are compared against `rings`
     and `etale`, so they must not call into either.  The Stiefel-Whitney
     oracle also stays off the power formula that `etale.sw_total` runs in
-    `ksymbols` (`power_product`) and off `degree_one`, and works on plain
+    `ksymbols` (`power_product`) and off `class_mask`, and works on plain
     KElement arithmetic."""
     path = next(p for p in SOURCES if p.name == "checks.py")
     assert not _oracle_leaks(path, ("_independent_reduce", "_independent_galois_sw"))
     assert not _oracle_leaks(
-        path, ("_independent_galois_sw",), names=("power_product", "degree_one")
+        path, ("_independent_galois_sw",), names=("power_product", "class_mask")
     )
 
 
@@ -125,7 +125,7 @@ def test_character_count_oracle_shares_no_code_with_etale():
         path,
         ("_character_sw",),
         modules=("etale",),
-        names=("orbit_decomposition", "bitangent_algebra", "power_product", "degree_one"),
+        names=("orbit_decomposition", "bitangent_algebra", "power_product", "class_mask"),
     )
 
 

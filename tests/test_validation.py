@@ -71,6 +71,11 @@ CASES = [
      KError, "constant flags are 'free' or 'trivial', got 'maybe'"),
     ("symbol plus int", lambda: one(E) + 1, ModelMismatch, "expected a KElement, got 1"),
     ("unknown symbol entry", lambda: symbol([["zz"]], E), UnknownGenerator, "zz"),
+    # a string would read as its letters: the symbol {a,b}, the class of a*b
+    ("string symbol entries", lambda: symbol("ab", E),
+     KError, "symbol entries 'ab' are a string; give a sequence of square classes"),
+    ("string class mask", lambda: E.class_mask("ab"),
+     KError, "square class 'ab' is a string; give a set of names"),
     # a string word would read as its letters: residues at x, 1, 0, or at b then a
     ("string residue word", lambda: iterated_residue(symbol([A, B], E), "x10"),
      KError, "residue word 'x10' is a string; give a sequence of names"),
