@@ -80,6 +80,27 @@ def sw_requests(classes):
     ]
 
 
+def many_roots_requests(classes):
+    """sw over one factor whose square roots are the first s classes of each
+    rotation of `classes`, for s = 4..8, in the closed, euclidean and generic
+    models, with and without --json; a dependent subproduct is refused
+    (exit 1)."""
+    return [
+        [
+            "sw",
+            "--algebra",
+            "F(%s)" % ",".join("sqrt(%s)" % m for m in (classes[i:] + classes[:i])[:s]),
+            "--model",
+            model,
+            *extra,
+        ]
+        for model in ("closed", "euclidean", "generic")
+        for s in range(4, 9)
+        for i in range(len(classes))
+        for extra in ([], ["--json"])
+    ]
+
+
 def residue_requests(classes):
     """residue --at a of the symbol {c1,...,ck} for k = 1..3 over every ordered
     choice of classes, repeats included, in the closed, euclidean and generic
@@ -142,6 +163,11 @@ FAMILIES = (
         "residue at a, one to three classes",
         residue_requests(("a", "b", "a*b", "-1", "-a", "2", "-2*b", "4", "8*a")),
         "8d3d7ddead99a53b7a5f82930895ea57fca5723ea208cd4c0814183c382f9396",
+    ),
+    (
+        "sw, one factor of four to eight roots",
+        many_roots_requests(("a", "b", "-c", "2*d", "e", "-1", "2", "a*b*c*d*e")),
+        "8f7b63606cd80c686f4db3d7a2d6605df2c8f8258ff9d2c0915a0f2841621f4f",
     ),
 )
 
