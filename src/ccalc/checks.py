@@ -50,6 +50,8 @@ from .groups import (
     n_torsion,
 )
 from .ksymbols import (
+    KElement,
+    _product,
     closed_model,
     euclidean_model,
     generic_model,
@@ -562,10 +564,12 @@ def _independent_galois_sw(alg):
     subsets S of the s square roots (Conner-Perlis), so entry S has the square
     class prod_(j in S) m_j, times 2 when s is odd.  It accumulates sigma_i of
     their symbols one entry at a time, each pass up to the number of entries
-    taken so far, and adds {2}*alpha_(i-1) in even degrees.
+    taken so far, and adds {2}*alpha_(i-1) in even degrees.  The passes work
+    on supports, products by `ksymbols._product` and sums by XOR, and the
+    KElements are built once at the end.
     """
     model = alg.model
-    e = [one(model)] + [zero(model)] * alg.rank
+    e = [one(model).support] + [frozenset()] * alg.rank
     top = 0  # a product of top factors 1 + x has no term above degree top
     for ext, mult in alg.factors:
         s = len(ext)
@@ -574,13 +578,16 @@ def _independent_galois_sw(alg):
             for j, m in enumerate(ext):
                 if mask >> j & 1:
                     cls ^= m
-            sym = symbol([cls], model)
+            sym = symbol([cls], model).support
             for _ in range(mult):
                 top += 1
                 for i in range(min(alg.rank, top), 0, -1):
-                    e[i] = e[i] + sym * e[i - 1]
-    two = symbol(["2"], model)
-    return [c + two * e[i - 1] if i and i % 2 == 0 else c for i, c in enumerate(e)]
+                    e[i] = e[i] ^ _product(model, sym, e[i - 1])
+    two = symbol(["2"], model).support
+    return [
+        KElement(model, c ^ _product(model, two, e[i - 1]) if i and i % 2 == 0 else c)
+        for i, c in enumerate(e)
+    ]
 
 
 def property_multiplicativity(rnd, cases):

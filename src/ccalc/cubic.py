@@ -102,10 +102,10 @@ class PointConfig:
 
     def __init__(self, model, pair_classes, coordinates=None):
         self.model = model
+        pair_classes = list(pair_classes)
         for m in pair_classes:
             if isinstance(m, str):
                 raise CubicError("pair class %s is a string; give a set of names" % _quote(m))
-        pair_classes = [frozenset(m) for m in pair_classes]
         if len(pair_classes) not in (2, 3):
             raise CubicError("expected two or three pair classes")
         masks = []
@@ -115,7 +115,7 @@ class PointConfig:
             except UnknownGenerator as e:
                 raise CubicError("unknown square class name %r" % e.args[0]) from None
             if not c:
-                raise CubicError("pair class %s is trivial in the model" % sorted(m))
+                raise CubicError("pair class %s is trivial in the model" % sorted(set(m)))
             masks.append(c)
         if masks[0] == masks[1]:
             raise CubicError("the first two pair classes must be independent")

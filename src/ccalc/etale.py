@@ -6,11 +6,13 @@ An algebra is a product of factors F(sqrt(m1),...,sqrt(ms))^multiplicity,
 each m_j a square class of the base function field.  The trace form of a
 factor is its 2^s x 2^s Gram matrix on the basis of square roots of
 subproducts, read off the multiplication rule e_S * e_T = m_(S&T) * e_(S^T).
-With placeholders q_j for the m_j that matrix depends on s alone, so the
-first factor with s roots pays its O(4^s) ring products — diagonality is
-checked, not assumed — and every later one only O(2^s * s) set work to read
-the q-monomials back as square classes.  Those diagonal entries, square
-classes (d_1,...,d_n) across the whole algebra, feed the symbol calculus:
+It is diag(2^s * m_S) over the subsets S of the roots (Conner-Perlis 1984),
+and `trace_form` reads it so, by doubling: O(2^s) set work per factor.
+With placeholders q_j for the m_j the Gram matrix depends on s alone, so
+the first factor with s roots also pays its O(4^s) ring products once, as a
+certificate: diagonality is checked, not assumed, and so is entry S being
+2^s * q_S up to squares.  Those diagonal entries, square classes
+(d_1,...,d_n) across the whole algebra, feed the symbol calculus:
 
     alpha_i^SW = sigma_i({d_1},...,{d_n})        (elementary symmetric),
     alpha_i    = alpha_i^SW                       for odd i,
@@ -73,7 +75,7 @@ MULTIPLICITY_DIGITS = 1000
 SW_CAP_LIMIT = 128
 
 # Most square roots one factor may have: the first factor with s roots pays
-# trace_form's O(4^s) Gram pass, and later ones O(2^s * s) set work.  One
+# trace_form's O(4^s) Gram pass, and later ones O(2^s) set work.  One
 # factor in the generic model (a process run, interpreter start included, so
 # the first call; Python 3.11 on a 2-vCPU Xeon) takes 0.27-0.32 s at 8 roots,
 # 0.61-0.78 s at 9 and 1.6-2.4 s at 10, so a dozen roots would run for tens of
@@ -155,12 +157,12 @@ class EtaleAlgebraExpr:
     extension has at most ROOTS_LIMIT classes.  The constructor maps each
     class once to its model mask (`FieldModel.class_mask`, which drops the
     trivial names), and that step raises UnknownName on the first name the
-    model does not know.  Within each extension no nonempty subproduct of
-    the classes may be trivial in the model, otherwise the factor would not
-    be a field: gf2_span grows the span of the masks, at most 2^s entries,
-    and DependentClasses names the first class whose coordinate mask is not
-    a new bit together with the earlier ones that multiply with it to a
-    square.  Two algebras are equal when every field has the same total
+    model does not know, an unhashable one included.  Within each extension
+    no nonempty subproduct of the classes may be trivial in the model,
+    otherwise the factor would not be a field: gf2_span grows the span of
+    the masks, at most 2^s entries, and DependentClasses names the first
+    class whose coordinate mask is not a new bit together with the earlier
+    ones that multiply with it to a square.  Two algebras are equal when every field has the same total
     multiplicity in both, a field being the span of its classes in the model
     (so F(sqrt(a),sqrt(b)) = F(sqrt(a),sqrt(a*b))).
 
@@ -174,12 +176,12 @@ class EtaleAlgebraExpr:
         self.factors = []
         self._fields = {}  # total multiplicity of each field
         for ext, mult in factors:
+            ext = tuple(ext)
             for m in ext:
                 if isinstance(m, str):
                     raise EtaleError(
                         "square class %s is a string; give a set of names" % _quote(m)
                     )
-            ext = tuple(frozenset(m) for m in ext)
             if not (isinstance(mult, int) and mult >= 1):
                 raise EtaleError("multiplicity must be a positive integer")
             if len(ext) > ROOTS_LIMIT:
@@ -191,6 +193,8 @@ class EtaleAlgebraExpr:
                 masks = [model.class_mask(m) for m in ext]
             except UnknownGenerator as e:
                 raise UnknownName(*e.args) from None
+            # every name is known, so hashable
+            ext = tuple(frozenset(m) for m in ext)
             span, coords = gf2_span(masks)
             for i, c in enumerate(coords):
                 if c != 1 << i:
@@ -281,8 +285,9 @@ def _gram_diagonal(s):
     of e_U * e_V over all V, read once per U, and every Gram entry is
     tr(e_S * e_T) = q[S & T] * tr(e_(S ^ T)): O(4^s) ring products.  Every
     off-diagonal entry must vanish, and each diagonal entry must be a
-    positive 2^k * square times a q-monomial; NonDiagonalGram is raised
-    otherwise.  Returns a tuple of (k is odd, q-exponent tuple).
+    positive 2^k * square times a q-monomial that `_certify` finds to be the
+    closed form `trace_form` reads; NonDiagonalGram is raised otherwise.
+    Returns a tuple of (k is odd, q-exponent tuple).
     """
     cached = _DIAGONALS.get(s)
     if cached is not None:
@@ -323,26 +328,38 @@ def _gram_diagonal(s):
                 "diagonal entry %d is not a square times a power of two" % a
             )
         out.append((two_power % 2 == 1, exps))
+    _certify(s, out)
     _DIAGONALS[s] = cached = tuple(out)
     return cached
+
+
+def _certify(s, diagonal):
+    """Check a Gram diagonal for s roots, as `_gram_diagonal` returns it,
+    against the closed form: entry U is 2^s * q[U] up to squares, so its
+    power of two has the parity of s and its q_j-exponent is odd exactly for
+    the j in U.  Raises NonDiagonalGram otherwise."""
+    for u, (odd_two, exps) in enumerate(diagonal):
+        if odd_two != (s % 2 == 1) or any(e % 2 != u >> j & 1 for j, e in enumerate(exps)):
+            raise NonDiagonalGram(
+                "diagonal entry %d is not 2^%d * q[%d] up to squares" % (u, s, u)
+            )
 
 
 def trace_form(ext, model):
     """Diagonal square classes of the trace form of F(sqrt m1,...,sqrt ms).
 
-    The Gram matrix over the placeholders q_j depends on s alone: the first
-    call with s roots runs the checked O(4^s) Gram pass (_gram_diagonal), and
-    later ones reuse it.  Each call then reads every diagonal entry 2^k *
-    square * q-monomial as a square class, {2} when k is odd times the m_j
-    of odd q_j-exponent: O(2^s * s) set work.  Returns a new list.
+    Entry U, bit j of U standing for root j, is the class of 2^s * m_U, m_U
+    the product of the m_j over U (Conner-Perlis 1984): {2} when s is odd
+    times those m_j.  The classes are read by doubling, O(2^s) set work:
+    start from {2} or the empty class, then for each root m append c * m for
+    every class c so far.  The first call with s roots runs the checked
+    O(4^s) Gram pass (_gram_diagonal), which certifies this closed form for
+    that s, and later ones reuse it.  Returns a new list.
     """
-    classes = []
-    for odd_two, exps in _gram_diagonal(len(ext)):
-        cls = _TWO if odd_two else frozenset()
-        for j, e in enumerate(exps):
-            if e % 2:
-                cls ^= ext[j]
-        classes.append(cls)
+    _gram_diagonal(len(ext))
+    classes = [_TWO if len(ext) % 2 else frozenset()]
+    for m in ext:
+        classes += [c ^ m for c in classes]
     return classes
 
 
@@ -414,14 +431,15 @@ def galois_sw_total(alg, max_degree=None):
 
     In degree 2 this is Serre's formula w2(q_E) = w2(rho_E) + {2}*{d_E}
     (Serre, Comment. Math. Helv. 59, 1984; GMS 2003, Ch. VII).  Where 2 is a
-    square in the model, {2} = 0 and every correction vanishes, so the plain
-    vector itself is returned: the closed and euclidean models never form a
-    product with the zero class.
+    square in the model, its mask (`FieldModel.class_mask`) is 0, {2} = 0 and
+    every correction vanishes, so the plain vector itself is returned: the
+    closed and euclidean models build no symbol {2} and never form a product
+    with the zero class.
     """
     sw = sw_total(alg, max_degree)
-    two = symbol([_TWO], alg.model)
-    if two.is_zero():
+    if not alg.model.class_mask(_TWO):
         return sw
+    two = symbol([_TWO], alg.model)
     classes = [sw.classes[0]]
     for i in range(1, len(sw.classes)):
         c = sw.classes[i]

@@ -563,6 +563,69 @@ def test_trace_form_cache_is_empty_after_import():
     assert proc.stdout == "0\n"
 
 
+def _read_gram_diagonal(ext):
+    """trace_form as it read `_gram_diagonal` entry by entry before the closed
+    form: each entry 2^k * square * q-monomial is the square class {2} when
+    k is odd times the m_j of odd q_j-exponent (the oracle for the doubling)."""
+    classes = []
+    for odd_two, exps in etale._gram_diagonal(len(ext)):
+        cls = frozenset({"two"}) if odd_two else frozenset()
+        for j, e in enumerate(exps):
+            if e % 2:
+                cls ^= ext[j]
+        classes.append(cls)
+    return classes
+
+
+def test_closed_form_trace_form_matches_the_gram_diagonal_reading():
+    # every root count up to the limit, in order: entry U of both lists is
+    # the class of 2^s * m_U, bit j of U standing for root j
+    model = generic_model(("a", "b", "c", "d", "e", "f"))
+    group = ("minus_one", "two") + model.indeterminates
+    rnd = random.Random(20261021)
+    for s in range(ROOTS_LIMIT + 1):
+        for _ in range(4):
+            ext = tuple(_random_basis(rnd, group, s))
+            assert trace_form(ext, model) == _read_gram_diagonal(ext), ext
+    # the reading is positional, so roots that are not a field's basis too
+    assert trace_form((A, A, B), GEN) == _read_gram_diagonal((A, A, B))
+
+
+def test_certificate_reads_exponents_up_to_squares():
+    # 2^2 * q0^3 * q1^2 is q0 up to squares
+    etale._certify(2, ((False, (2, 0)), (False, (3, 2)), (False, (0, 1)), (False, (1, 5))))
+
+
+@pytest.mark.parametrize("s, diagonal, entry", [
+    # an even power of two where s is odd
+    (1, ((True, (0,)), (False, (1,))), 1),
+    # an odd power of two where s is even
+    (2, ((True, (0, 0)), (False, (1, 0)), (False, (0, 1)), (False, (1, 1))), 0),
+    # entries 1 and 2 swapped: q1 where bit 0 stands for q0
+    (2, ((False, (0, 0)), (False, (0, 1)), (False, (1, 0)), (False, (1, 1))), 1),
+    # a q-exponent of the wrong parity
+    (2, ((False, (0, 0)), (False, (1, 0)), (False, (0, 1)), (False, (1, 2))), 3),
+])
+def test_certificate_refuses_a_wrong_diagonal(s, diagonal, entry):
+    with pytest.raises(NonDiagonalGram) as info:
+        etale._certify(s, diagonal)
+    assert str(info.value) == "diagonal entry %d is not 2^%d * q[%d] up to squares" % (
+        entry, s, entry
+    )
+
+
+def test_gram_pass_caches_nothing_the_certificate_refuses(monkeypatch):
+    monkeypatch.setattr(etale, "_DIAGONALS", {})
+
+    def refuse(s, diagonal):
+        raise NonDiagonalGram("refused %d" % s)
+
+    monkeypatch.setattr(etale, "_certify", refuse)
+    with pytest.raises(NonDiagonalGram, match="refused 2"):
+        trace_form((A, B), GEN)
+    assert etale._DIAGONALS == {}
+
+
 # -- SW classes ----------------------------------------------------------------
 
 
@@ -850,6 +913,25 @@ def test_galois_classes_are_the_plain_ones_where_two_is_a_square(monkeypatch):
                 plain, galois = sw_total(alg, cap), galois_sw_total(alg, cap)
                 assert galois.classes == plain.classes, (model, alg, cap)
                 assert (galois.cap, galois.rank) == (plain.cap, plain.rank)
+
+
+def test_galois_classes_build_no_two_symbol_where_two_is_a_square(monkeypatch):
+    # {2} is tested by its mask, so the symbol is built only where 2 is free
+    built = []
+    real = etale.symbol
+
+    def counted(entries, model):
+        built.append(model)
+        return real(entries, model)
+
+    monkeypatch.setattr(etale, "symbol", counted)
+    rnd = random.Random(20261022)
+    for model in (CLO, EUC, CUSTOM):
+        for alg in _shortcut_cases(rnd, model):
+            galois_sw_total(alg)
+    assert built == []
+    galois_sw_total(parse_algebra("F(sqrt(a))", GEN))
+    assert built == [GEN]
 
 
 def test_generic_even_classes_differ_from_the_plain_ones_by_two_times_the_one_below():

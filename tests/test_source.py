@@ -99,8 +99,8 @@ def test_checks_oracles_share_no_code_with_the_library():
     """The second implementations in `checks` are compared against `rings`
     and `etale`, so they must not call into either.  The Stiefel-Whitney
     oracle also stays off the power formula that `etale.sw_total` runs in
-    `ksymbols` (`power_product`) and off `class_mask`, and works on plain
-    KElement arithmetic."""
+    `ksymbols` (`power_product`) and off `class_mask`, and works on symbol
+    supports with the product rule `ksymbols._product`."""
     path = next(p for p in SOURCES if p.name == "checks.py")
     assert not _oracle_leaks(path, ("_independent_reduce", "_independent_galois_sw"))
     assert not _oracle_leaks(

@@ -58,6 +58,8 @@ CASES = [
      EtaleError, "multiplicity must be a positive integer"),
     ("unknown name", lambda: EtaleAlgebraExpr(E, [((frozenset({"zz"}),), 1)]),
      UnknownName, "zz"),
+    ("unhashable name", lambda: EtaleAlgebraExpr(E, [(([["a"]],), 1)]),
+     UnknownName, "['a']"),
     # a string would read as the set of its letters: {a, b}, or an unknown z
     ("string square class", lambda: EtaleAlgebraExpr(E, [(("ab",), 1)]),
      EtaleError, "square class 'ab' is a string; give a set of names"),
@@ -86,6 +88,8 @@ CASES = [
     # cubic
     ("string pair class", lambda: PointConfig(euclidean_model(("a", "b", "c")), ("ab", "c")),
      CubicError, "pair class 'ab' is a string; give a set of names"),
+    ("unhashable pair class name", lambda: PointConfig(E, ([["a"]], ["b"])),
+     CubicError, "unknown square class name ['a']"),
     ("five coordinate triples", lambda: PointConfig(E, (A, B), coordinates=[(1, 0, 0)] * 5),
      CubicError, "expected six coordinate triples"),
     ("six integer triples", lambda: PointConfig(E, (A, B), coordinates=[(1, 0, 0)] * 6),
