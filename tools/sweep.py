@@ -101,6 +101,36 @@ def many_roots_requests(classes):
     ]
 
 
+def power_requests(classes):
+    """sw --max-degree 0..12 over products of two to four factors, in the
+    closed, euclidean and generic models, with and without --json.  Product
+    i of f factors takes its j-th factor's 1 + (i + j) % 3 roots from the
+    classes, cyclically, starting at i + 2*j, with multiplicity
+    1 + (i + 3*j) % 7."""
+    n = len(classes)
+    algebras = [
+        " * ".join(
+            "F(%s)^%d"
+            % (
+                ",".join(
+                    "sqrt(%s)" % classes[(i + 2 * j + r) % n] for r in range(1 + (i + j) % 3)
+                ),
+                1 + (i + 3 * j) % 7,
+            )
+            for j in range(f)
+        )
+        for f in (2, 3, 4)
+        for i in range(n)
+    ]
+    return [
+        ["sw", "--algebra", alg, "--model", model, "--max-degree", str(d), *extra]
+        for model in ("closed", "euclidean", "generic")
+        for alg in algebras
+        for d in range(13)
+        for extra in ([], ["--json"])
+    ]
+
+
 def residue_requests(classes):
     """residue --at a of the symbol {c1,...,ck} for k = 1..3 over every ordered
     choice of classes, repeats included, in the closed, euclidean and generic
@@ -168,6 +198,11 @@ FAMILIES = (
         "sw, one factor of four to eight roots",
         many_roots_requests(("a", "b", "-c", "2*d", "e", "-1", "2", "a*b*c*d*e")),
         "8f7b63606cd80c686f4db3d7a2d6605df2c8f8258ff9d2c0915a0f2841621f4f",
+    ),
+    (
+        "sw to degree 0..12, two to four factors",
+        power_requests(("a", "-b", "2*c", "d", "-e", "a*b", "2*c*d", "-a*e", "b*c*d*e")),
+        "b586aec04291c6021548dbcd5ad0b9b0bedd3b942b6f9dd51e57a0352fb7d1f0",
     ),
 )
 
