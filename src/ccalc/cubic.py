@@ -9,10 +9,12 @@ element is a bitmask g whose bit j is set when it negates the square root of
 the j-th pair class outside the span of the ones before it, elements compose
 by XOR, and g swaps the i-th point pair exactly when g meets the coordinate
 mask of m_i over those classes in an odd number of bits.  M is built once, by
-`etale.gf2_span`, as a dict from each class to its coordinate mask, and the
-fixed field of each stabilizer is read off it.  The mask is the element: the
-action, the point permutations and the stabilizers are computed on masks, and
-names such as sigma*tau exist only to render the group and the stabilizers.
+`etale.gf2_span`, as a list in which each class's index is its coordinate
+mask; `build_action` turns it into a dict from each class to that mask, and
+the fixed field of each stabilizer is read off it.  The mask is the element:
+the action, the point permutations and the stabilizers are computed on
+masks, and names such as sigma*tau exist only to render the group and the
+stabilizers.
 The 27 labels — six exceptional divisors E_i, fifteen lines L_ij through
 point pairs, six conics C_i through five points — inherit the permutation,
 and each orbit is defined over the fixed field of its stabilizer.  Summing
@@ -215,9 +217,10 @@ def build_action(cfg):
     """Derive the group, the point permutations, the 27-label permutations,
     and verify the homomorphism property A[g] o A[h] = A[g ^ h].
 
-    The span of M is one dict from each class to its coordinate mask
-    (`etale.gf2_span` over the model masks of the pair classes, its keys
-    turned back into classes of names), and M has 2^k classes.
+    The span of M is one dict from each class to its coordinate mask, read
+    off the list `etale.gf2_span` makes of the model masks of the pair
+    classes: a class's index in it is its coordinate mask, and its mask is
+    turned back into a class of names.  M has 2^k classes.
 
     The property is checked for g = h = 0 and for each generator g = e_j
     against every h: 1 + k*2^k checks, which imply it for every pair, by
@@ -227,8 +230,10 @@ def build_action(cfg):
     A[g] o A[h] = A[e_j] o A[g ^ e_j] o A[h] = A[e_j] o A[g ^ e_j ^ h]
     (induction) = A[g ^ h] (a generator check again)."""
     model = cfg.model
-    span, coords = gf2_span([model.class_mask(m) for m in cfg.pair_classes])
-    span = {frozenset(model.gen_names(m)): c for m, c in span.items()}
+    masks = [model.class_mask(m) for m in cfg.pair_classes]
+    span = gf2_span(masks)
+    coords = [span.index(m) for m in masks]
+    span = {frozenset(model.gen_names(m)): g for g, m in enumerate(span)}
     k = len(span).bit_length() - 1
     gen_names = ["sigma", "tau"] if k <= 2 else ["sigma%d" % j for j in range(1, k + 1)]
 

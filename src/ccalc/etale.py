@@ -39,10 +39,11 @@ Square classes are frozensets of names at the edge of this module: in an
 algebra's `factors`, in `trace_form`'s output and in every rendering.
 Inside, each class is its model mask (`ksymbols.FieldModel.class_mask`),
 the one reader from a class to the model, which `ksymbols.symbol` uses too:
-`EtaleAlgebraExpr` spans the masks with `gf2_span` and keys the fields by
-them, and `sw_total` counts each diagonal class by its mask, which
-`ksymbols.power_product` reads bit by bit as the degree-1 symbol of the
-class: no support of a symbol is formed before the classes are read off.
+`EtaleAlgebraExpr` spans the masks with `gf2_span`, a list in doubling
+order, and keys the fields by them, and `sw_total` counts each diagonal
+class by its mask, which `ksymbols.power_product` reads bit by bit as the
+degree-1 symbol of the class: no support of a symbol is formed before the
+classes are read off.
 """
 
 from math import isqrt
@@ -130,21 +131,22 @@ def field_str(ext, model):
 
 def gf2_span(classes):
     """The GF(2) span of square classes, each an int mask with XOR as the
-    product (`FieldModel.class_mask`).
+    product (`FieldModel.class_mask`), as a list in doubling order.
 
-    Returns (span, coords).  span maps each product of a subset of the
-    classes to its coordinate mask: bit j stands for the j-th class that lies
-    outside the span of the classes before it, and reading such a class
-    doubles the span.  coords[i] is span[classes[i]], so classes[i] is
-    independent of classes[:i] exactly when its mask is a new bit.
+    span[g] is the product of the classes whose coordinate bits are g: bit j
+    stands for the j-th class that lies outside the span of the classes
+    before it, and reading that class doubles the list, span[g | 2^j] =
+    span[g] * class for g < 2^j.  A class is independent of the classes
+    before it exactly when it is not in the list so far, and a class's
+    coordinate mask is its index in the list, span.index(class).  The points
+    of `ksymbols.power_product` and the entries of `trace_form` are in the
+    same order.
     """
-    span, coords = {0: 0}, []
+    span = [0]
     for m in classes:
         if m not in span:
-            new = len(span)  # 2^j after j new classes: bit j
-            span.update({c ^ m: g | new for c, g in span.items()})
-        coords.append(span[m])
-    return span, coords
+            span += [c ^ m for c in span]
+    return span
 
 
 class EtaleAlgebraExpr:
@@ -152,19 +154,21 @@ class EtaleAlgebraExpr:
 
     factors: list of (extension, multiplicity) where extension is a tuple of
     square classes (frozensets of names) generating F(sqrt m1, ..., sqrt ms),
-    and the multiplicity is any positive integer.  A class given as a string
-    raises EtaleError, since it would read as the set of its letters.  An
-    extension has at most ROOTS_LIMIT classes.  The constructor maps each
-    class once to its model mask (`FieldModel.class_mask`, which drops the
-    trivial names), and that step raises UnknownName on the first name the
-    model does not know, an unhashable one included.  Within each extension
-    no nonempty subproduct of the classes may be trivial in the model,
-    otherwise the factor would not be a field: gf2_span grows the span of
-    the masks, at most 2^s entries, and DependentClasses names the first
-    class whose coordinate mask is not a new bit together with the earlier
-    ones that multiply with it to a square.  Two algebras are equal when every field has the same total
-    multiplicity in both, a field being the span of its classes in the model
-    (so F(sqrt(a),sqrt(b)) = F(sqrt(a),sqrt(a*b))).
+    and the multiplicity is any positive integer.  An extension that is not
+    iterable, or a class given as a string, raises EtaleError; a string
+    would read as the set of its letters.  An extension has at most
+    ROOTS_LIMIT classes.  The constructor maps each class once to its model
+    mask (`FieldModel.class_mask`, which drops the trivial names), and that
+    step raises UnknownName on the first name the model does not know, an
+    unhashable one included, and KError on a class that is not iterable.
+    Within each extension no nonempty subproduct of the classes may be
+    trivial in the model, otherwise the factor would not be a field:
+    gf2_span lists the span of the masks, which must have 2^s entries.
+    Otherwise DependentClasses names the first class whose coordinate mask,
+    its index in the list, is not a new bit, together with the earlier ones
+    that multiply with it to a square.  Two algebras are equal when every
+    field has the same total multiplicity in both, a field being the span of
+    its classes in the model (so F(sqrt(a),sqrt(b)) = F(sqrt(a),sqrt(a*b))).
 
     The masks live only inside: `_fields` is keyed by the frozenset of a
     field's span masks.  `factors`, `str` and the classes that `trace_form`
@@ -175,8 +179,12 @@ class EtaleAlgebraExpr:
         self.model = model
         self.factors = []
         self._fields = {}  # total multiplicity of each field
+        class_mask = model.class_mask
         for ext, mult in factors:
-            ext = tuple(ext)
+            try:
+                ext = tuple(ext)
+            except TypeError:
+                raise EtaleError("extension %r is not a sequence of square classes" % (ext,)) from None
             for m in ext:
                 if isinstance(m, str):
                     raise EtaleError(
@@ -190,23 +198,25 @@ class EtaleAlgebraExpr:
                     % (len(ext), ROOTS_LIMIT)
                 )
             try:
-                masks = [model.class_mask(m) for m in ext]
+                masks = [class_mask(m) for m in ext]
             except UnknownGenerator as e:
                 raise UnknownName(*e.args) from None
             # every name is known, so hashable
             ext = tuple(frozenset(m) for m in ext)
-            span, coords = gf2_span(masks)
-            for i, c in enumerate(coords):
-                if c != 1 << i:
-                    # the earlier classes are independent, so bit j is input j
-                    raise DependentClasses(
-                        "subproduct of sqrt arguments %s is a square"
-                        % ([j for j in range(i) if c >> j & 1] + [i],)
-                    )
+            span = gf2_span(masks)
+            if len(span) != 1 << len(masks):
+                # the classes before the first dependent one are independent,
+                # so class j's coordinate mask, its index, is bit j, and bit j
+                # of the first other mask is input j
+                i, c = next((i, c) for i, c in enumerate(map(span.index, masks)) if c != 1 << i)
+                raise DependentClasses(
+                    "subproduct of sqrt arguments %s is a square"
+                    % ([j for j in range(i) if c >> j & 1] + [i],)
+                )
             self.factors.append((ext, mult))
             field = frozenset(span)  # the field's whole square-class group
             self._fields[field] = self._fields.get(field, 0) + mult
-        self.rank = sum(mult * 2 ** len(ext) for ext, mult in self.factors)
+        self.rank = sum(mult << len(ext) for ext, mult in self.factors)
 
     def times(self, other):
         if other.model != self.model:

@@ -103,8 +103,10 @@ EXPANSION_LIMIT = 16384
 # (Python 3.11 on a 2-vCPU Xeon), forty random symbols over 16 names take
 # 0.03-0.05 s and 23 MB at cap 8, and 1.6-1.7 s and 310 MB at cap 128, where
 # the 129 classes hold 1.8 million basis symbols.  Past the limit it raises
-# KError before it allocates anything.  `ccalc check-all` meets at most 6
-# names, and `ccalc sw` at most 6 (etale.SW_NAMES_LIMIT indeterminates and 2).
+# KError before it allocates anything, its point tables included: they are
+# kept per name count (_POINT_TABLES, at most 17 entries; about 280 KB over
+# 16 names).  `ccalc check-all` meets at most 6 names, and `ccalc sw` at most
+# 6 (etale.SW_NAMES_LIMIT indeterminates and 2).
 POWER_NAMES_LIMIT = 16
 
 
@@ -170,15 +172,19 @@ class FieldModel:
         """The mask of a square class (an iterable of names) in the model: the
         XOR of the bits of its names, the bits of trivial names cleared.
         Raises UnknownGenerator on the first name the model does not know,
-        and KError for a string, which would read as the set of its letters."""
+        and KError for a string, which would read as the set of its letters,
+        and for a value that is not iterable."""
         if isinstance(cls, str):
             raise KError("square class %s is a string; give a set of names" % _quote(cls))
         table, mask = self._table, 0
-        for name in cls:
-            try:
-                mask ^= table[name]
-            except (KeyError, TypeError):  # TypeError: an unhashable name
-                raise UnknownGenerator(name) from None
+        try:
+            for name in cls:
+                try:
+                    mask ^= table[name]
+                except (KeyError, TypeError):  # TypeError: an unhashable name
+                    raise UnknownGenerator(name) from None
+        except TypeError:  # cls is not iterable
+            raise KError("square class %r is not iterable; give a set of names" % (cls,)) from None
         return mask & ~self._trivial
 
     def sort_gens(self, gens):
@@ -374,6 +380,26 @@ def symbol(entries, model):
     return KElement(model, acc)
 
 
+# Name count n -> the point tables of `power_product` over n names, filled
+# on first use: patterns[k], the points S that hold the k-th name (bit k of
+# S); full, every point; steps, the (keep, shift) pairs of the inverse
+# transform.  Over 16 names they take about 280 KB.
+_POINT_TABLES = {}
+
+
+def _point_tables(n):
+    """Build and keep the point tables over n names, by doubling: a new
+    name doubles the points, the points of the earlier names are copied
+    into the upper half, and the new name holds that whole half."""
+    patterns, size = [], 1
+    for _ in range(n):
+        patterns = [p | p << size for p in patterns] + [((1 << size) - 1) << size]
+        size <<= 1
+    full = (1 << size) - 1
+    _POINT_TABLES[n] = patterns, full, [(full ^ p, 1 << k) for k, p in enumerate(patterns)]
+    return _POINT_TABLES[n]
+
+
 def power_product(counts, cap, model):
     """The classes of degrees 0..cap of the product of the (1 + c)^n over the
     items (c, n) of counts, each c the model mask of a square class
@@ -407,6 +433,12 @@ def power_product(counts, cap, model):
     N_S is kept as L bit planes, filled by ripple-carry AND/XOR; each class
     is an AND of planes, transformed back by n shift-XOR steps and read off
     its set bits.
+
+    The point tables depend on n alone: pattern k, the points that hold the
+    k-th name in use, `full` and the inverse-transform steps are built once
+    per n (`_point_tables`), and only after the limit check.  A call pairs
+    each model bit in use with its pattern and builds `gens`, the model
+    mask of each point, which the readout indexes.
     """
     width = cap.bit_length()  # L: only N_S mod 2^L matters
     counts = [(c, n) for c, n in counts.items() if n & ((1 << width) - 1)]
@@ -415,22 +447,17 @@ def power_product(counts, cap, model):
     for c, _ in counts:
         used |= c
     used &= ~neg
-    if used.bit_count() > POWER_NAMES_LIMIT:
-        raise KError(
-            "power product over %d names; the limit is %d"
-            % (used.bit_count(), POWER_NAMES_LIMIT)
-        )
+    names = used.bit_count()
+    if names > POWER_NAMES_LIMIT:
+        raise KError("power product over %d names; the limit is %d" % (names, POWER_NAMES_LIMIT))
+    patterns, full, steps = _POINT_TABLES.get(names) or _point_tables(names)
     gens = [0]  # point S -> the model mask of its names
     has = {}  # model bit -> the points S that contain its name
-    while used:
+    for pattern in patterns:
         bit = used & -used
-        size = len(gens)  # the new name is bit `size` of a point
-        for name in has:
-            has[name] |= has[name] << size
-        has[bit] = ((1 << size) - 1) << size
+        has[bit] = pattern
         gens += [g | bit for g in gens]
         used ^= bit
-    full = (1 << len(gens)) - 1
     planes = [0] * width  # planes[k]: the points S with bit k of N_S set
     for c, n in counts:
         zc = full if c & neg else 0
@@ -446,8 +473,6 @@ def power_product(counts, cap, model):
                     planes[p], carry = planes[p] ^ carry, planes[p] & carry
                     if not carry:
                         break
-    # the k-th name added is bit k of a point
-    steps = [(full ^ points, 1 << k) for k, points in enumerate(has.values())]
     eps_free = model.eps_free
     lucas = [full]  # lucas[i]: the points S with i & ~N_S == 0
     classes = [_ONE]

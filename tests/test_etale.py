@@ -175,24 +175,32 @@ def _mask(cls):
 @given(CLASS_LISTS)
 def test_gf2_span_against_subset_enumeration(classes):
     masks = [_mask(m) for m in classes]
-    span, coords = gf2_span(masks)
-    # the keys are every subset product, 2^k of them for k new classes
+    span = gf2_span(masks)
+    # the entries are every subset product, 2^k of them for k new classes
     assert set(span) == {_mask(acc) for _, acc in _subset_products(classes)}
-    new = [
-        _mask(m)
+    fresh = [
+        i
         for i, m in enumerate(classes)
         if m not in {acc for _, acc in _subset_products(classes[:i])}
     ]
+    new = [masks[i] for i in fresh]
     assert len(span) == 2 ** len(new)
-    # bit j of a coordinate mask is the j-th new class, so the coordinate
-    # masks rebuild the classes
-    assert coords == [span[m] for m in masks]
-    for m, g in span.items():
+
+    def rebuild(g):
+        """The product of the new classes of the bits of g."""
         acc = 0
         for j, b in enumerate(new):
             if g >> j & 1:
                 acc ^= b
-        assert acc == m
+        return acc
+
+    # doubling order: span[g] is the product of the new classes of g's bits
+    assert span == [rebuild(g) for g in range(len(span))]
+    # so each class's coordinate mask, found by enumeration, is its index,
+    # dependent and repeated classes included, and a new class's is a new bit
+    coords = [next(g for g in range(len(span)) if rebuild(g) == m) for m in masks]
+    assert coords == [span.index(m) for m in masks]
+    assert [coords[i] for i in fresh] == [1 << j for j in range(len(fresh))]
 
 
 @settings(max_examples=300)
@@ -819,6 +827,70 @@ def test_power_product_matches_the_kelement_loop_on_random_counts():
     for model in models:
         for cap in caps:
             assert ksymbols.power_product({}, cap, model) == [one(model)] + [zero(model)] * cap
+
+
+def test_point_tables_hold_the_points_of_each_name():
+    """Pattern k is the set of points S with bit k, full every point."""
+    for n in range(11):
+        patterns, full, steps = ksymbols._point_tables(n)
+        assert full == 2 ** 2 ** n - 1
+        assert patterns == [
+            sum(1 << s for s in range(2 ** n) if s >> k & 1) for k in range(n)
+        ]
+        assert steps == [(full ^ p, 1 << k) for k, p in enumerate(patterns)]
+
+
+def test_point_table_steps_invert_the_transform():
+    """The steps map a random point function f to its zeta transform
+    zf(S) = sum over T <= S of f(T), by subset enumeration, and back."""
+    rnd = random.Random(37)
+    for n in range(7):
+        _, full, steps = ksymbols._point_tables(n)
+        for _ in range(20):
+            f = rnd.getrandbits(2 ** n)
+            zf = 0
+            for s in range(2 ** n):
+                value = sum(f >> t & 1 for t in range(s + 1) if t & s == t) % 2
+                zf |= value << s
+            g = f
+            for keep, shift in steps:
+                g ^= (g & keep) << shift
+            assert g == zf
+            for keep, shift in steps:
+                g ^= (g & keep) << shift
+            assert g == f
+
+
+def test_power_product_builds_the_same_classes_from_fresh_tables():
+    """The counts of test_power_product_matches_the_kelement_loop_on_random_counts,
+    each read with the table dict cleared and then again with it warm."""
+    models = (CLO, EUC, GEN, FieldModel(("a", "b", "c"), {"minus_one": "trivial", "two": "free"}))
+    names = ("minus_one", "two", "a", "b", "c")
+    caps = list(range(21)) + [128]
+    rnd = random.Random(20261020)
+    for case in range(600):
+        model = models[case % len(models)]
+        cap = caps[case % len(caps)]
+        classes = [
+            (frozenset(n for n in names if rnd.random() < 0.4), _random_multiplicity(rnd))
+            for _ in range(rnd.randrange(6))
+        ]
+        masks, _ = _class_counts(model, classes)
+        ksymbols._POINT_TABLES.clear()
+        cold = ksymbols.power_product(masks, cap, model)
+        assert ksymbols.power_product(masks, cap, model) == cold, (model, cap, masks)
+
+
+def test_power_product_refuses_before_it_builds_tables():
+    """Past POWER_NAMES_LIMIT names the KError comes first, and no table
+    over limit + 1 names is built."""
+    limit = ksymbols.POWER_NAMES_LIMIT
+    model = generic_model(tuple("x%d" % i for i in range(1, limit + 2)))
+    counts = {model.class_mask({n}): 1 for n in model.indeterminates}
+    with pytest.raises(ksymbols.KError, match="over %d names" % (limit + 1)):
+        ksymbols.power_product(counts, 2, model)
+    assert limit + 1 not in ksymbols._POINT_TABLES
+    assert set(ksymbols._POINT_TABLES) <= set(range(limit + 1))
 
 
 @pytest.mark.parametrize("model", (CLO, EUC, GEN), ids=lambda m: m.name)

@@ -65,6 +65,11 @@ CASES = [
      EtaleError, "square class 'ab' is a string; give a set of names"),
     ("string square class of unknown letters", lambda: EtaleAlgebraExpr(E, [(("xyz",), 1)]),
      EtaleError, "square class 'xyz' is a string; give a set of names"),
+    # a class or an extension that is not iterable
+    ("int square class", lambda: EtaleAlgebraExpr(E, [((5,), 1)]),
+     KError, "square class 5 is not iterable; give a set of names"),
+    ("int extension", lambda: EtaleAlgebraExpr(E, [(5, 1)]),
+     EtaleError, "extension 5 is not a sequence of square classes"),
     ("times across models",
      lambda: EtaleAlgebraExpr(E, []).times(EtaleAlgebraExpr(generic_model(("a", "b")), [])),
      ModelMismatch, "algebras live over different field models"),
@@ -78,6 +83,10 @@ CASES = [
      KError, "symbol entries 'ab' are a string; give a sequence of square classes"),
     ("string class mask", lambda: E.class_mask("ab"),
      KError, "square class 'ab' is a string; give a set of names"),
+    ("int symbol entry", lambda: symbol([5], E),
+     KError, "square class 5 is not iterable; give a set of names"),
+    ("int class mask", lambda: E.class_mask(5),
+     KError, "square class 5 is not iterable; give a set of names"),
     # a string word would read as its letters: residues at x, 1, 0, or at b then a
     ("string residue word", lambda: iterated_residue(symbol([A, B], E), "x10"),
      KError, "residue word 'x10' is a string; give a sequence of names"),
@@ -90,6 +99,8 @@ CASES = [
      CubicError, "pair class 'ab' is a string; give a set of names"),
     ("unhashable pair class name", lambda: PointConfig(E, ([["a"]], ["b"])),
      CubicError, "unknown square class name ['a']"),
+    ("int pair class", lambda: PointConfig(E, (5, ["b"])),
+     KError, "square class 5 is not iterable; give a set of names"),
     ("five coordinate triples", lambda: PointConfig(E, (A, B), coordinates=[(1, 0, 0)] * 5),
      CubicError, "expected six coordinate triples"),
     ("six integer triples", lambda: PointConfig(E, (A, B), coordinates=[(1, 0, 0)] * 6),
